@@ -39,8 +39,6 @@ from .identify import (
     IdentificationOutcome,
     identify,
     identify_curve,
-    min_entropy_set,
-    ml_set,
     score_candidates,
 )
 from .experiments import (
@@ -48,10 +46,8 @@ from .experiments import (
     ExperimentConfig,
     ExperimentReport,
     default_config,
-    run_entropy_convergence,
     run_experiment,
     run_language_change,
-    run_ml_convergence,
     run_ml_misidentification,
     run_monotonicity_scan,
     run_smb,

@@ -13,7 +13,8 @@ All randomness flows through ``--seed`` (or the config's ``base_seed``), so a
 repeated invocation writes byte-identical output.  Results go to standard
 output or ``--output``; the only thing ever printed to standard error besides
 diagnostics is a final timing line.  Exit status: 0 on success, 1 when inputs
-fail validation, 2 when a numerical routine fails to converge.
+fail validation, 2 on a numerical failure (an eigen-solve failed its
+certificate, or a weight overflowed).
 """
 
 from __future__ import annotations

@@ -23,9 +23,10 @@ pure function of its config, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .serialize import (
     encode_floats,
     grammar_from_dict,
     grammar_to_dict,
+    outcome_to_dict,
     potential_from_dict,
     potential_to_dict,
 )
@@ -107,30 +109,10 @@ class ExperimentConfig:
     tolerance: float = 0.05
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "theta": self.theta,
-            "true_grammar": _opt(grammar_to_dict, self.true_grammar),
-            "lower": _opt(grammar_to_dict, self.lower),
-            "upper": _opt(grammar_to_dict, self.upper),
-            "potential": _opt(potential_to_dict, self.potential),
-            "candidates": ("auto" if self.candidates is None
-                           else [grammar_to_dict(g) for g in self.candidates]),
-            "checkpoints": list(self.checkpoints),
-            "seeds": self.seeds,
-            "base_seed": self.base_seed,
-            "tie_tol": self.tie_tol,
-            "scales": list(self.scales),
-            "reward": self.reward,
-            "reward_margin": self.reward_margin,
-            "bisect_tol": self.bisect_tol,
-            "penalties": list(self.penalties),
-            "sample_length": self.sample_length,
-            "n_potentials": self.n_potentials,
-            "value_bound": self.value_bound,
-            "potential_ranges": list(self.potential_ranges),
-            "tolerance": self.tolerance,
-        }
+        out = {f.name: _field_to_json(getattr(self, f.name)) for f in fields(self)}
+        if self.candidates is None:
+            out["candidates"] = "auto"
+        return out
 
     @classmethod
     def from_dict(cls, data) -> "ExperimentConfig":
@@ -138,12 +120,7 @@ class ExperimentConfig:
             raise ValidationError("experiment config must be a JSON object")
         if "experiment" not in data:
             raise ValidationError("experiment config is missing the 'experiment' field")
-        known = {
-            "experiment", "theta", "true_grammar", "lower", "upper", "potential",
-            "candidates", "checkpoints", "seeds", "base_seed", "tie_tol", "scales",
-            "reward", "reward_margin", "bisect_tol", "penalties", "sample_length",
-            "n_potentials", "value_bound", "potential_ranges", "tolerance",
-        }
+        known = {f.name for f in fields(cls)}
         for key in data:
             if key not in known:
                 raise ValidationError(f"unknown experiment config field: {key!r}")
@@ -179,8 +156,14 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
-def _opt(fn, value):
-    return None if value is None else fn(value)
+def _field_to_json(value):
+    if isinstance(value, Grammar):
+        return grammar_to_dict(value)
+    if isinstance(value, Potential):
+        return potential_to_dict(value)
+    if isinstance(value, tuple):
+        return [_field_to_json(v) for v in value]
+    return value
 
 
 @dataclass
@@ -265,8 +248,6 @@ def _comparable_pairs(grammars) -> list[tuple[int, int]]:
 def _random_potentials(lexicon: Lexicon, count: int, ranges, bound: float,
                        base_seed: int) -> list[Potential]:
     """Full random tables, values uniform in [-bound, bound], ranges cycled."""
-    import itertools
-
     rng = np.random.default_rng(base_seed)
     out = []
     for k in range(count):
@@ -313,8 +294,6 @@ def _candidate_table(candidates, chains, final_outcomes) -> list[dict]:
 
 
 def _first_seed_record(cfg, truth_chain, final_outcome) -> dict:
-    from .serialize import outcome_to_dict
-
     n = max(max(cfg.checkpoints), truth_chain.potential.range - 1)
     word = sample(truth_chain, n, cfg.base_seed).word
     return {
@@ -328,7 +307,11 @@ def _first_seed_record(cfg, truth_chain, final_outcome) -> dict:
 # runners
 # ---------------------------------------------------------------------------
 
-def _run_convergence(cfg: ExperimentConfig, procedure: str) -> ExperimentReport:
+def _run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
+    """Frequency of exact recovery along sample prefixes, by maximum
+    likelihood (``ml-convergence``) or minimum entropy
+    (``entropy-convergence``, plus a monotonicity sweep over ``scales``)."""
+    procedure = "ml" if cfg.experiment == "ml-convergence" else "entropy"
     if cfg.true_grammar is None:
         raise ValidationError(f"{cfg.experiment} needs a true_grammar")
     lex = cfg.true_grammar.lexicon
@@ -383,22 +366,6 @@ def _entropy_monotonicity_sweep(candidates, phi: Potential, scales) -> dict:
     return {"pairs": len(pairs), "scales": rows, "first_failing_scale": first_fail}
 
 
-def run_ml_convergence(config: ExperimentConfig) -> ExperimentReport:
-    """Frequency of exact maximum-likelihood recovery along sample prefixes."""
-    t0 = time.perf_counter()
-    report = _run_convergence(config, "ml")
-    report.wall_time_s = time.perf_counter() - t0
-    return report
-
-
-def run_entropy_convergence(config: ExperimentConfig) -> ExperimentReport:
-    """Frequency of exact minimum-entropy recovery, plus a monotonicity sweep."""
-    t0 = time.perf_counter()
-    report = _run_convergence(config, "entropy")
-    report.wall_time_s = time.perf_counter() - t0
-    return report
-
-
 def entropy_crossing(lower: Grammar, upper: Grammar, tol: float = 1e-6) -> float:
     """Smallest orbit reward at which the rewarded chain on ``upper`` drops
     below the entropy of ``lower``'s chain, located by bisection.
@@ -433,7 +400,6 @@ def run_language_change(config: ExperimentConfig) -> ExperimentReport:
     """Reward a periodic orbit outside the smaller language and watch the
     minimum-entropy learner switch to the larger grammar while maximum
     likelihood stays with the true (smaller) one."""
-    t0 = time.perf_counter()
     cfg = config
     if cfg.lower is None or cfg.upper is None:
         raise ValidationError("language-change needs lower and upper grammars")
@@ -463,7 +429,7 @@ def run_language_change(config: ExperimentConfig) -> ExperimentReport:
         finals.append(outcomes[-1])
     curve = [{"n": cp, "frequency": _mean(flip[k]), "mean_score_gap": _mean(gaps[k]),
               "ml_frequency": _mean(ml_true[k])} for k, cp in enumerate(cps)]
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment=cfg.experiment,
         config=cfg.to_dict(),
         curve=curve,
@@ -473,15 +439,12 @@ def run_language_change(config: ExperimentConfig) -> ExperimentReport:
         details={"first_seed": _first_seed_record(cfg, truth_chain, finals[0]),
                  "lower_index": lower_idx, "upper_index": upper_idx,
                  "orbit_potential": potential_to_dict(phi)},
-        wall_time_s=time.perf_counter() - t0,
     )
-    return report
 
 
 def run_ml_misidentification(config: ExperimentConfig) -> ExperimentReport:
     """Penalize the true grammar's extra transitions and measure how often a
     short sample is maximum-likelihood-attributed to the smaller grammar."""
-    t0 = time.perf_counter()
     cfg = config
     if cfg.lower is None or cfg.upper is None:
         raise ValidationError("ml-misidentification needs lower and upper grammars")
@@ -525,14 +488,12 @@ def run_ml_misidentification(config: ExperimentConfig) -> ExperimentReport:
         thresholds={"penalized_transitions": [list(p) for p in extra]},
         details={"first_seed": first, "lower_index": lower_idx,
                  "upper_index": upper_idx},
-        wall_time_s=time.perf_counter() - t0,
     )
 
 
 def run_monotonicity_scan(config: ExperimentConfig) -> ExperimentReport:
     """Strict pressure monotonicity over every comparable primitive pair of a
     lexicon, swept across the zero potential and random finite-range tables."""
-    t0 = time.perf_counter()
     cfg = config
     if cfg.theta is None:
         raise ValidationError("monotonicity scan needs a theta")
@@ -567,14 +528,12 @@ def run_monotonicity_scan(config: ExperimentConfig) -> ExperimentReport:
                     "comparable_pairs": len(pairs),
                     "grammars": len(grammars),
                     "violations": total_violations},
-        wall_time_s=time.perf_counter() - t0,
     )
 
 
 def run_smb(config: ExperimentConfig) -> ExperimentReport:
     """Fraction of sampled words whose per-symbol cylinder score sits within
     a tolerance of the chain's entropy rate, along growing prefixes."""
-    t0 = time.perf_counter()
     cfg = config
     if cfg.true_grammar is None:
         raise ValidationError("smb needs a true_grammar")
@@ -602,13 +561,12 @@ def run_smb(config: ExperimentConfig) -> ExperimentReport:
         curve=curve,
         thresholds={"tolerance": cfg.tolerance, "entropy": chain.entropy},
         details={"final_estimates": final_estimates},
-        wall_time_s=time.perf_counter() - t0,
     )
 
 
 _RUNNERS = {
-    "ml-convergence": run_ml_convergence,
-    "entropy-convergence": run_entropy_convergence,
+    "ml-convergence": _run_convergence,
+    "entropy-convergence": _run_convergence,
     "language-change": run_language_change,
     "ml-misidentification": run_ml_misidentification,
     "monotonicity": run_monotonicity_scan,
@@ -617,10 +575,13 @@ _RUNNERS = {
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Dispatch a config to its runner by experiment id."""
+    """Dispatch a config to its runner by experiment id and time the run."""
     if config.experiment not in _RUNNERS:
         raise ValidationError(
             f"unknown experiment id {config.experiment!r}; expected one of {EXPERIMENT_IDS}")
     if config.seeds < 1:
         raise ValidationError("seeds must be a positive count of runs")
-    return _RUNNERS[config.experiment](config)
+    started = time.perf_counter()
+    report = _RUNNERS[config.experiment](config)
+    report.wall_time_s = time.perf_counter() - started
+    return report

@@ -104,19 +104,6 @@ def identify(word, potential: Potential, candidates, tie_tol: float = DEFAULT_TI
     return _outcome(len(tuple(word)), scores, tie_tol)
 
 
-def ml_set(word, potential: Potential, candidates,
-           tie_tol: float = DEFAULT_TIE_TOL) -> IdentificationOutcome:
-    """Maximum-likelihood identification; the answer is ``outcome.ml_set``."""
-    return identify(word, potential, candidates, tie_tol)
-
-
-def min_entropy_set(word, potential: Potential, candidates,
-                    tie_tol: float = DEFAULT_TIE_TOL) -> IdentificationOutcome:
-    """Minimum-entropy identification over candidates admitting the word;
-    the answer is ``outcome.min_entropy_set``."""
-    return identify(word, potential, candidates, tie_tol)
-
-
 def identify_curve(chain: GibbsChain, potential: Potential, candidates, checkpoints,
                    seed: int, tie_tol: float = DEFAULT_TIE_TOL,
                    candidate_chains=None) -> list[IdentificationOutcome]:

@@ -2,14 +2,18 @@
 
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sftlearn import Grammar, enumerate_grammars, Lexicon
+from sftlearn import Grammar, TransferMatrix, enumerate_grammars, Lexicon
+from sftlearn import gibbs
 from sftlearn.cli import main
 from sftlearn.serialize import grammar_from_dict, potential_from_dict
 
 PHI = (1 + math.sqrt(5)) / 2
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -192,6 +196,48 @@ def test_experiment_seed_flag_overrides_base_seed(capsys, tmp_path):
     assert base_out == same
     assert json.loads(moved)["config"]["base_seed"] == 9
     assert moved != base_out
+
+
+def test_underflow_exits_1_and_a_failed_certificate_exits_2(capsys, tmp_path,
+                                                            monkeypatch):
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps({"theta": 2, "matrix": [[1, 1], [1, 1]]}))
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"theta": 2, "range": 2,
+                               "entries": [{"word": "11", "value": -800}]}))
+    code, out, err = run(capsys, "pressure", "--grammar", str(full), "--potential", str(phi))
+    assert (code, out) == (1, "")
+    assert "(1, 1)" in err and "underflows" in err
+
+    # no primitive grammar yields an uncertifiable matrix, so substitute one
+    monkeypatch.setattr(gibbs, "build_transfer", lambda g, p: TransferMatrix(
+        g, p, ((0,), (1,)), np.eye(2)))
+    code, out, err = run(capsys, "pressure", "--grammar", str(full))
+    assert (code, out) == (2, "")
+    assert "failed its certificate" in err
+
+
+def test_readme_cli_examples_match_the_code(capsys, golden_file):
+    lines = README.read_text(encoding="utf-8").splitlines()
+
+    def example(command):
+        """Run a README command; return its stdout and the README's comment lines."""
+        shown = []
+        for line in lines[lines.index(command) + 1:]:
+            if not line.startswith("# "):
+                break
+            shown.append(line[2:])
+        argv = [golden_file if a == "golden.json" else a for a in command.split()[1:]]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        return out, shown
+
+    out, shown = example("sftlearn pressure --grammar golden.json")
+    assert out.splitlines() == shown
+    out, shown = example("sftlearn sample --grammar golden.json --length 12 --seed 7")
+    assert f'"seed": 7, "word": "{json.loads(out)["word"]}"' in shown[0]
+    out, shown = example("sftlearn experiment --experiment smb --format csv")
+    assert out.splitlines() == shown
 
 
 def test_unknown_config_field_is_named(capsys, tmp_path):

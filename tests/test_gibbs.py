@@ -17,12 +17,14 @@ from sftlearn import (
     Lexicon,
     PerronConvergenceError,
     Potential,
+    TransferMatrix,
     ValidationError,
     admits,
     all_words,
     build_transfer,
     cylinder_log_measure,
     entropy_via_pressure_derivative,
+    enumerate_grammars,
     expected_potential,
     gibbs_chain,
     ks_entropy,
@@ -124,11 +126,22 @@ def test_perron_full_shift_is_exact(full2, zero2):
     assert h == pytest.approx(np.array([0.5, 0.5]))
 
 
-def test_perron_error_reports_iteration_budget(golden, zero2):
-    tm = build_transfer(golden, zero2)
+def test_perron_certificate_rejects_a_reducible_matrix(full2, zero2):
+    # The identity has a double Perron root and eigenvectors with zero
+    # entries, so no positive pair can certify it.
+    tm = TransferMatrix(full2, zero2, ((0,), (1,)), np.eye(2))
     with pytest.raises(PerronConvergenceError) as err:
-        perron(tm, max_iter=2)
-    assert "2" in str(err.value)
+        perron(tm)
+    assert "2x2" in str(err.value)
+    assert err.value.dim == 2 and not err.value.min_entry > 0
+
+
+def test_transfer_rejects_underflowing_weights(full2, lex2):
+    phi = Potential.from_table(lex2, 2, {(1, 1): -800.0})
+    with pytest.raises(ValidationError, match=r"-800.*\(1, 1\).*underflows"):
+        build_transfer(full2, phi)
+    with pytest.raises(ValidationError):
+        pressure(full2, phi)
 
 
 def test_pressure_against_characteristic_roots(golden, full2, zero2, lex2):
@@ -138,6 +151,32 @@ def test_pressure_against_characteristic_roots(golden, full2, zero2, lex2):
         phi = Potential.from_table(lex2, 2, {(1, 1): energy})
         assert pressure(full2, phi) == pytest.approx(
             math.log(lam_closed(math.exp(energy))), abs=1e-12)
+    # phi(01) = c gives [[1, e^c], [1, 1]], whose Perron root is 1 + e^(c/2);
+    # at |c| = 50 the entries span 22 orders of magnitude
+    for c in (30.0, -30.0, 50.0, -50.0):
+        phi = Potential.from_table(lex2, 2, {(0, 1): c})
+        assert pressure(full2, phi) == pytest.approx(math.log1p(math.exp(c / 2)), abs=1e-12)
+
+
+def test_solver_oracle_properties_over_the_theta3_class():
+    """On every primitive theta=3 grammar under random range-2 and range-3
+    potentials: P(phi + c) = P(phi) + c, and the chain is stochastic with
+    the stationary law it reports."""
+    lex3 = Lexicon(3)
+    grammars = enumerate_grammars(lex3)
+    assert len(grammars) == 139
+    rng = np.random.default_rng(3)
+    for r in (2, 2, 3):
+        words = list(all_words(lex3, r))
+        values = rng.uniform(-1.0, 1.0, size=len(words))
+        c = float(rng.uniform(1.5, 3.0))   # keeps P(phi) + c >= 0.5, so rel is meaningful
+        phi = Potential.from_table(lex3, r, dict(zip(words, values)))
+        shifted = Potential.from_table(lex3, r, dict(zip(words, values + c)))
+        for g in grammars:
+            chain = gibbs_chain(g, phi)
+            assert pressure(g, shifted) == pytest.approx(chain.pressure + c, rel=1e-12)
+            assert np.abs(chain.transition.sum(axis=1) - 1.0).max() <= 1e-12
+            assert np.abs(chain.stationary @ chain.transition - chain.stationary).sum() <= 1e-12
 
 
 def test_pressure_is_convex_along_potential_rays(full2, lex2):

@@ -16,8 +16,6 @@ from sftlearn import (
     gibbs_chain,
     identify,
     identify_curve,
-    min_entropy_set,
-    ml_set,
     sample,
     score_candidates,
     transition_closure,
@@ -91,12 +89,6 @@ def test_validation_errors(golden, zero2):
         identify((0, 1), zero2, (golden, Grammar.from_rows([[1] * 3] * 3)))
     with pytest.raises(ValidationError):
         identify((0, 3), zero2, (golden,))
-
-
-def test_wrapper_functions_expose_the_same_outcome(trio, zero2):
-    word = (0, 1, 1, 0)
-    assert ml_set(word, zero2, trio).ml_indices == (0,)
-    assert min_entropy_set(word, zero2, trio).min_entropy_indices == (0,)
 
 
 def test_score_candidates_accepts_prebuilt_chains(trio, zero2):
