@@ -38,7 +38,7 @@ from .gibbs import (
     pressure,
     sample,
 )
-from .identify import DEFAULT_TIE_TOL, identify, identify_curve
+from .identify import DEFAULT_TIE_TOL, identify, identify_curve, validate_checkpoints
 from .serialize import (
     _encode_float,
     encode_floats,
@@ -116,44 +116,60 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data) -> "ExperimentConfig":
+        """Build a config from a flat JSON object.  Omitted fields, ``null``
+        for a field whose default is ``None``, and ``"candidates": "auto"``
+        take the default; any other bad value raises a ``ValidationError``
+        naming its field."""
         if not isinstance(data, dict):
             raise ValidationError("experiment config must be a JSON object")
         if "experiment" not in data:
             raise ValidationError("experiment config is missing the 'experiment' field")
-        known = {f.name for f in fields(cls)}
+        known = {f.name: f.default for f in fields(cls)}
         for key in data:
             if key not in known:
                 raise ValidationError(f"unknown experiment config field: {key!r}")
-        kwargs: dict = {"experiment": str(data["experiment"])}
-        if data.get("theta") is not None:
-            kwargs["theta"] = int(data["theta"])
-        for key in ("true_grammar", "lower", "upper"):
-            if data.get(key) is not None:
-                kwargs[key] = grammar_from_dict(data[key])
-        if data.get("potential") is not None:
-            kwargs["potential"] = potential_from_dict(data["potential"])
-        cand = data.get("candidates", "auto")
-        if cand not in (None, "auto"):
-            kwargs["candidates"] = tuple(grammar_from_dict(g) for g in cand)
-        for key, conv in (
-            ("checkpoints", lambda v: tuple(int(x) for x in v)),
-            ("seeds", int),
-            ("base_seed", int),
-            ("tie_tol", float),
-            ("scales", lambda v: tuple(float(x) for x in v)),
-            ("reward", lambda v: v if v == "auto" else float(v)),
-            ("reward_margin", float),
-            ("bisect_tol", float),
-            ("penalties", lambda v: tuple(float(x) for x in v)),
-            ("sample_length", int),
-            ("n_potentials", int),
-            ("value_bound", float),
-            ("potential_ranges", lambda v: tuple(int(x) for x in v)),
-            ("tolerance", float),
-        ):
-            if key in data:
-                kwargs[key] = conv(data[key])
+        kwargs: dict = {}
+        for key, value in data.items():
+            if (value is None and known[key] is None) or (key == "candidates" and value == "auto"):
+                continue
+            if value is None:
+                raise ValidationError(
+                    f"experiment config field {key!r} cannot be null; omit it to use the default")
+            try:
+                kwargs[key] = _FROM_JSON[key](value)
+            except (TypeError, ValueError) as exc:  # ValidationError included
+                raise ValidationError(f"experiment config field {key!r}: {exc}") from exc
         return cls(**kwargs)
+
+
+def _tuple_of(convert):
+    return lambda values: tuple(convert(v) for v in values)
+
+
+# JSON value -> field value, one converter per ``ExperimentConfig`` field.
+_FROM_JSON = {
+    "experiment": str,
+    "theta": int,
+    "true_grammar": grammar_from_dict,
+    "lower": grammar_from_dict,
+    "upper": grammar_from_dict,
+    "potential": potential_from_dict,
+    "candidates": _tuple_of(grammar_from_dict),
+    "checkpoints": _tuple_of(int),
+    "seeds": int,
+    "base_seed": int,
+    "tie_tol": float,
+    "scales": _tuple_of(float),
+    "reward": lambda v: v if v == "auto" else float(v),
+    "reward_margin": float,
+    "bisect_tol": float,
+    "penalties": _tuple_of(float),
+    "sample_length": int,
+    "n_potentials": int,
+    "value_bound": float,
+    "potential_ranges": _tuple_of(int),
+    "tolerance": float,
+}
 
 
 def _field_to_json(value):
@@ -497,6 +513,8 @@ def run_monotonicity_scan(config: ExperimentConfig) -> ExperimentReport:
     cfg = config
     if cfg.theta is None:
         raise ValidationError("monotonicity scan needs a theta")
+    if cfg.n_potentials > 0 and not cfg.potential_ranges:
+        raise ValidationError("potential_ranges must list at least one range when n_potentials > 0")
     lex = Lexicon(cfg.theta)
     grammars = enumerate_grammars(lex)
     pairs = _comparable_pairs(grammars)
@@ -540,7 +558,7 @@ def run_smb(config: ExperimentConfig) -> ExperimentReport:
     lex = cfg.true_grammar.lexicon
     phi = cfg.potential if cfg.potential is not None else Potential.zero(lex)
     chain = gibbs_chain(cfg.true_grammar, phi)
-    cps = cfg.checkpoints
+    cps = validate_checkpoints(cfg.checkpoints)
     within = [[] for _ in cps]
     devs = [[] for _ in cps]
     final_estimates = []

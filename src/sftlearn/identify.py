@@ -104,6 +104,18 @@ def identify(word, potential: Potential, candidates, tie_tol: float = DEFAULT_TI
     return _outcome(len(tuple(word)), scores, tie_tol)
 
 
+def validate_checkpoints(checkpoints) -> list[int]:
+    """Check that prefix lengths are nonempty, positive and strictly increasing."""
+    cps = [int(c) for c in checkpoints]
+    if not cps:
+        raise ValidationError("checkpoints must list at least one prefix length")
+    if cps[0] < 1:
+        raise ValidationError("checkpoints must be at least 1 (the empty prefix is not scored)")
+    if any(b <= a for a, b in zip(cps, cps[1:])):
+        raise ValidationError("checkpoints must be strictly increasing")
+    return cps
+
+
 def identify_curve(chain: GibbsChain, potential: Potential, candidates, checkpoints,
                    seed: int, tie_tol: float = DEFAULT_TIE_TOL,
                    candidate_chains=None) -> list[IdentificationOutcome]:
@@ -111,15 +123,9 @@ def identify_curve(chain: GibbsChain, potential: Potential, candidates, checkpoi
 
     A single path of length ``max(checkpoints)`` is drawn with ``seed`` and
     scored at each checkpoint, so the outcomes describe one trajectory of
-    the learner.  Checkpoints must be strictly increasing positive lengths.
+    the learner.  Checkpoints must pass ``validate_checkpoints``.
     """
-    cps = [int(c) for c in checkpoints]
-    if not cps:
-        raise ValidationError("need at least one checkpoint")
-    if cps[0] < 1:
-        raise ValidationError("checkpoints must be at least 1 (the empty prefix is not scored)")
-    if any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValidationError("checkpoints must be strictly increasing")
+    cps = validate_checkpoints(checkpoints)
     word = sample(chain, max(cps[-1], chain.potential.range - 1), seed).word
     if candidate_chains is None:
         candidate_chains = tuple(gibbs_chain(g, potential) for g in tuple(candidates))

@@ -1,11 +1,18 @@
 """Shared fixtures: the three primitive two-symbol grammars and friends."""
 
+import os
 from collections import deque
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from sftlearn import Grammar, Lexicon, Potential
+
+# pyproject's ``pythonpath`` puts ``src`` on this process's path; export it so
+# that child interpreters started by the CLI tests import the same checkout.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

@@ -240,12 +240,30 @@ def test_readme_cli_examples_match_the_code(capsys, golden_file):
     assert out.splitlines() == shown
 
 
-def test_unknown_config_field_is_named(capsys, tmp_path):
+GOLDEN = {"theta": 2, "matrix": [[1, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("config, name", [
+    pytest.param({"experiment": "smb", "wat": 1}, "wat", id="wat"),
+    pytest.param({"experiment": "smb", "seeds": None}, "seeds", id="seeds-null"),
+    pytest.param({"experiment": "smb", "checkpoints": 5}, "checkpoints", id="checkpoints-scalar"),
+    pytest.param({"experiment": "ml-convergence", "candidates": 5}, "candidates",
+                 id="candidates-scalar"),
+    pytest.param({"experiment": "smb", "true_grammar": GOLDEN, "checkpoints": []},
+                 "checkpoints", id="smb-checkpoints-empty"),
+    pytest.param({"experiment": "smb", "true_grammar": GOLDEN, "checkpoints": [0, 10]},
+                 "checkpoints", id="smb-checkpoints-zero"),
+    pytest.param({"experiment": "monotonicity", "theta": 2, "potential_ranges": []},
+                 "potential_ranges", id="potential-ranges-empty"),
+])
+def test_unknown_config_field_is_named(capsys, tmp_path, config, name):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"experiment": "smb", "wat": 1}))
+    cfg.write_text(json.dumps(config))
     code, _, err = run(capsys, "experiment", "--config", str(cfg))
     assert code == 1
-    assert "wat" in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("sftlearn: error:")
+    assert name in lines[0]
 
 
 def test_repeated_invocations_are_byte_identical(capsys, golden_file):

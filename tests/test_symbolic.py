@@ -188,15 +188,16 @@ def test_enumerate_theta2_catalogue(lex2):
     ]
 
 
-def test_enumerate_theta3_matches_graph_oracle():
-    got = [g.matrix for g in enumerate_grammars(Lexicon(3))]
+@pytest.mark.parametrize("theta, count", [(3, 139), (4, 25575)])
+def test_enumerate_theta3_matches_graph_oracle(theta, count):
+    got = [g.matrix for g in enumerate_grammars(Lexicon(theta))]
     expected = []
-    for bits in itertools.product((0, 1), repeat=9):
-        rows = tuple(tuple(bits[3 * i:3 * i + 3]) for i in range(3))
+    for bits in itertools.product((0, 1), repeat=theta * theta):
+        rows = tuple(tuple(bits[theta * i:theta * i + theta]) for i in range(theta))
         if primitive_by_graph([list(r) for r in rows]):
             expected.append(rows)
     assert got == expected
-    assert len(got) == 139
+    assert len(got) == count
 
 
 def test_enumeration_is_row_major_ascending(lex2):
