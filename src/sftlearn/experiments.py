@@ -132,9 +132,6 @@ class ExperimentConfig:
         for key, value in data.items():
             if (value is None and known[key] is None) or (key == "candidates" and value == "auto"):
                 continue
-            if value is None:
-                raise ValidationError(
-                    f"experiment config field {key!r} cannot be null; omit it to use the default")
             try:
                 kwargs[key] = _FROM_JSON[key](value)
             except (TypeError, ValueError) as exc:  # ValidationError included
@@ -142,33 +139,46 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
+def _strict(kinds, convert, what: str):
+    """Converter that takes only values of ``kinds``, and never a bool."""
+    def converted(value):
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise TypeError(f"expected {what}, got {value!r}")
+        return convert(value)
+    return converted
+
+
+_int = _strict(int, int, "an integer")
+_float = _strict((int, float), float, "a number")
+
+
 def _tuple_of(convert):
-    return lambda values: tuple(convert(v) for v in values)
+    return _strict((list, tuple), lambda values: tuple(map(convert, values)), "a list")
 
 
 # JSON value -> field value, one converter per ``ExperimentConfig`` field.
 _FROM_JSON = {
-    "experiment": str,
-    "theta": int,
+    "experiment": _strict(str, str, "a string"),
+    "theta": _int,
     "true_grammar": grammar_from_dict,
     "lower": grammar_from_dict,
     "upper": grammar_from_dict,
     "potential": potential_from_dict,
     "candidates": _tuple_of(grammar_from_dict),
-    "checkpoints": _tuple_of(int),
-    "seeds": int,
-    "base_seed": int,
-    "tie_tol": float,
-    "scales": _tuple_of(float),
-    "reward": lambda v: v if v == "auto" else float(v),
-    "reward_margin": float,
-    "bisect_tol": float,
-    "penalties": _tuple_of(float),
-    "sample_length": int,
-    "n_potentials": int,
-    "value_bound": float,
-    "potential_ranges": _tuple_of(int),
-    "tolerance": float,
+    "checkpoints": _tuple_of(_int),
+    "seeds": _int,
+    "base_seed": _int,
+    "tie_tol": _float,
+    "scales": _tuple_of(_float),
+    "reward": lambda v: v if v == "auto" else _float(v),
+    "reward_margin": _float,
+    "bisect_tol": _float,
+    "penalties": _tuple_of(_float),
+    "sample_length": _int,
+    "n_potentials": _int,
+    "value_bound": _float,
+    "potential_ranges": _tuple_of(_int),
+    "tolerance": _float,
 }
 
 

@@ -9,18 +9,17 @@ extracts its Perron eigendata, stochasticizes it into the chain, and
 evaluates cylinder probabilities, entropy, and samples exactly — all
 log-domain, with ``-inf`` standing in for forbidden words.
 
-The Perron data come from one dense ``np.linalg.eig`` call on the stack
-``(M, M^T)``: the eigenvalue with the largest real part and the absolute
-values of its right and left eigenvectors.  The result is certified, not
-trusted: both vectors must be strictly positive, and the Collatz-Wielandt
-bracket ``min_i (Mh)_i/h_i <= lam <= max_i (Mh)_i/h_i`` (and its left-hand
-twin for ``nu``), together with ``lam`` itself, must span less than
-``CERTIFICATE_RTOL * lam``.  A failed certificate raises
-:class:`PerronConvergenceError`.  Every pressure, entropy and cylinder
-likelihood goes through this one solve.  Dense eig costs O(d^3) in the block
-count ``d = theta^(range-1)``: tens of microseconds for the small matrices of
-the experiments, but about 2.4 s at d = 1024 on one core of a 2-vCPU Xeon,
-where the power iteration this replaced took about 0.5 s.
+Blocks and words are handled as base-theta integer codes, one symbol of a
+larger alphabet as in a higher-block presentation; codes of equal-length
+words sort like the words.  Transfer weights are ``exp(phi - c)`` with ``c``
+the midpoint of ``phi`` over admissible words, and the pressure adds ``c``
+back (``P(phi - c) = P(phi) - c``), so the values may span up to about 1416
+before a weight leaves the normal floats; a zero potential has ``c = 0``.
+
+Every pressure, entropy and cylinder likelihood goes through one dense
+``np.linalg.eig`` of the stack ``(M, M^T)``, certified as :func:`perron`
+describes.  It costs O(d^3) in the block count ``d``: about 2.4 s at
+d = 1024 on one core of a 2-vCPU Xeon.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,6 +44,8 @@ from .symbolic import (
 
 CERTIFICATE_RTOL = 1e-9
 DERIVATIVE_STEP = 1e-5
+_TINY = np.finfo(float).tiny
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 class PerronConvergenceError(RuntimeError):
@@ -66,6 +68,11 @@ class PerronConvergenceError(RuntimeError):
             f"smallest eigenvector entry {min_entry:.3e} (needs entries > 0 and a "
             f"bracket narrower than {CERTIFICATE_RTOL:g} * eigenvalue)"
         )
+
+
+def _powers(theta: int, width: int) -> np.ndarray:
+    """Place values of the digits of a ``width``-symbol code."""
+    return theta ** np.arange(width - 1, -1, -1)
 
 
 @dataclass(frozen=True)
@@ -109,11 +116,25 @@ class Potential:
         return cls(lexicon, range, tuple(table.items()))
 
     @cached_property
-    def _table(self) -> dict[tuple[int, ...], float]:
-        return dict(self.entries)
+    def _codes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Codes of the table words (sorted, since the words are) and their
+        values, each ended by a sentinel code ``theta^range`` of value 0."""
+        t, r = self.lexicon.theta, self.range
+        words = np.array([w for w, _ in self.entries], dtype=np.int64).reshape(-1, r)
+        keys = np.append(words @ _powers(t, r), t**r)
+        return keys, np.array([v for _, v in self.entries] + [0.0])
+
+    def _at(self, codes):
+        """Values at word codes in ``[0, theta^range)``; 0 where unlisted."""
+        keys, values = self._codes
+        pos = np.searchsorted(keys, codes)
+        return np.where(keys[pos] == codes, values[pos], 0.0)
 
     def value(self, word) -> float:
-        return self._table.get(tuple(word), 0.0)
+        w = tuple(word)
+        if len(w) != self.range or not all(s in self.lexicon.symbols for s in w):
+            return 0.0
+        return float(self._at(np.dot(w, _powers(self.lexicon.theta, self.range))))
 
     def scaled(self, factor: float) -> "Potential":
         f = float(factor)
@@ -130,61 +151,86 @@ class TransferMatrix:
     """Weighted block-transition matrix of a potential restricted to a grammar.
 
     ``states`` lists the grammar-admissible ``(range-1)``-blocks in
-    lexicographic order.  ``entries[i, j] = exp(phi(w))`` where ``w`` is the
-    range-word formed by block ``i`` plus the last symbol of block ``j``,
-    whenever block ``j`` continues block ``i``; 0 otherwise.  Rows therefore
-    index the current block and columns the block reached by appending one
-    symbol.  (The transfer operator itself extends sequences on the other
-    side; that matrix is the transpose of this one and has the same
-    spectrum, so pressure and eigendata are unaffected by the choice.)
+    lexicographic order.  ``entries[i, j] = exp(phi(w) - shift)`` where
+    ``w`` is the range-word formed by block ``i`` plus the last symbol of
+    block ``j``, whenever block ``j`` continues block ``i``; 0 otherwise.
+    Rows therefore index the current block and columns the block reached by
+    appending one symbol.  (The transfer operator itself extends sequences
+    on the other side; that matrix is the transpose of this one and has the
+    same spectrum, so pressure and eigendata are unaffected by the choice.)
+    ``index`` maps a block code to its state (-1 if inadmissible, None if built by hand).
     """
 
     grammar: Grammar
     potential: Potential
     states: tuple[tuple[int, ...], ...]
     entries: np.ndarray
+    shift: float = 0.0
+    index: np.ndarray | None = None
 
 
-def _admissible_blocks(grammar: Grammar, length: int) -> tuple[tuple[int, ...], ...]:
-    arr = grammar.array
-    blocks: list[tuple[int, ...]] = [(s,) for s in grammar.lexicon.symbols]
-    for _ in range(length - 1):
-        blocks = [b + (s,) for b in blocks for s in grammar.lexicon.symbols if arr[b[-1], s]]
-    return tuple(blocks)
+# Block tables of each grammar by width, kept while the grammar lives: growing
+# the blocks costs more than a small build, and scans reuse each grammar.
+_BLOCKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _blocks(grammar: Grammar, width: int):
+    """``(states, index, rows, cols, words)`` of a grammar's ``width``-blocks.
+
+    The blocks grow one symbol at a time under the grammar's mask, so their
+    codes come out sorted; ``words`` codes the admissible ``(width+1)``-words,
+    the steps from state ``rows`` to state ``cols``."""
+    memo = _BLOCKS.setdefault(grammar, {})
+    if width in memo:
+        return memo[width]
+    t = grammar.lexicon.theta
+    words = np.arange(t)
+    for _ in range(width):
+        blocks = words
+        rows, last = np.nonzero(grammar.array[blocks % t])
+        words = blocks[rows] * t + last
+    index = np.full(t**width, -1, dtype=np.intp)
+    index[blocks] = np.arange(len(blocks))
+    cols = index[words % t**width]
+    for a in (index, rows, cols, words):
+        a.setflags(write=False)
+    states = tuple(map(tuple, (blocks[:, None] // _powers(t, width) % t).tolist()))
+    memo[width] = states, index, rows, cols, words
+    return memo[width]
 
 
 def build_transfer(grammar: Grammar, potential: Potential) -> TransferMatrix:
     """Assemble the weighted transition matrix over admissible blocks."""
     if grammar.lexicon != potential.lexicon:
         raise ValidationError("grammar and potential use different lexicons")
-    r = potential.range
-    states = _admissible_blocks(grammar, r - 1)
-    if not states:
-        raise RuntimeError("primitive grammar produced no admissible blocks")
-    index = {s: i for i, s in enumerate(states)}
-    arr = grammar.array
+    states, index, rows, cols, words = _blocks(grammar, potential.range - 1)
+    phi = potential._at(words)
+    values = phi.tolist()
+    low, high = min(values), max(values)
+    shift = low / 2 + high / 2
+    # The largest shifted weight is about the reciprocal of the smallest,
+    # so all of them are normal floats iff the smallest is.
+    if math.exp(low - shift) < _TINY:
+        a, b = (states[rows[k]] + states[cols[k]][-1:] for k in map(values.index, (low, high)))
+        raise ValidationError(
+            f"potential values on admissible words span {high - low!r}, from {low!r} at {a} "
+            f"to {high!r} at {b}; the weights exp(phi - c) with c = {shift!r} must be normal "
+            "floats, so the span can be at most about 1416")
     m = np.zeros((len(states), len(states)))
-    for i, u in enumerate(states):
-        for a in grammar.lexicon.symbols:
-            if arr[u[-1], a]:
-                value = potential.value(u + (a,))
-                weight = math.exp(value)
-                if weight == 0.0:
-                    raise ValidationError(
-                        f"weight exp({value!r}) of admissible word {u + (a,)} underflows to 0")
-                m[i, index[u[1:] + (a,)]] = weight
+    m[rows, cols] = np.exp(phi - shift)
     m.setflags(write=False)
-    return TransferMatrix(grammar, potential, states, m)
+    return TransferMatrix(grammar, potential, states, m, shift, index)
 
 
 def perron(transfer: TransferMatrix) -> tuple[float, np.ndarray, np.ndarray]:
     """Certified Perron eigenvalue with right and left eigenvectors.
 
     Returns ``(lam, h, nu)`` with ``h`` normalized to sum 1 and ``nu``
-    scaled so that ``nu @ h == 1``.  Raises :class:`PerronConvergenceError`
-    unless both vectors are strictly positive and the Collatz-Wielandt
-    bracket, widened to contain ``lam``, is narrower than
-    ``CERTIFICATE_RTOL * lam``.
+    scaled so that ``nu @ h == 1``.  ``lam`` is the root of ``entries``,
+    so the pressure is ``log(lam) + transfer.shift``.  Raises
+    :class:`PerronConvergenceError` unless both vectors are strictly
+    positive and the Collatz-Wielandt bracket, widened to contain ``lam``,
+    is narrower than ``CERTIFICATE_RTOL * lam``.
     """
     m = transfer.entries
     stack = np.stack((m, m.T))
@@ -209,15 +255,17 @@ def perron(transfer: TransferMatrix) -> tuple[float, np.ndarray, np.ndarray]:
 class GibbsChain:
     """Stationary Markov chain realizing the equilibrium measure exactly.
 
-    States are the admissible ``(range-1)``-blocks of the transfer matrix.
+    States and ``index`` are those of the transfer matrix.
     ``transition[u, v] = entries[u, v] * h[v] / (lam * h[u])`` is stochastic
     and ``stationary = nu * h`` is its invariant law; cylinder probabilities
-    of admissible words are exact products along the block path.
+    of admissible words are exact products along the block path.  ``lam``
+    is ``exp(pressure)``, so it is ``inf`` once the pressure passes 709.78.
     """
 
     grammar: Grammar
     potential: Potential
     states: tuple[tuple[int, ...], ...]
+    index: np.ndarray
     lam: float
     pressure: float
     h: np.ndarray
@@ -226,51 +274,11 @@ class GibbsChain:
     stationary: np.ndarray
     entropy: float
 
-    # ---- cached lookups used by scoring and sampling ----
-
     @cached_property
-    def _block_index(self) -> np.ndarray:
-        """Map base-theta block codes to state indices (-1 = inadmissible)."""
-        t = self.grammar.lexicon.theta
-        width = self.potential.range - 1
-        table = np.full(t**width, -1, dtype=np.int64)
-        powers = t ** np.arange(width - 1, -1, -1)
-        for i, s in enumerate(self.states):
-            table[int(np.dot(s, powers))] = i
-        table.setflags(write=False)
-        return table
-
-    @cached_property
-    def _log_stationary(self) -> np.ndarray:
-        out = np.log(self.stationary)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def _log_transition(self) -> np.ndarray:
+    def _logs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Logs of the stationary law and of the transition matrix."""
         with np.errstate(divide="ignore"):
-            out = np.log(self.transition)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def _stationary_cum(self) -> np.ndarray:
-        out = np.cumsum(self.stationary)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def _row_cum(self) -> list[list[float]]:
-        return [list(np.cumsum(row)) for row in self.transition]
-
-    @cached_property
-    def _row_support(self) -> list[tuple[int, int]]:
-        """First and last positive-probability column per row."""
-        spans = []
-        for row in self.transition:
-            nz = np.flatnonzero(row)
-            spans.append((int(nz[0]), int(nz[-1])))
-        return spans
+            return np.log(self.stationary), np.log(self.transition)
 
 
 @dataclass(frozen=True)
@@ -296,23 +304,19 @@ def gibbs_chain(grammar: Grammar, potential: Potential) -> GibbsChain:
     entropy = float(-(stationary[:, None] * plogp).sum())
     transition.setflags(write=False)
     stationary.setflags(write=False)
+    p = math.log(lam) + tm.shift
+    if tm.shift:   # exp(pressure), which is inf past 709.78
+        lam = math.exp(p) if p <= _LOG_MAX else math.inf
     return GibbsChain(
-        grammar=grammar,
-        potential=potential,
-        states=tm.states,
-        lam=lam,
-        pressure=math.log(lam),
-        h=h,
-        nu=nu,
-        transition=transition,
-        stationary=stationary,
-        entropy=entropy,
-    )
+        grammar=grammar, potential=potential, states=tm.states, index=tm.index,
+        lam=lam, pressure=p,
+        h=h, nu=nu, transition=transition, stationary=stationary, entropy=entropy)
 
 
 def pressure(grammar: Grammar, potential: Potential) -> float:
     """log of the Perron eigenvalue of the weighted block matrix."""
-    return math.log(perron(build_transfer(grammar, potential))[0])
+    tm = build_transfer(grammar, potential)
+    return math.log(perron(tm)[0]) + tm.shift
 
 
 def ks_entropy(chain: GibbsChain) -> float:
@@ -328,23 +332,23 @@ def cylinder_log_measure(chain: GibbsChain, word) -> float:
     measure 1.
     """
     w = validate_word(word, chain.grammar.lexicon)
-    n = len(w)
-    r = chain.potential.range
+    n, r, t = len(w), chain.potential.range, chain.grammar.lexicon.theta
     if n == 0:
         return 0.0
     if n < r - 1:
-        total = sum(p for p, s in zip(chain.stationary, chain.states) if s[:n] == w)
+        # the blocks extending w have the codes span * code(w) + [0, span)
+        span = t ** (r - 1 - n)
+        idx = chain.index[span * int(np.dot(w, _powers(t, n))):][:span]
+        total = chain.stationary[idx[idx >= 0]].sum()
         return math.log(total) if total > 0 else -math.inf
-    t = chain.grammar.lexicon.theta
-    arr = np.asarray(w)
-    powers = t ** np.arange(r - 2, -1, -1)
-    codes = np.lib.stride_tricks.sliding_window_view(arr, r - 1) @ powers
-    idx = chain._block_index[codes]
+    codes = np.lib.stride_tricks.sliding_window_view(np.asarray(w), r - 1) @ _powers(t, r - 1)
+    idx = chain.index[codes]
     if (idx < 0).any():
         return -math.inf
-    total = chain._log_stationary[idx[0]]
+    log_stationary, log_transition = chain._logs
+    total = log_stationary[idx[0]]
     if len(idx) > 1:
-        total = total + chain._log_transition[idx[:-1], idx[1:]].sum()
+        total = total + log_transition[idx[:-1], idx[1:]].sum()
     return float(total)
 
 
@@ -358,12 +362,11 @@ def expected_potential(chain: GibbsChain, potential: Potential) -> float:
         raise ValidationError("potential lexicon does not match the chain")
     if potential.range != chain.potential.range:
         raise ValidationError("potential range does not match the chain")
-    total = 0.0
-    for i, u in enumerate(chain.states):
-        row = chain.transition[i]
-        for j in np.flatnonzero(row):
-            total += chain.stationary[i] * row[j] * potential.value(u + (chain.states[j][-1],))
-    return total
+    t = chain.grammar.lexicon.theta
+    codes = np.flatnonzero(chain.index >= 0)
+    # step i -> j reads the word code(i) * t + last(j), or has zero mass
+    words = codes[:, None] * t + codes % t
+    return float((chain.stationary[:, None] * chain.transition * potential._at(words)).sum())
 
 
 def sample(chain: GibbsChain, n: int, seed: int) -> Sample:
@@ -376,22 +379,18 @@ def sample(chain: GibbsChain, n: int, seed: int) -> Sample:
     r = chain.potential.range
     if n < r - 1:
         raise ValidationError(f"sample length {n} shorter than the block size {r - 1}")
-    steps = n - (r - 1)
-    rng = np.random.default_rng(seed)
-    u = rng.random(steps + 1)
-    cum0 = chain._stationary_cum
-    cur = int(np.searchsorted(cum0, u[0] * cum0[-1]))
-    cur = min(cur, len(chain.states) - 1)
+    u = np.random.default_rng(seed).random(n - r + 2)
+    # a uniform of exactly 0 would pick a row's leading zero-probability column
+    np.maximum(u, np.finfo(float).smallest_subnormal, out=u)
+    cum = np.cumsum(chain.stationary)
+    cur = int(np.searchsorted(cum, u[0] * cum[-1]))
     word = list(chain.states[cur])
-    rows = chain._row_cum
-    support = chain._row_support
-    states = chain.states
-    for t in range(1, steps + 1):
+    rows = np.cumsum(chain.transition, axis=1).tolist()
+    last = (np.flatnonzero(chain.index >= 0) % chain.grammar.lexicon.theta).tolist()
+    for x in u[1:].tolist():
         row = rows[cur]
-        j = bisect.bisect_left(row, u[t] * row[-1])
-        lo, hi = support[cur]
-        cur = min(max(j, lo), hi)
-        word.append(states[cur][-1])
+        cur = bisect.bisect_left(row, x * row[-1])
+        word.append(last[cur])
     return Sample(tuple(word), seed, chain.grammar, chain.potential)
 
 

@@ -106,7 +106,7 @@ def sample_to_dict(s: Sample) -> dict:
 
 
 def chain_summary(chain) -> dict:
-    return {"pressure": chain.pressure, "entropy": chain.entropy, "lambda": chain.lam}
+    return {"pressure": chain.pressure, "entropy": chain.entropy, "lambda": _encode_float(chain.lam)}
 
 
 def dumps(obj) -> str:

@@ -143,8 +143,8 @@ class Grammar:
 
     @classmethod
     def from_rows(cls, rows) -> "Grammar":
-        arr = _as_incidence(rows)
-        return cls(Lexicon(int(arr.shape[0])), tuple(tuple(int(x) for x in r) for r in arr))
+        """Grammar over the lexicon with one symbol per row of ``rows``."""
+        return cls(Lexicon(len(rows)), rows)
 
     @cached_property
     def array(self) -> np.ndarray:

@@ -204,10 +204,10 @@ def test_underflow_exits_1_and_a_failed_certificate_exits_2(capsys, tmp_path,
     full.write_text(json.dumps({"theta": 2, "matrix": [[1, 1], [1, 1]]}))
     phi = tmp_path / "phi.json"
     phi.write_text(json.dumps({"theta": 2, "range": 2,
-                               "entries": [{"word": "11", "value": -800}]}))
+                               "entries": [{"word": "11", "value": -1500}]}))
     code, out, err = run(capsys, "pressure", "--grammar", str(full), "--potential", str(phi))
     assert (code, out) == (1, "")
-    assert "(1, 1)" in err and "underflows" in err
+    assert "(1, 1)" in err and "span 1500" in err
 
     # no primitive grammar yields an uncertifiable matrix, so substitute one
     monkeypatch.setattr(gibbs, "build_transfer", lambda g, p: TransferMatrix(
@@ -215,6 +215,22 @@ def test_underflow_exits_1_and_a_failed_certificate_exits_2(capsys, tmp_path,
     code, out, err = run(capsys, "pressure", "--grammar", str(full))
     assert (code, out) == (2, "")
     assert "failed its certificate" in err
+
+
+def test_chain_commands_accept_pressures_past_the_float_range(capsys, tmp_path):
+    # every range-2 word at 800: P = 800 + log 2, and exp(P) is no float
+    full = tmp_path / "full.json"
+    full.write_text(json.dumps({"theta": 2, "matrix": [[1, 1], [1, 1]]}))
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"theta": 2, "range": 2, "entries": [
+        {"word": w, "value": 800} for w in ("00", "01", "10", "11")]}))
+    args = ("--grammar", str(full), "--potential", str(phi))
+    code, out, _ = run(capsys, "entropy", *args)
+    assert code == 0 and json.loads(out)["entropy"] == pytest.approx(math.log(2), abs=1e-12)
+    code, out, _ = run(capsys, "sample", *args, "--length", "8", "--seed", "1")
+    chain = json.loads(out)["chain"]
+    assert code == 0 and chain["lambda"] == "inf"
+    assert chain["pressure"] == pytest.approx(800 + math.log(2), rel=1e-15)
 
 
 def test_readme_cli_examples_match_the_code(capsys, golden_file):
@@ -255,6 +271,10 @@ GOLDEN = {"theta": 2, "matrix": [[1, 1], [1, 0]]}
                  "checkpoints", id="smb-checkpoints-zero"),
     pytest.param({"experiment": "monotonicity", "theta": 2, "potential_ranges": []},
                  "potential_ranges", id="potential-ranges-empty"),
+    pytest.param({"experiment": "smb", "seeds": 2.7}, "seeds", id="seeds-float"),
+    pytest.param({"experiment": "smb", "checkpoints": "123"}, "checkpoints",
+                 id="checkpoints-string"),
+    pytest.param({"experiment": "smb", "tolerance": True}, "tolerance", id="tolerance-bool"),
 ])
 def test_unknown_config_field_is_named(capsys, tmp_path, config, name):
     cfg = tmp_path / "cfg.json"

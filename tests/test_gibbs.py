@@ -6,6 +6,7 @@ and at w = 1 resp. the golden-mean grammar this collapses to 2 resp. the
 golden ratio.
 """
 
+import bisect
 import math
 from collections import Counter
 
@@ -93,9 +94,12 @@ def test_transfer_at_zero_potential_is_the_incidence_matrix(golden, zero2):
 def test_transfer_weights_are_exponentials(full2, lex2):
     phi = Potential.from_table(lex2, 2, {(1, 1): 0.5, (0, 1): -1.0})
     tm = build_transfer(full2, phi)
-    assert tm.entries[1, 1] == pytest.approx(math.exp(0.5))
-    assert tm.entries[0, 1] == pytest.approx(math.exp(-1.0))
-    assert tm.entries[0, 0] == 1.0
+    # weights are stored as exp(phi - shift), shifted by the midpoint of phi
+    assert tm.shift == -0.25
+    weights = tm.entries * math.exp(tm.shift)
+    assert weights[1, 1] == pytest.approx(math.exp(0.5), rel=1e-15)
+    assert weights[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert weights[0, 0] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_transfer_blocks_for_longer_range(golden, lex2):
@@ -103,7 +107,7 @@ def test_transfer_blocks_for_longer_range(golden, lex2):
     tm = build_transfer(golden, phi)
     assert tm.states == ((0, 0), (0, 1), (1, 0))   # (1,1) is inadmissible
     i, j = tm.states.index((0, 1)), tm.states.index((1, 0))
-    assert tm.entries[i, j] == pytest.approx(math.e)
+    assert tm.entries[i, j] * math.exp(tm.shift) == pytest.approx(math.e, rel=1e-15)
 
 
 def test_transfer_lexicon_mismatch(golden):
@@ -137,8 +141,12 @@ def test_perron_certificate_rejects_a_reducible_matrix(full2, zero2):
 
 
 def test_transfer_rejects_underflowing_weights(full2, lex2):
+    # a span of 800 fits once the weights are shifted by its midpoint ...
     phi = Potential.from_table(lex2, 2, {(1, 1): -800.0})
-    with pytest.raises(ValidationError, match=r"-800.*\(1, 1\).*underflows"):
+    assert pressure(full2, phi) == pytest.approx(math.log(PHI), abs=1e-12)
+    # ... but no shift brings all of exp(-750) .. exp(750) into normal floats
+    phi = Potential.from_table(lex2, 2, {(1, 1): -1500.0})
+    with pytest.raises(ValidationError, match=r"span 1500.*-1500.0 at \(1, 1\).*0.0 at \(0, 0\)"):
         build_transfer(full2, phi)
     with pytest.raises(ValidationError):
         pressure(full2, phi)
@@ -152,29 +160,42 @@ def test_pressure_against_characteristic_roots(golden, full2, zero2, lex2):
         assert pressure(full2, phi) == pytest.approx(
             math.log(lam_closed(math.exp(energy))), abs=1e-12)
     # phi(01) = c gives [[1, e^c], [1, 1]], whose Perron root is 1 + e^(c/2);
-    # at |c| = 50 the entries span 22 orders of magnitude
-    for c in (30.0, -30.0, 50.0, -50.0):
+    # at |c| = 50 the entries span 22 orders of magnitude, and at |c| = 720
+    # e^c itself overflows a float
+    for c in (30.0, -30.0, 50.0, -50.0, 720.0, -720.0):
         phi = Potential.from_table(lex2, 2, {(0, 1): c})
         assert pressure(full2, phi) == pytest.approx(math.log1p(math.exp(c / 2)), abs=1e-12)
 
 
 def test_solver_oracle_properties_over_the_theta3_class():
     """On every primitive theta=3 grammar under random range-2 and range-3
-    potentials: P(phi + c) = P(phi) + c, and the chain is stochastic with
-    the stationary law it reports."""
+    potentials: P(phi + c) = P(phi) + c, P(phi + g o sigma - g) = P(phi) for
+    a function g on (range-1)-blocks, and the chain is stochastic with the
+    stationary law it reports."""
     lex3 = Lexicon(3)
     grammars = enumerate_grammars(lex3)
     assert len(grammars) == 139
     rng = np.random.default_rng(3)
+    g_rng = np.random.default_rng(4)
     for r in (2, 2, 3):
         words = list(all_words(lex3, r))
         values = rng.uniform(-1.0, 1.0, size=len(words))
         c = float(rng.uniform(1.5, 3.0))   # keeps P(phi) + c >= 0.5, so rel is meaningful
         phi = Potential.from_table(lex3, r, dict(zip(words, values)))
         shifted = Potential.from_table(lex3, r, dict(zip(words, values + c)))
+        g_of = dict(zip(all_words(lex3, r - 1), g_rng.uniform(-1.0, 1.0, size=3 ** (r - 1))))
+        cohomologous = Potential.from_table(lex3, r, {
+            w: v + g_of[w[1:]] - g_of[w[:-1]] for w, v in zip(words, values)})
         for g in grammars:
             chain = gibbs_chain(g, phi)
+            # build_transfer subtracts the midpoint of phi, which absorbs c,
+            # so the solver sees the factor e^c only in a hand-scaled matrix
+            tm = build_transfer(g, phi)
+            scaled = TransferMatrix(g, phi, tm.states, tm.entries * math.exp(c))
+            assert math.log(perron(scaled)[0]) == pytest.approx(
+                chain.pressure - tm.shift + c, rel=1e-12)
             assert pressure(g, shifted) == pytest.approx(chain.pressure + c, rel=1e-12)
+            assert pressure(g, cohomologous) == pytest.approx(chain.pressure, abs=1e-12)
             assert np.abs(chain.transition.sum(axis=1) - 1.0).max() <= 1e-12
             assert np.abs(chain.stationary @ chain.transition - chain.stationary).sum() <= 1e-12
 
@@ -340,6 +361,38 @@ def test_sampling_is_deterministic_and_admissible(golden, zero2):
     assert len(s1.word) == 500
     assert admits(golden, s1.word)
     assert sample(chain, 500, seed=12).word != s1.word
+
+
+def _reference_sample(chain, n, seed):
+    """Inverse-CDF sampler kept as an oracle: a stationary ``searchsorted``
+    for the first block, then per-row ``bisect_left`` clamped to the row's
+    support."""
+    r = chain.potential.range
+    u = np.random.default_rng(seed).random(n - r + 2)
+    cum0 = np.cumsum(chain.stationary)
+    cur = min(int(np.searchsorted(cum0, u[0] * cum0[-1])), len(chain.states) - 1)
+    word = list(chain.states[cur])
+    rows = [list(np.cumsum(row)) for row in chain.transition]
+    support = [(np.flatnonzero(row)[0], np.flatnonzero(row)[-1]) for row in chain.transition]
+    for x in u[1:]:
+        j = bisect.bisect_left(rows[cur], x * rows[cur][-1])
+        cur = min(max(j, support[cur][0]), support[cur][1])
+        word.append(chain.states[cur][-1])
+    return tuple(word)
+
+
+def test_sampler_matches_the_reference_sampler(golden, full2, lex2):
+    lex3 = Lexicon(3)
+    rng = np.random.default_rng(7)
+    words = list(all_words(lex3, 3))
+    phi3 = Potential.from_table(lex3, 3, dict(zip(words, rng.uniform(-1.0, 1.0, len(words)))))
+    chains = [gibbs_chain(golden, Potential.zero(lex2)), gibbs_chain(full2, Potential.zero(lex2)),
+              gibbs_chain(golden, Potential.zero(lex2, 3))]
+    chains += [gibbs_chain(g, phi3) for g in enumerate_grammars(lex3)[::10]]
+    assert len(chains) == 17
+    for chain in chains:
+        for seed in range(200):
+            assert sample(chain, 60, seed).word == _reference_sample(chain, 60, seed)
 
 
 def test_sampling_matches_pair_marginals(golden, zero2):
