@@ -24,6 +24,7 @@ from .gibbs import (
     Sample,
     TransferMatrix,
     build_transfer,
+    chain_stack,
     cylinder_log_measure,
     entropy_via_pressure_derivative,
     expected_potential,
@@ -32,6 +33,7 @@ from .gibbs import (
     periodic_orbit_potential,
     perron,
     pressure,
+    pressure_stack,
     sample,
 )
 from .identify import (

@@ -32,15 +32,20 @@ import numpy as np
 
 from .gibbs import (
     Potential,
+    chain_stack,
     cylinder_log_measure,
     gibbs_chain,
     periodic_orbit_potential,
-    pressure,
+    pressure_stack,
     sample,
 )
 from .identify import DEFAULT_TIE_TOL, identify, identify_curve, validate_checkpoints
 from .serialize import (
     _encode_float,
+    _float,
+    _int,
+    _strict,
+    _tuple_of,
     encode_floats,
     grammar_from_dict,
     grammar_to_dict,
@@ -137,23 +142,6 @@ class ExperimentConfig:
             except (TypeError, ValueError) as exc:  # ValidationError included
                 raise ValidationError(f"experiment config field {key!r}: {exc}") from exc
         return cls(**kwargs)
-
-
-def _strict(kinds, convert, what: str):
-    """Converter that takes only values of ``kinds``, and never a bool."""
-    def converted(value):
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise TypeError(f"expected {what}, got {value!r}")
-        return convert(value)
-    return converted
-
-
-_int = _strict(int, int, "an integer")
-_float = _strict((int, float), float, "a number")
-
-
-def _tuple_of(convert):
-    return _strict((list, tuple), lambda values: tuple(map(convert, values)), "a list")
 
 
 # JSON value -> field value, one converter per ``ExperimentConfig`` field.
@@ -263,12 +251,13 @@ def _index_of(grammar: Grammar, candidates, role: str) -> int:
     raise ValidationError(f"{role} grammar is not among the candidates")
 
 
-def _comparable_pairs(grammars) -> list[tuple[int, int]]:
-    """Index pairs (i, j) with grammar i strictly below grammar j."""
+def _comparable_pairs(grammars) -> np.ndarray:
+    """``(P, 2)`` array of the index pairs ``(i, j)`` with grammar ``i``
+    strictly below grammar ``j``; its columns index a whole class at once."""
     stack = np.stack([g.array for g in grammars])
     le = (stack[:, None] <= stack[None, :]).all(axis=(2, 3))
     eq = (stack[:, None] == stack[None, :]).all(axis=(2, 3))
-    return [(int(i), int(j)) for i, j in np.argwhere(le & ~eq)]
+    return np.argwhere(le & ~eq)
 
 
 def _random_potentials(lexicon: Lexicon, count: int, ranges, bound: float,
@@ -345,7 +334,7 @@ def _run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     candidates = _resolve_candidates(cfg, lex)
     truth_idx = _index_of(cfg.true_grammar, candidates, "true")
     truth_chain = gibbs_chain(cfg.true_grammar, phi)
-    chains = tuple(gibbs_chain(g, phi) for g in candidates)
+    chains = chain_stack(candidates, phi)
     cps = cfg.checkpoints
     success = [[] for _ in cps]
     gaps = [[] for _ in cps]
@@ -378,18 +367,18 @@ def _run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _entropy_monotonicity_sweep(candidates, phi: Potential, scales) -> dict:
-    pairs = _comparable_pairs(candidates)
+    lower, upper = _comparable_pairs(candidates).T
     rows = []
     first_fail = None
     for s in sorted(scales):
-        ents = [gibbs_chain(g, phi.scaled(s)).entropy for g in candidates]
-        deltas = [ents[j] - ents[i] for i, j in pairs]
-        violations = sum(1 for d in deltas if d <= 0)
+        ents = np.array([c.entropy for c in chain_stack(candidates, phi.scaled(s))])
+        deltas = ents[upper] - ents[lower]
+        violations = int((deltas <= 0).sum())
         rows.append({"scale": s, "violations": violations,
-                     "min_entropy_gap": min(deltas) if deltas else None})
+                     "min_entropy_gap": float(deltas.min()) if len(deltas) else None})
         if violations and first_fail is None:
             first_fail = s
-    return {"pairs": len(pairs), "scales": rows, "first_failing_scale": first_fail}
+    return {"pairs": len(lower), "scales": rows, "first_failing_scale": first_fail}
 
 
 def entropy_crossing(lower: Grammar, upper: Grammar, tol: float = 1e-6) -> float:
@@ -437,7 +426,7 @@ def run_language_change(config: ExperimentConfig) -> ExperimentReport:
     lower_idx = _index_of(cfg.lower, candidates, "lower")
     upper_idx = _index_of(cfg.upper, candidates, "upper")
     truth_chain = gibbs_chain(cfg.lower, phi)
-    chains = tuple(gibbs_chain(g, phi) for g in candidates)
+    chains = chain_stack(candidates, phi)
     cps = cfg.checkpoints
     flip = [[] for _ in cps]
     ml_true = [[] for _ in cps]
@@ -487,7 +476,7 @@ def run_ml_misidentification(config: ExperimentConfig) -> ExperimentReport:
     for penalty in cfg.penalties:
         phi = Potential.from_table(lex, 2, {pair: -float(penalty) for pair in extra})
         truth_chain = gibbs_chain(cfg.upper, phi)
-        chains = tuple(gibbs_chain(g, phi) for g in candidates)
+        chains = chain_stack(candidates, phi)
         hits = []
         avoided = []
         gaps = []
@@ -527,7 +516,7 @@ def run_monotonicity_scan(config: ExperimentConfig) -> ExperimentReport:
         raise ValidationError("potential_ranges must list at least one range when n_potentials > 0")
     lex = Lexicon(cfg.theta)
     grammars = enumerate_grammars(lex)
-    pairs = _comparable_pairs(grammars)
+    lower, upper = _comparable_pairs(grammars).T
     potentials = [Potential.zero(lex)] + _random_potentials(
         lex, cfg.n_potentials, cfg.potential_ranges, cfg.value_bound, cfg.base_seed)
     curve = []
@@ -535,17 +524,17 @@ def run_monotonicity_scan(config: ExperimentConfig) -> ExperimentReport:
     min_gap = math.inf
     min_lambda_gap = math.inf
     for k, phi in enumerate(potentials):
-        values = [pressure(g, phi) for g in grammars]
-        deltas = [values[j] - values[i] for i, j in pairs]
-        violations = sum(1 for d in deltas if d <= 0)
+        values = pressure_stack(grammars, phi)
+        deltas = values[upper] - values[lower]
+        violations = int((deltas <= 0).sum())
         total_violations += violations
-        gap = min(deltas) if deltas else math.inf
+        gap = float(deltas.min()) if len(deltas) else math.inf
         min_gap = min(min_gap, gap)
         if k == 0:
-            lams = [math.exp(v) for v in values]
-            min_lambda_gap = min((lams[j] - lams[i] for i, j in pairs), default=math.inf)
+            lams = np.array([math.exp(v) for v in values.tolist()])
+            min_lambda_gap = float((lams[upper] - lams[lower]).min()) if len(lower) else math.inf
         curve.append({"n": k, "range": phi.range,
-                      "frequency": violations / len(pairs) if pairs else 0.0,
+                      "frequency": violations / len(lower) if len(lower) else 0.0,
                       "mean_score_gap": gap})
     return ExperimentReport(
         experiment=cfg.experiment,
@@ -553,7 +542,7 @@ def run_monotonicity_scan(config: ExperimentConfig) -> ExperimentReport:
         curve=curve,
         thresholds={"min_pressure_gap": min_gap,
                     "min_lambda_gap_zero_potential": min_lambda_gap,
-                    "comparable_pairs": len(pairs),
+                    "comparable_pairs": len(lower),
                     "grammars": len(grammars),
                     "violations": total_violations},
     )

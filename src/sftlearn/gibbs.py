@@ -17,9 +17,12 @@ back (``P(phi - c) = P(phi) - c``), so the values may span up to about 1416
 before a weight leaves the normal floats; a zero potential has ``c = 0``.
 
 Every pressure, entropy and cylinder likelihood goes through one dense
-``np.linalg.eig`` of the stack ``(M, M^T)``, certified as :func:`perron`
-describes.  It costs O(d^3) in the block count ``d``: about 2.4 s at
-d = 1024 on one core of a 2-vCPU Xeon.
+eigen-solve of the stack ``(M_1..M_K, M_1^T..M_K^T)``, certified as
+:func:`perron` describes.  :func:`pressure_stack` and :func:`chain_stack`
+solve a whole grammar class under one potential, one stack per block count
+``d``; the single-grammar functions are the case ``K = 1``, with
+bit-identical results.  Dense eig costs O(d^3): about 2.4 s at d = 1024 on
+one core of a 2-vCPU Xeon.
 """
 
 from __future__ import annotations
@@ -199,27 +202,102 @@ def _blocks(grammar: Grammar, width: int):
     return memo[width]
 
 
-def build_transfer(grammar: Grammar, potential: Potential) -> TransferMatrix:
-    """Assemble the weighted transition matrix over admissible blocks."""
-    if grammar.lexicon != potential.lexicon:
+def _transfer_stack(grammars, potential: Potential):
+    """Transfer matrices of a grammar class under one potential, as one
+    ``(members, shifts, stack)`` group per block count ``d``, ascending:
+    ``stack[i]`` is the ``d x d`` matrix of grammar ``members[i]`` (members
+    ascend) with weights ``exp(phi - shifts[i])``."""
+    if not grammars:
+        raise ValidationError("grammar class is empty")
+    if any(g.lexicon != potential.lexicon for g in grammars):
         raise ValidationError("grammar and potential use different lexicons")
-    states, index, rows, cols, words = _blocks(grammar, potential.range - 1)
-    phi = potential._at(words)
-    values = phi.tolist()
-    low, high = min(values), max(values)
-    shift = low / 2 + high / 2
+    tables = [_blocks(g, potential.range - 1) for g in grammars]
+    order = sorted(range(len(tables)), key=lambda k: len(tables[k][0]))
+    tables = [tables[k] for k in order]
+    sizes = [len(t[4]) for t in tables]
+    starts = list(itertools.accumulate(sizes, initial=0))
+    phi = potential._at(np.concatenate([t[4] for t in tables]))
+    low, high = np.minimum.reduceat(phi, starts[:-1]), np.maximum.reduceat(phi, starts[:-1])
+    shifts = low / 2 + high / 2
     # The largest shifted weight is about the reciprocal of the smallest,
     # so all of them are normal floats iff the smallest is.
-    if math.exp(low - shift) < _TINY:
-        a, b = (states[rows[k]] + states[cols[k]][-1:] for k in map(values.index, (low, high)))
+    smallest = np.exp(low - shifts)
+    if smallest.min() < _TINY:
+        k = min(np.flatnonzero(smallest < _TINY).tolist(), key=order.__getitem__)
+        states, _, rows, cols, _ = tables[k]
+        values = phi[starts[k]:starts[k + 1]].tolist()
+        lo, hi = min(values), max(values)
+        a, b = (states[rows[i]] + states[cols[i]][-1:] for i in map(values.index, (lo, hi)))
         raise ValidationError(
-            f"potential values on admissible words span {high - low!r}, from {low!r} at {a} "
-            f"to {high!r} at {b}; the weights exp(phi - c) with c = {shift!r} must be normal "
-            "floats, so the span can be at most about 1416")
-    m = np.zeros((len(states), len(states)))
-    m[rows, cols] = np.exp(phi - shift)
-    m.setflags(write=False)
-    return TransferMatrix(grammar, potential, states, m, shift, index)
+            f"potential values on admissible words span {hi - lo!r}, from {lo!r} at {a} to "
+            f"{hi!r} at {b}; the weights exp(phi - c) with c = {lo / 2 + hi / 2!r} must be "
+            "normal floats, so the span can be at most about 1416")
+    weights = np.exp(phi - np.repeat(shifts, sizes))
+    rows = np.concatenate([t[2] for t in tables])
+    cols = np.concatenate([t[3] for t in tables])
+    groups, first = [], 0
+    for d, run in itertools.groupby(len(t[0]) for t in tables):
+        last = first + len(list(run))
+        words = slice(starts[first], starts[last])
+        stack = np.zeros((last - first, d, d))
+        owner = np.repeat(np.arange(last - first), sizes[first:last])
+        stack[owner, rows[words], cols[words]] = weights[words]
+        stack.setflags(write=False)
+        groups.append((order[first:last], shifts[first:last], stack))
+        first = last
+    return groups
+
+
+def _perron_stack(groups):
+    """Each ``(members, shifts, stack)`` group of :func:`_transfer_stack`
+    with ``(lam, pair)`` appended: the Perron root of ``stack[i]`` and, in
+    ``pair[i]``, the absolute values of its right and left eigenvectors.
+
+    One dense eigen-solve per group, on ``(M_1..M_K, M_1^T..M_K^T)``.
+    numpy runs LAPACK's ``geev`` on each matrix separately, so every result
+    equals that of a stack of one.  Every matrix must pass the certificate
+    :func:`perron` describes; otherwise the error names the first member,
+    in input order, that fails it."""
+    solved, failures = [], []
+    for members, shifts, stack in groups:
+        k, d = stack.shape[:2]
+        both = np.concatenate((stack, stack.transpose(0, 2, 1)))
+        values, vectors = np.linalg.eig(both)
+        top = values.real.argmax(axis=1)
+        every = np.arange(2 * k)
+        lam = values.real[every[:k], top[:k]]
+        vecs = np.abs(vectors[every, :, top].real)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratios = ((both @ vecs[:, :, None])[:, :, 0] / vecs).reshape(2, k, d)
+        # matrix i's bounds run over its own ratios and those of its transpose
+        lower, upper = ratios.min(axis=(0, 2)), ratios.max(axis=(0, 2))
+        pair = vecs.reshape(2, k, d).swapaxes(0, 1)
+        least = pair.min(axis=(1, 2))
+        width = np.maximum(upper, lam) - np.minimum(lower, lam)
+        ok = (least > 0) & (width <= CERTIFICATE_RTOL * lam)
+        for i in np.flatnonzero(~ok)[:1].tolist():
+            failures.append((members[i], PerronConvergenceError(
+                d, float(lam[i]), float(lower[i]), float(upper[i]), float(least[i]))))
+        solved.append((members, shifts, stack, lam, pair))
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return solved
+
+
+def _normalized(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``h`` summing to 1 and ``nu`` with ``nu @ h == 1``, both read-only."""
+    h = pair[0] / pair[0].sum()
+    nu = pair[1] / (pair[1] @ h)
+    h.setflags(write=False)
+    nu.setflags(write=False)
+    return h, nu
+
+
+def build_transfer(grammar: Grammar, potential: Potential) -> TransferMatrix:
+    """Assemble the weighted transition matrix over admissible blocks."""
+    [(_, shifts, stack)] = _transfer_stack((grammar,), potential)
+    states, index = _blocks(grammar, potential.range - 1)[:2]
+    return TransferMatrix(grammar, potential, states, stack[0], float(shifts[0]), index)
 
 
 def perron(transfer: TransferMatrix) -> tuple[float, np.ndarray, np.ndarray]:
@@ -232,23 +310,8 @@ def perron(transfer: TransferMatrix) -> tuple[float, np.ndarray, np.ndarray]:
     positive and the Collatz-Wielandt bracket, widened to contain ``lam``,
     is narrower than ``CERTIFICATE_RTOL * lam``.
     """
-    m = transfer.entries
-    stack = np.stack((m, m.T))
-    values, vectors = np.linalg.eig(stack)
-    top = values.real.argmax(axis=1)
-    lam = float(values[0, top[0]].real)
-    pair = np.abs(vectors[[0, 1], :, top].real)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = (stack @ pair[:, :, None])[:, :, 0] / pair
-    lower, upper = float(ratios.min()), float(ratios.max())
-    min_entry = float(pair.min())
-    if not (min_entry > 0 and max(upper, lam) - min(lower, lam) <= CERTIFICATE_RTOL * lam):
-        raise PerronConvergenceError(m.shape[0], lam, lower, upper, min_entry)
-    h = pair[0] / pair[0].sum()
-    nu = pair[1] / (pair[1] @ h)
-    h.setflags(write=False)
-    nu.setflags(write=False)
-    return lam, h, nu
+    [(*_, lam, pair)] = _perron_stack([((0,), None, np.asarray(transfer.entries, float)[None])])
+    return (float(lam[0]),) + _normalized(pair[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,30 +356,52 @@ class Sample:
 
 def gibbs_chain(grammar: Grammar, potential: Potential) -> GibbsChain:
     """Build the exact Markov realization of the equilibrium measure."""
-    tm = build_transfer(grammar, potential)
-    lam, h, nu = perron(tm)
-    stationary = nu * h
-    stationary = stationary / stationary.sum()
-    transition = tm.entries * h[None, :] / (lam * h[:, None])
-    support = transition > 0
-    plogp = np.zeros_like(transition)
-    plogp[support] = transition[support] * np.log(transition[support])
-    entropy = float(-(stationary[:, None] * plogp).sum())
-    transition.setflags(write=False)
-    stationary.setflags(write=False)
-    p = math.log(lam) + tm.shift
-    if tm.shift:   # exp(pressure), which is inf past 709.78
-        lam = math.exp(p) if p <= _LOG_MAX else math.inf
-    return GibbsChain(
-        grammar=grammar, potential=potential, states=tm.states, index=tm.index,
-        lam=lam, pressure=p,
-        h=h, nu=nu, transition=transition, stationary=stationary, entropy=entropy)
+    return chain_stack((grammar,), potential)[0]
+
+
+def chain_stack(grammars, potential: Potential) -> tuple[GibbsChain, ...]:
+    """:func:`gibbs_chain` of each grammar of a class, in order, from one
+    certified eigen-solve per block count."""
+    grammars = tuple(grammars)
+    chains = [None] * len(grammars)
+    for members, shifts, stack, lams, pair in _perron_stack(_transfer_stack(grammars, potential)):
+        for i, k in enumerate(members):
+            lam, shift, (h, nu) = float(lams[i]), float(shifts[i]), _normalized(pair[i])
+            stationary = nu * h
+            stationary = stationary / stationary.sum()
+            transition = stack[i] * h[None, :] / (lam * h[:, None])
+            support = transition > 0
+            plogp = np.zeros_like(transition)
+            plogp[support] = transition[support] * np.log(transition[support])
+            entropy = float(-(stationary[:, None] * plogp).sum())
+            transition.setflags(write=False)
+            stationary.setflags(write=False)
+            p = math.log(lam) + shift
+            if shift:   # exp(pressure), which is inf past 709.78
+                lam = math.exp(p) if p <= _LOG_MAX else math.inf
+            states, index = _blocks(grammars[k], potential.range - 1)[:2]
+            chains[k] = GibbsChain(
+                grammar=grammars[k], potential=potential, states=states, index=index,
+                lam=lam, pressure=p,
+                h=h, nu=nu, transition=transition, stationary=stationary, entropy=entropy)
+    return tuple(chains)
 
 
 def pressure(grammar: Grammar, potential: Potential) -> float:
     """log of the Perron eigenvalue of the weighted block matrix."""
     tm = build_transfer(grammar, potential)
     return math.log(perron(tm)[0]) + tm.shift
+
+
+def pressure_stack(grammars, potential: Potential) -> np.ndarray:
+    """:func:`pressure` of each grammar of a class, in order, from one
+    certified eigen-solve per block count."""
+    grammars = tuple(grammars)
+    out = np.empty(len(grammars))
+    for members, shifts, _, lam, _ in _perron_stack(_transfer_stack(grammars, potential)):
+        # math.log, as in pressure: np.log differs from it in the last bit
+        out[members] = np.array([math.log(x) for x in lam.tolist()]) + shifts
+    return out
 
 
 def ks_entropy(chain: GibbsChain) -> float:
@@ -409,16 +494,10 @@ def periodic_orbit_potential(lower: Grammar, upper: Grammar, reward: float) -> P
         raise ValidationError("periodic_orbit_potential needs lower strictly below upper")
     up, low = upper.array, lower.array
     theta = lower.lexicon.theta
-    orbit = None
-    for q in range(1, theta + 1):
-        found = []
-        for word in _cyclic_words(theta, q):
-            pairs = list(zip(word, word[1:] + (word[0],)))
-            if all(up[a, b] for a, b in pairs) and any(not low[a, b] for a, b in pairs):
-                found.append(min(word[i:] + word[:i] for i in range(q)))
-        if found:
-            orbit = min(found)
-            break
+    # Every rotation of a distinguishing cycle distinguishes too, so the
+    # first one in lexicographic order is its own least rotation.
+    orbit = next((w for q in range(1, theta + 1) for w in _cyclic_words(theta, q)
+                  if up[w, w[1:] + w[:1]].all() and not low[w, w[1:] + w[:1]].all()), None)
     if orbit is None:
         # Every extra edge of a strongly connected graph lies on a simple
         # cycle, so a period <= theta always exists.

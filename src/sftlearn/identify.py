@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gibbs import GibbsChain, Potential, cylinder_log_measure, gibbs_chain, sample
+from .gibbs import GibbsChain, Potential, chain_stack, cylinder_log_measure, sample
 from .symbolic import Grammar, ValidationError, validate_word
 
 DEFAULT_TIE_TOL = 1e-9
@@ -70,7 +70,7 @@ def score_candidates(word, potential: Potential, candidates,
         if g.lexicon != potential.lexicon:
             raise ValidationError("candidate lexicon does not match the potential")
     if chains is None:
-        chains = tuple(gibbs_chain(g, potential) for g in candidates)
+        chains = chain_stack(candidates, potential)
     else:
         chains = tuple(chains)
         if len(chains) != len(candidates):
@@ -128,6 +128,6 @@ def identify_curve(chain: GibbsChain, potential: Potential, candidates, checkpoi
     cps = validate_checkpoints(checkpoints)
     word = sample(chain, max(cps[-1], chain.potential.range - 1), seed).word
     if candidate_chains is None:
-        candidate_chains = tuple(gibbs_chain(g, potential) for g in tuple(candidates))
+        candidate_chains = chain_stack(candidates, potential)
     return [identify(word[:c], potential, candidates, tie_tol, chains=candidate_chains)
             for c in cps]

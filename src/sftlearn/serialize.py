@@ -24,11 +24,37 @@ def grammar_to_dict(g: Grammar) -> dict:
     return {"theta": g.lexicon.theta, "matrix": [list(row) for row in g.matrix]}
 
 
+def _strict(kinds, convert, what: str):
+    """Converter that takes only values of ``kinds``, and never a bool."""
+    def converted(value):
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise TypeError(f"expected {what}, got {value!r}")
+        return convert(value)
+    return converted
+
+
+_int = _strict(int, int, "an integer")
+_float = _strict((int, float), float, "a number")
+
+
+def _tuple_of(convert):
+    return _strict((list, tuple), lambda values: tuple(map(convert, values)), "a list")
+
+
+def _read(data: dict, kind: str, name: str, convert):
+    """``convert(data[name])``; a value of the wrong type is bad input
+    whose message names the field."""
+    try:
+        return convert(data[name])
+    except TypeError as exc:
+        raise ValidationError(f"{kind} field {name!r}: {exc}") from exc
+
+
 def grammar_from_dict(data) -> Grammar:
     if not isinstance(data, dict) or "theta" not in data or "matrix" not in data:
         raise ValidationError(f"grammar object needs 'theta' and 'matrix' fields, got {data!r}")
-    return Grammar(Lexicon(int(data["theta"])),
-                   tuple(tuple(int(x) for x in row) for row in data["matrix"]))
+    return Grammar(Lexicon(_read(data, "grammar", "theta", _int)),
+                   _read(data, "grammar", "matrix", _tuple_of(_tuple_of(_int))))
 
 
 def potential_to_dict(p: Potential) -> dict:
@@ -47,12 +73,14 @@ def potential_from_dict(data) -> Potential:
             raise ValidationError(f"potential object is missing the '{field}' field")
     entries = []
     for item in data.get("entries", ()):
-        if "word" not in item or "value" not in item:
+        if not isinstance(item, dict) or "word" not in item or "value" not in item:
             raise ValidationError(f"potential entry needs 'word' and 'value', got {item!r}")
         word = item["word"]
-        entries.append((parse_word(word) if isinstance(word, str) else tuple(word),
-                        float(item["value"])))
-    return Potential(Lexicon(int(data["theta"])), int(data["range"]), tuple(entries))
+        entries.append((parse_word(word) if isinstance(word, str)
+                        else _read(item, "potential entry", "word", _tuple_of(_int)),
+                        _read(item, "potential entry", "value", _float)))
+    return Potential(Lexicon(_read(data, "potential", "theta", _int)),
+                     _read(data, "potential", "range", _int), tuple(entries))
 
 
 def _encode_float(x: float):

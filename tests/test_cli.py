@@ -286,6 +286,37 @@ def test_unknown_config_field_is_named(capsys, tmp_path, config, name):
     assert name in lines[0]
 
 
+ZERO2 = {"theta": 2, "range": 2, "entries": []}
+
+
+@pytest.mark.parametrize("grammar, potential, name", [
+    pytest.param({"theta": 2, "matrix": [[1, 1], [1, 0.5]]}, ZERO2, "matrix", id="entry-half"),
+    pytest.param({"theta": 2, "matrix": [[1, "1"], [1, 0]]}, ZERO2, "matrix", id="entry-string"),
+    pytest.param({"theta": 2, "matrix": [[1, True], [1, 0]]}, ZERO2, "matrix", id="entry-bool"),
+    pytest.param({"theta": "2", "matrix": [[1, 1], [1, 0]]}, ZERO2, "theta", id="theta-string"),
+    pytest.param({"theta": 2.7, "matrix": [[1, 1], [1, 0]]}, ZERO2, "theta", id="theta-float"),
+    pytest.param({"theta": True, "matrix": [[1, 1], [1, 0]]}, ZERO2, "theta", id="theta-bool"),
+    pytest.param(GOLDEN, {"theta": 2, "range": 2, "entries": [{"word": [0, 1.9], "value": 1}]},
+                 "word", id="word-float"),
+    pytest.param(GOLDEN, {"theta": 2, "range": 2, "entries": [{"word": "01", "value": True}]},
+                 "value", id="value-bool"),
+    pytest.param(GOLDEN, {"theta": "2", "range": 2, "entries": []}, "theta",
+                 id="potential-theta-string"),
+    pytest.param(GOLDEN, {"theta": 2, "range": 2.5, "entries": []}, "range",
+                 id="potential-range-float"),
+])
+def test_loaders_reject_coerced_values_and_name_the_field(capsys, tmp_path, grammar,
+                                                          potential, name):
+    g, p = tmp_path / "g.json", tmp_path / "p.json"
+    g.write_text(json.dumps(grammar))
+    p.write_text(json.dumps(potential))
+    code, out, err = run(capsys, "pressure", "--grammar", str(g), "--potential", str(p))
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("sftlearn: error:")
+    assert f"field '{name}'" in lines[0]
+
+
 def test_repeated_invocations_are_byte_identical(capsys, golden_file):
     _, first, _ = run(capsys, "sample", "--grammar", golden_file,
                       "--length", "200", "--seed", "1")

@@ -7,6 +7,7 @@ golden ratio.
 """
 
 import bisect
+import itertools
 import math
 from collections import Counter
 
@@ -23,6 +24,7 @@ from sftlearn import (
     admits,
     all_words,
     build_transfer,
+    chain_stack,
     cylinder_log_measure,
     entropy_via_pressure_derivative,
     enumerate_grammars,
@@ -32,8 +34,11 @@ from sftlearn import (
     periodic_orbit_potential,
     perron,
     pressure,
+    pressure_stack,
     sample,
 )
+from sftlearn import gibbs
+from sftlearn.experiments import _comparable_pairs
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -206,6 +211,97 @@ def test_pressure_is_convex_along_potential_rays(full2, lex2):
     values = [pressure(full2, phi.scaled(t)) for t in ts]
     for a, b, c in zip(values, values[1:], values[2:]):
         assert b <= (a + c) / 2 + 1e-10
+
+
+# ---------------------------------------------------------------------------
+# class solves
+# ---------------------------------------------------------------------------
+
+def _class_potentials(lex):
+    """The zero potential and seeded random range-2 and range-3 tables."""
+    rng = np.random.default_rng(11)
+    out = [Potential.zero(lex)]
+    for r in (2, 3):
+        words = list(all_words(lex, r))
+        values = rng.uniform(-2.0, 2.0, len(words))
+        out.append(Potential.from_table(lex, r, dict(zip(words, values))))
+    return out
+
+
+@pytest.mark.parametrize("theta", [2, 3])
+def test_class_solves_equal_the_single_solves_exactly(theta):
+    lex = Lexicon(theta)
+    grammars = enumerate_grammars(lex)
+    for phi in _class_potentials(lex):
+        assert pressure_stack(grammars, phi).tolist() == [pressure(g, phi) for g in grammars]
+        for chain, g in zip(chain_stack(grammars, phi), grammars):
+            tm = build_transfer(g, phi)
+            lam, h, nu = perron(tm)
+            assert chain.grammar == g and chain.states == tm.states
+            assert chain.pressure == math.log(lam) + tm.shift
+            assert (chain.h == h).all() and (chain.nu == nu).all()
+            one = gibbs_chain(g, phi)
+            assert (chain.pressure, chain.entropy, chain.lam) \
+                == (one.pressure, one.entropy, one.lam)
+            assert (chain.transition == one.transition).all()
+            assert (chain.stationary == one.stationary).all()
+
+
+def test_class_solves_raise_the_first_failing_grammar_in_input_order(monkeypatch):
+    lex3 = Lexicon(3)
+    grammars = enumerate_grammars(lex3)
+    phi = _class_potentials(lex3)[2]
+    dims = [len(build_transfer(g, phi).states) for g in grammars]
+    # b comes after a but has fewer blocks, so its group is solved first
+    a = next(k for k in range(len(dims)) if min(dims[k + 1:]) < dims[k])
+    b = next(j for j in range(a + 1, len(dims)) if dims[j] < dims[a])
+    real = gibbs._transfer_stack
+
+    def broken(gs, p):
+        # no primitive grammar yields an uncertifiable matrix, so substitute
+        # multiples of the identity, each with its own root k + 1
+        out = []
+        for members, shifts, stack in real(gs, p):
+            stack = stack.copy()
+            for i, k in enumerate(members):
+                if k in (a, b):
+                    stack[i] = np.eye(stack.shape[-1]) * (k + 1)
+            out.append((members, shifts, stack))
+        return out
+
+    monkeypatch.setattr(gibbs, "_transfer_stack", broken)
+    for solve in (pressure_stack, chain_stack):
+        with pytest.raises(PerronConvergenceError) as err:
+            solve(grammars, phi)
+        assert (err.value.lam, err.value.dim) == (a + 1, dims[a])
+    monkeypatch.undo()
+    with pytest.raises(PerronConvergenceError) as single:
+        perron(TransferMatrix(grammars[a], phi, (), np.eye(dims[a]) * (a + 1)))
+    assert str(err.value) == str(single.value)
+
+
+def test_class_solves_reject_underflow_with_the_message_of_pressure():
+    lex3 = Lexicon(3)
+    grammars = enumerate_grammars(lex3)
+    phi = Potential.from_table(lex3, 3, {(2, 2, 2): -1500.0, (0, 1, 0): 2.0})
+    failing = [g for g in grammars if g.matrix[2][2]]
+    # the first failing grammar is not the one with the fewest blocks
+    blocks = [len(gibbs._blocks(g, 2)[0]) for g in failing]
+    assert blocks[0] > min(blocks)
+    with pytest.raises(ValidationError) as single:
+        pressure(failing[0], phi)
+    for solve in (pressure_stack, chain_stack):
+        with pytest.raises(ValidationError) as err:
+            solve(grammars, phi)
+        assert str(err.value) == str(single.value)
+
+
+def test_class_solves_reject_an_empty_class_and_a_foreign_lexicon(golden, zero2):
+    for solve in (pressure_stack, chain_stack):
+        with pytest.raises(ValidationError, match="empty"):
+            solve((), zero2)
+        with pytest.raises(ValidationError, match="lexicons"):
+            solve((golden,), Potential.zero(Lexicon(3)))
 
 
 # ---------------------------------------------------------------------------
@@ -470,3 +566,35 @@ def test_orbit_potential_requires_strict_containment(golden, full2, swapped):
         periodic_orbit_potential(golden, swapped, 1.0)
     with pytest.raises(ValidationError):
         periodic_orbit_potential(golden, golden, 1.0)
+
+
+def _reference_orbit_potential(lower, upper, reward):
+    """The orbit rule as first written: the least rotation of every
+    distinguishing cycle of the shortest period, then the least of those."""
+    up, low, theta = upper.array, lower.array, lower.lexicon.theta
+    for q in range(1, theta + 1):
+        found = []
+        for word in itertools.product(range(theta), repeat=q):
+            if any(word == word[d:] + word[:d] for d in range(1, q)):
+                continue
+            pairs = list(zip(word, word[1:] + (word[0],)))
+            if all(up[a, b] for a, b in pairs) and any(not low[a, b] for a, b in pairs):
+                found.append(min(word[i:] + word[:i] for i in range(q)))
+        if found:
+            orbit = min(found)
+            break
+    rotations = (orbit[i:] + orbit[:i] for i in range(len(orbit)))
+    return Potential.from_table(lower.lexicon, len(orbit) + 1,
+                                {rot + rot[:1]: float(reward) for rot in rotations})
+
+
+def test_orbit_potential_matches_the_least_rotation_rule_on_every_pair():
+    checked = 0
+    for theta in (2, 3):
+        grammars = enumerate_grammars(Lexicon(theta))
+        for i, j in _comparable_pairs(grammars):
+            lower, upper = grammars[i], grammars[j]
+            assert periodic_orbit_potential(lower, upper, 1.5) \
+                == _reference_orbit_potential(lower, upper, 1.5)
+            checked += 1
+    assert checked == 1394

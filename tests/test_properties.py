@@ -1,0 +1,71 @@
+"""Thermodynamic laws that must hold for every potential, checked with
+hypothesis over the theta=3 class.
+
+Examples are derandomized and bounded, so the suite stays deterministic
+and fast.  Potential values lie in [-2, 2], where every weight is a normal
+float and pressures differ from each other by far more than rounding.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sftlearn import Lexicon, Potential, all_words, chain_stack, enumerate_grammars, pressure_stack
+
+LEX3 = Lexicon(3)
+GRAMMARS = enumerate_grammars(LEX3)
+CODES = {sum(bit << k for k, bit in enumerate(np.ravel(g.matrix))): i
+         for i, g in enumerate(GRAMMARS)}
+# (lower, upper): upper is lower plus one edge; a primitive matrix stays
+# primitive when an edge is added, so every cover lies inside the class
+COVERS = np.array([(i, CODES[code | 1 << k]) for code, i in CODES.items()
+                   for k in range(9) if not code >> k & 1])
+TOP = pressure_stack(GRAMMARS, Potential.zero(LEX3))
+
+VALUES = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+PROPERTY = settings(derandomize=True, max_examples=15, deadline=None, database=None)
+
+
+@st.composite
+def potentials(draw):
+    r = draw(st.sampled_from((2, 3)))
+    words = list(all_words(LEX3, r))
+    values = draw(st.lists(VALUES, min_size=len(words), max_size=len(words)))
+    return Potential.from_table(LEX3, r, dict(zip(words, values)))
+
+
+@PROPERTY
+@given(potentials())
+def test_pressure_increases_strictly_along_every_single_edge_cover(phi):
+    p = pressure_stack(GRAMMARS, phi)
+    assert (p[COVERS[:, 1]] > p[COVERS[:, 0]]).all()
+
+
+@PROPERTY
+@given(potentials(), st.lists(VALUES, min_size=9, max_size=9))
+def test_cohomologous_potentials_have_equal_pressure(phi, g):
+    # phi + g(w_2..w_r) - g(w_1..w_{r-1}) with g on (range-1)-blocks; zip
+    # takes only as many values of g as there are blocks
+    g_of = dict(zip(all_words(LEX3, phi.range - 1), g))
+    words = list(all_words(LEX3, phi.range))
+    shifted = Potential.from_table(LEX3, phi.range, {
+        w: phi.value(w) + g_of[w[1:]] - g_of[w[:-1]] for w in words})
+    assert np.abs(pressure_stack(GRAMMARS, shifted) - pressure_stack(GRAMMARS, phi)).max() <= 1e-12
+
+
+@PROPERTY
+@given(potentials())
+def test_entropy_is_at_most_the_topological_entropy(phi):
+    entropies = np.array([c.entropy for c in chain_stack(GRAMMARS, phi)])
+    assert (entropies <= TOP + 1e-12).all()
+
+
+@PROPERTY
+@given(potentials(), st.sampled_from(range(len(GRAMMARS))))
+def test_chain_rows_are_stochastic_and_the_law_stationary(phi, k):
+    chain = chain_stack(GRAMMARS[k:k + 1], phi)[0]
+    assert np.abs(chain.transition.sum(axis=1) - 1.0).max() <= 1e-12
+    assert np.abs(chain.stationary @ chain.transition - chain.stationary).sum() <= 1e-12
+    assert math.isclose(chain.stationary.sum(), 1.0, abs_tol=1e-12)
