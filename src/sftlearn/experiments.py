@@ -32,14 +32,14 @@ import numpy as np
 
 from .gibbs import (
     Potential,
+    _log_measure,
+    _sample_counts,
     chain_stack,
-    cylinder_log_measure,
     gibbs_chain,
     periodic_orbit_potential,
     pressure_stack,
-    sample,
 )
-from .identify import DEFAULT_TIE_TOL, identify, identify_curve, validate_checkpoints
+from .identify import DEFAULT_TIE_TOL, _curve, validate_checkpoints
 from .serialize import (
     _encode_float,
     _float,
@@ -308,9 +308,11 @@ def _candidate_table(candidates, chains, final_outcomes) -> list[dict]:
     return rows
 
 
-def _first_seed_record(cfg, truth_chain, final_outcome) -> dict:
-    n = max(max(cfg.checkpoints), truth_chain.potential.range - 1)
-    word = sample(truth_chain, n, cfg.base_seed).word
+def _seeds(cfg: ExperimentConfig) -> range:
+    return range(cfg.base_seed, cfg.base_seed + cfg.seeds)
+
+
+def _first_seed_record(cfg, word, final_outcome) -> dict:
     return {
         "seed": cfg.base_seed,
         "word": format_word(word),
@@ -335,14 +337,14 @@ def _run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     truth_idx = _index_of(cfg.true_grammar, candidates, "true")
     truth_chain = gibbs_chain(cfg.true_grammar, phi)
     chains = chain_stack(candidates, phi)
-    cps = cfg.checkpoints
+    cps = validate_checkpoints(cfg.checkpoints)
     success = [[] for _ in cps]
     gaps = [[] for _ in cps]
     finals = []
-    for i in range(cfg.seeds):
-        outcomes = identify_curve(truth_chain, phi, candidates, cps,
-                                  cfg.base_seed + i, cfg.tie_tol,
-                                  candidate_chains=chains)
+    word = []
+    n = max(cps[-1], phi.range - 1)
+    for head, counts in _sample_counts(truth_chain, n, _seeds(cfg), cps, word):
+        outcomes = _curve(candidates, chains, cps, head, counts, cfg.tie_tol)
         for k, oc in enumerate(outcomes):
             if procedure == "ml":
                 success[k].append(oc.ml_indices == (truth_idx,))
@@ -353,7 +355,7 @@ def _run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
         finals.append(outcomes[-1])
     curve = [{"n": cp, "frequency": _mean(success[k]), "mean_score_gap": _mean(gaps[k])}
              for k, cp in enumerate(cps)]
-    details = {"first_seed": _first_seed_record(cfg, truth_chain, finals[0]),
+    details = {"first_seed": _first_seed_record(cfg, word, finals[0]),
                "true_index": truth_idx}
     if procedure == "entropy" and cfg.scales:
         details["monotonicity"] = _entropy_monotonicity_sweep(candidates, phi, cfg.scales)
@@ -427,15 +429,15 @@ def run_language_change(config: ExperimentConfig) -> ExperimentReport:
     upper_idx = _index_of(cfg.upper, candidates, "upper")
     truth_chain = gibbs_chain(cfg.lower, phi)
     chains = chain_stack(candidates, phi)
-    cps = cfg.checkpoints
+    cps = validate_checkpoints(cfg.checkpoints)
     flip = [[] for _ in cps]
     ml_true = [[] for _ in cps]
     gaps = [[] for _ in cps]
     finals = []
-    for i in range(cfg.seeds):
-        outcomes = identify_curve(truth_chain, phi, candidates, cps,
-                                  cfg.base_seed + i, cfg.tie_tol,
-                                  candidate_chains=chains)
+    word = []
+    n = max(cps[-1], phi.range - 1)
+    for head, counts in _sample_counts(truth_chain, n, _seeds(cfg), cps, word):
+        outcomes = _curve(candidates, chains, cps, head, counts, cfg.tie_tol)
         for k, oc in enumerate(outcomes):
             flip[k].append(upper_idx in oc.min_entropy_indices
                            and lower_idx not in oc.min_entropy_indices)
@@ -451,7 +453,7 @@ def run_language_change(config: ExperimentConfig) -> ExperimentReport:
         thresholds={"entropy_crossing": crossing, "reward": reward,
                     "bisect_tol": cfg.bisect_tol},
         candidate_table=_candidate_table(candidates, chains, finals),
-        details={"first_seed": _first_seed_record(cfg, truth_chain, finals[0]),
+        details={"first_seed": _first_seed_record(cfg, word, finals[0]),
                  "lower_index": lower_idx, "upper_index": upper_idx,
                  "orbit_potential": potential_to_dict(phi)},
     )
@@ -473,6 +475,7 @@ def run_ml_misidentification(config: ExperimentConfig) -> ExperimentReport:
              if cfg.upper.matrix[a][b] and not cfg.lower.matrix[a][b]]
     curve = []
     first = None
+    n = cfg.sample_length
     for penalty in cfg.penalties:
         phi = Potential.from_table(lex, 2, {pair: -float(penalty) for pair in extra})
         truth_chain = gibbs_chain(cfg.upper, phi)
@@ -480,9 +483,9 @@ def run_ml_misidentification(config: ExperimentConfig) -> ExperimentReport:
         hits = []
         avoided = []
         gaps = []
-        for i in range(cfg.seeds):
-            word = sample(truth_chain, cfg.sample_length, cfg.base_seed + i).word
-            oc = identify(word, phi, candidates, cfg.tie_tol, chains=chains)
+        word = []
+        for head, counts in _sample_counts(truth_chain, n, _seeds(cfg), (n,), word):
+            [oc] = _curve(candidates, chains, (n,), head, counts, cfg.tie_tol)
             ok_avoid = oc.scores[lower_idx].admissible
             avoided.append(ok_avoid)
             hits.append(ok_avoid and lower_idx in oc.ml_indices
@@ -490,9 +493,8 @@ def run_ml_misidentification(config: ExperimentConfig) -> ExperimentReport:
             if ok_avoid:
                 gaps.append(oc.scores[lower_idx].log_likelihood
                             - oc.scores[upper_idx].log_likelihood)
-            if first is None:
-                first = {"seed": cfg.base_seed, "penalty": penalty,
-                         "word": format_word(word)}
+        if first is None:
+            first = {"seed": cfg.base_seed, "penalty": penalty, "word": format_word(word)}
         curve.append({"n": cfg.sample_length, "penalty": penalty,
                       "frequency": _mean(hits), "mean_score_gap": _mean(gaps),
                       "avoid_frequency": _mean(avoided)})
@@ -561,10 +563,10 @@ def run_smb(config: ExperimentConfig) -> ExperimentReport:
     within = [[] for _ in cps]
     devs = [[] for _ in cps]
     final_estimates = []
-    for i in range(cfg.seeds):
-        word = sample(chain, max(cps[-1], phi.range - 1), cfg.base_seed + i).word
+    n = max(cps[-1], phi.range - 1)
+    for head, counts in _sample_counts(chain, n, _seeds(cfg), cps):
         for k, cp in enumerate(cps):
-            est = -cylinder_log_measure(chain, word[:cp]) / cp
+            est = -_log_measure(chain, cp, head, counts[k]) / cp
             dev = abs(est - chain.entropy)
             within[k].append(dev <= cfg.tolerance)
             devs[k].append(dev)

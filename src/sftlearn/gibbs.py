@@ -23,6 +23,13 @@ solve a whole grammar class under one potential, one stack per block count
 ``d``; the single-grammar functions are the case ``K = 1``, with
 bit-identical results.  Dense eig costs O(d^3): about 2.4 s at d = 1024 on
 one core of a 2-vCPU Xeon.
+
+A word enters a likelihood only through the code of its first block and its
+counts of range-``r`` words, the sufficient statistic of a Markov chain:
+every score is one contraction of those counts with the chain's table of
+``log P(w)`` (:func:`_log_measure`).  :func:`_sample_counts` draws the words
+of many seeds at once, exactly those of :func:`sample`, and keeps only their
+counts at given prefix lengths.
 """
 
 from __future__ import annotations
@@ -202,16 +209,22 @@ def _blocks(grammar: Grammar, width: int):
     return memo[width]
 
 
-def _transfer_stack(grammars, potential: Potential):
-    """Transfer matrices of a grammar class under one potential, as one
-    ``(members, shifts, stack)`` group per block count ``d``, ascending:
-    ``stack[i]`` is the ``d x d`` matrix of grammar ``members[i]`` (members
-    ascend) with weights ``exp(phi - shifts[i])``."""
+def _class_blocks(grammars, potential: Potential) -> list:
+    """The :func:`_blocks` table of each grammar of a nonempty class at the
+    potential's block width, looked up once per grammar."""
     if not grammars:
         raise ValidationError("grammar class is empty")
     if any(g.lexicon != potential.lexicon for g in grammars):
         raise ValidationError("grammar and potential use different lexicons")
-    tables = [_blocks(g, potential.range - 1) for g in grammars]
+    return [_blocks(g, potential.range - 1) for g in grammars]
+
+
+def _transfer_stack(tables, potential: Potential):
+    """Transfer matrices of a grammar class under one potential, from the
+    :func:`_class_blocks` tables, as one ``(members, shifts, stack)`` group
+    per block count ``d``, ascending: ``stack[i]`` is the ``d x d`` matrix
+    of grammar ``members[i]`` (members ascend) with weights
+    ``exp(phi - shifts[i])``."""
     order = sorted(range(len(tables)), key=lambda k: len(tables[k][0]))
     tables = [tables[k] for k in order]
     sizes = [len(t[4]) for t in tables]
@@ -295,8 +308,8 @@ def _normalized(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def build_transfer(grammar: Grammar, potential: Potential) -> TransferMatrix:
     """Assemble the weighted transition matrix over admissible blocks."""
-    [(_, shifts, stack)] = _transfer_stack((grammar,), potential)
-    states, index = _blocks(grammar, potential.range - 1)[:2]
+    [(states, index, *_)] = tables = _class_blocks((grammar,), potential)
+    [(_, shifts, stack)] = _transfer_stack(tables, potential)
     return TransferMatrix(grammar, potential, states, stack[0], float(shifts[0]), index)
 
 
@@ -339,9 +352,19 @@ class GibbsChain:
 
     @cached_property
     def _logs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Logs of the stationary law and of the transition matrix."""
+        """Log of the stationary law, and ``log P(w)`` at every range-word
+        code ``w``: the log-transition from the block of its first
+        ``range-1`` symbols to the block of its last ``range-1``, ``-inf``
+        where the word is forbidden (an inadmissible block or a zero
+        transition)."""
+        t, r = self.grammar.lexicon.theta, self.potential.range
+        codes = np.arange(t**r)
+        src, dst = self.index[codes // t], self.index[codes % t ** (r - 1)]
+        ok = (src >= 0) & (dst >= 0)
+        words = np.full(t**r, -np.inf)
         with np.errstate(divide="ignore"):
-            return np.log(self.stationary), np.log(self.transition)
+            words[ok] = np.log(self.transition[src[ok], dst[ok]])
+            return np.log(self.stationary), words
 
 
 @dataclass(frozen=True)
@@ -364,7 +387,8 @@ def chain_stack(grammars, potential: Potential) -> tuple[GibbsChain, ...]:
     certified eigen-solve per block count."""
     grammars = tuple(grammars)
     chains = [None] * len(grammars)
-    for members, shifts, stack, lams, pair in _perron_stack(_transfer_stack(grammars, potential)):
+    tables = _class_blocks(grammars, potential)
+    for members, shifts, stack, lams, pair in _perron_stack(_transfer_stack(tables, potential)):
         for i, k in enumerate(members):
             lam, shift, (h, nu) = float(lams[i]), float(shifts[i]), _normalized(pair[i])
             stationary = nu * h
@@ -379,7 +403,7 @@ def chain_stack(grammars, potential: Potential) -> tuple[GibbsChain, ...]:
             p = math.log(lam) + shift
             if shift:   # exp(pressure), which is inf past 709.78
                 lam = math.exp(p) if p <= _LOG_MAX else math.inf
-            states, index = _blocks(grammars[k], potential.range - 1)[:2]
+            states, index = tables[k][:2]
             chains[k] = GibbsChain(
                 grammar=grammars[k], potential=potential, states=states, index=index,
                 lam=lam, pressure=p,
@@ -398,7 +422,8 @@ def pressure_stack(grammars, potential: Potential) -> np.ndarray:
     certified eigen-solve per block count."""
     grammars = tuple(grammars)
     out = np.empty(len(grammars))
-    for members, shifts, _, lam, _ in _perron_stack(_transfer_stack(grammars, potential)):
+    tables = _class_blocks(grammars, potential)
+    for members, shifts, _, lam, _ in _perron_stack(_transfer_stack(tables, potential)):
         # math.log, as in pressure: np.log differs from it in the last bit
         out[members] = np.array([math.log(x) for x in lam.tolist()]) + shifts
     return out
@@ -416,25 +441,44 @@ def cylinder_log_measure(chain: GibbsChain, word) -> float:
     law over all admissible blocks extending them; the empty word has
     measure 1.
     """
-    w = validate_word(word, chain.grammar.lexicon)
-    n, r, t = len(w), chain.potential.range, chain.grammar.lexicon.theta
+    w = np.array(validate_word(word, chain.grammar.lexicon), dtype=np.int64)
+    t, r = chain.grammar.lexicon.theta, chain.potential.range
+    head = w[:r - 1] @ _powers(t, r - 1)[:len(w)]
+    counts = np.bincount(_window_codes(w, t, r), minlength=t**r)
+    return _log_measure(chain, len(w), int(head), counts)
+
+
+def _window_codes(word: np.ndarray, theta: int, width: int) -> np.ndarray:
+    """Codes of the ``width``-symbol windows of a word array, in order."""
+    if len(word) < width:
+        return np.zeros(0, dtype=np.int64)
+    return np.lib.stride_tricks.sliding_window_view(word, width) @ _powers(theta, width)
+
+
+def _log_measure(chain: GibbsChain, n: int, head: int, counts: np.ndarray) -> float:
+    """:func:`cylinder_log_measure` of a word of ``n`` symbols, given only
+    ``head``, the code of its first ``range-1`` symbols (as if the word
+    were padded with 0s), and ``counts``, the bincount of its range-word
+    codes: ``log pi(first block) + sum_w counts[w] log P(w)``.
+
+    Every scoring path goes through here, so equal counts give bit-equal
+    scores."""
+    t, r = chain.grammar.lexicon.theta, chain.potential.range
     if n == 0:
         return 0.0
     if n < r - 1:
-        # the blocks extending w have the codes span * code(w) + [0, span)
+        # the admissible blocks extending the word are a slice of the codes
         span = t ** (r - 1 - n)
-        idx = chain.index[span * int(np.dot(w, _powers(t, n))):][:span]
+        idx = chain.index[head - head % span:][:span]
         total = chain.stationary[idx[idx >= 0]].sum()
         return math.log(total) if total > 0 else -math.inf
-    codes = np.lib.stride_tricks.sliding_window_view(np.asarray(w), r - 1) @ _powers(t, r - 1)
-    idx = chain.index[codes]
-    if (idx < 0).any():
+    first = chain.index[head]
+    if first < 0:
         return -math.inf
-    log_stationary, log_transition = chain._logs
-    total = log_stationary[idx[0]]
-    if len(idx) > 1:
-        total = total + log_transition[idx[:-1], idx[1:]].sum()
-    return float(total)
+    log_stationary, log_words = chain._logs
+    # only counted words enter, so a forbidden one makes the sum -inf (no nan)
+    seen = np.flatnonzero(counts)
+    return float(log_stationary[first] + (counts[seen] * log_words[seen]).sum())
 
 
 def expected_potential(chain: GibbsChain, potential: Potential) -> float:
@@ -454,6 +498,12 @@ def expected_potential(chain: GibbsChain, potential: Potential) -> float:
     return float((chain.stationary[:, None] * chain.transition * potential._at(words)).sum())
 
 
+def _check_length(chain: GibbsChain, n: int) -> None:
+    if n < chain.potential.range - 1:
+        raise ValidationError(
+            f"sample length {n} shorter than the block size {chain.potential.range - 1}")
+
+
 def sample(chain: GibbsChain, n: int, seed: int) -> Sample:
     """Draw an admissible word of length ``n`` from the chain.
 
@@ -461,10 +511,8 @@ def sample(chain: GibbsChain, n: int, seed: int) -> Sample:
     transition matrix via inverse-CDF lookup, so a given ``seed`` always
     reproduces the same word.  Requires ``n >= range - 1``.
     """
-    r = chain.potential.range
-    if n < r - 1:
-        raise ValidationError(f"sample length {n} shorter than the block size {r - 1}")
-    u = np.random.default_rng(seed).random(n - r + 2)
+    _check_length(chain, n)
+    u = np.random.default_rng(seed).random(n - chain.potential.range + 2)
     # a uniform of exactly 0 would pick a row's leading zero-probability column
     np.maximum(u, np.finfo(float).smallest_subnormal, out=u)
     cum = np.cumsum(chain.stationary)
@@ -477,6 +525,92 @@ def sample(chain: GibbsChain, n: int, seed: int) -> Sample:
         cur = bisect.bisect_left(row, x * row[-1])
         word.append(last[cur])
     return Sample(tuple(word), seed, chain.grammar, chain.potential)
+
+
+# The lockstep sampler draws this many seeds at a time, this many uniforms
+# per seed at a time, so its memory does not grow with seeds or length.
+_SEED_BATCH = 256
+_COLUMNS = 64
+
+
+def _sample_counts(chain: GibbsChain, n: int, seeds, ends, word: list | None = None):
+    """What :func:`sample` draws for each seed, as block counts: yields, seed
+    by seed, ``(head, counts)``, where ``head`` codes the word's first block
+    and ``counts[k]`` is the bincount of the range-word codes among its first
+    ``ends[k]`` symbols.  ``ends`` ascend and ``n == max(ends[-1], range-1)``,
+    so that every step lies in the last prefix.  The first seed's word is
+    appended to ``word``, if given.
+
+    The seeds of a batch step together to the first entry of
+    ``cum[cur]``, the cumulative row, that is not below ``x * total[cur]``:
+    that is ``bisect_left``, and the row's last entry ``total[cur]`` always
+    qualifies since ``x < 1``.  Each seed's uniforms come from its own
+    generator in blocks of columns, which continue its stream exactly; so
+    every word is the one :func:`sample` draws."""
+    _check_length(chain, n)
+    t, r = chain.grammar.lexicon.theta, chain.potential.range
+    blocks = np.flatnonzero(chain.index >= 0)
+    lasts = blocks % t
+    start_cum = np.cumsum(chain.stationary)
+    cum = np.cumsum(chain.transition, axis=1)
+    total = cum[:, -1]
+    columns = n - r + 2   # column 0 draws the first block, column j step j
+    seeds = list(seeds)
+    for lo in range(0, len(seeds), _SEED_BATCH):
+        rngs = [np.random.default_rng(s) for s in seeds[lo:lo + _SEED_BATCH]]
+        u = np.empty((len(rngs), _COLUMNS))
+        path = np.empty((_COLUMNS + 1, len(rngs)), dtype=np.intp)
+        counts = np.zeros((len(rngs), len(ends), t**r), dtype=np.int64)
+        for start in range(0, columns, _COLUMNS):
+            width = min(_COLUMNS, columns - start)
+            for rng, row in zip(rngs, u):
+                rng.random(out=row[:width])
+            x = np.maximum(u[:, :width].T, np.finfo(float).smallest_subnormal, order="C")
+            # path[j + 1] is the state after column start + j; path[0] the one before
+            skip = 0
+            if start == 0:
+                cur = np.searchsorted(start_cum, x[0] * start_cum[-1])
+                head, path[1], skip = blocks[cur], cur, 1
+            for j in range(skip, width):
+                cur = (cum.take(cur, 0) < (x[j] * total.take(cur))[:, None]).argmin(1)
+                path[j + 1] = cur
+            codes = blocks[path[skip:width]]
+            codes *= t
+            codes += lasts[path[skip + 1:width + 1]]
+            _tally(counts, codes, start + skip, ends, r)
+            if word is not None and lo == 0:
+                if start == 0:
+                    word.extend(chain.states[path[1, 0]])
+                word.extend(lasts[path[skip + 1:width + 1, 0]].tolist())
+            path[0] = path[width]
+        np.cumsum(counts, axis=1, out=counts)
+        yield from zip(head.tolist(), counts)
+
+
+def _word_counts(potential: Potential, word, ends) -> tuple[int, np.ndarray]:
+    """``(head, counts)`` of one word of ``max(ends[-1], range - 1)``
+    symbols, in the potential's lexicon and range, as :func:`_sample_counts`
+    yields them for the words it draws."""
+    t, r = potential.lexicon.theta, potential.range
+    w = np.array(word, dtype=np.int64)
+    counts = np.zeros((1, len(ends), t**r), dtype=np.int64)
+    _tally(counts, _window_codes(w, t, r)[:, None], 1, ends, r)
+    return int(w[:r - 1] @ _powers(t, r - 1)), np.cumsum(counts[0], axis=0)
+
+
+def _tally(counts: np.ndarray, codes: np.ndarray, start: int, ends, r: int) -> None:
+    """Add the ``(L, B)`` range-word codes of steps ``start .. start+L-1``
+    of B words to ``counts[:, k]``, for the first checkpoint ``k`` whose
+    prefix of ``ends[k]`` symbols contains the step; a cumulative sum over
+    ``k`` then gives each prefix its counts.  Step ``s`` ends at symbol
+    ``s + r - 2``."""
+    b, c, size = counts.shape
+    last = np.maximum(np.asarray(ends) - r + 1, 0)   # steps inside each prefix
+    k = np.searchsorted(last, np.arange(start, start + len(codes)))
+    flat = np.arange(b) * c + k[:, None]
+    flat *= size
+    flat += codes
+    counts += np.bincount(flat.ravel(), minlength=counts.size).reshape(counts.shape)
 
 
 def periodic_orbit_potential(lower: Grammar, upper: Grammar, reward: float) -> Potential:

@@ -13,7 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .gibbs import GibbsChain, Potential, chain_stack, cylinder_log_measure, sample
+from .gibbs import (
+    GibbsChain,
+    Potential,
+    _log_measure,
+    _word_counts,
+    chain_stack,
+    cylinder_log_measure,
+    sample,
+)
 from .symbolic import Grammar, ValidationError, validate_word
 
 DEFAULT_TIE_TOL = 1e-9
@@ -55,6 +63,28 @@ class IdentificationOutcome:
         return frozenset(self.scores[i].grammar for i in self.min_entropy_indices)
 
 
+def _candidate_chains(potential: Potential, candidates, chains):
+    """The candidates and their chains as tuples, checked against each other
+    and the potential; the chains are built when ``chains`` is None."""
+    candidates = tuple(candidates)
+    if not candidates:
+        raise ValidationError("candidate class is empty")
+    for g in candidates:
+        if g.lexicon != potential.lexicon:
+            raise ValidationError("candidate lexicon does not match the potential")
+    if chains is None:
+        return candidates, chain_stack(candidates, potential)
+    chains = tuple(chains)
+    if len(chains) != len(candidates):
+        raise ValidationError("chains and candidates differ in length")
+    return candidates, chains
+
+
+def _score(grammar: Grammar, chain: GibbsChain, ll: float) -> CandidateScore:
+    admissible = ll > -math.inf
+    return CandidateScore(grammar, ll, chain.entropy if admissible else None, admissible)
+
+
 def score_candidates(word, potential: Potential, candidates,
                      chains=None) -> tuple[CandidateScore, ...]:
     """Log likelihood and entropy of ``word`` under each candidate's chain.
@@ -63,25 +93,9 @@ def score_candidates(word, potential: Potential, candidates,
     ``candidates`` (they are rebuilt from the potential otherwise); sweeps
     that score many words against a fixed class should pass them in.
     """
-    candidates = tuple(candidates)
-    if not candidates:
-        raise ValidationError("candidate class is empty")
-    for g in candidates:
-        if g.lexicon != potential.lexicon:
-            raise ValidationError("candidate lexicon does not match the potential")
-    if chains is None:
-        chains = chain_stack(candidates, potential)
-    else:
-        chains = tuple(chains)
-        if len(chains) != len(candidates):
-            raise ValidationError("chains and candidates differ in length")
+    candidates, chains = _candidate_chains(potential, candidates, chains)
     w = validate_word(word, potential.lexicon)
-    out = []
-    for g, chain in zip(candidates, chains):
-        ll = cylinder_log_measure(chain, w)
-        admissible = ll > -math.inf
-        out.append(CandidateScore(g, ll, chain.entropy if admissible else None, admissible))
-    return tuple(out)
+    return tuple(_score(g, c, cylinder_log_measure(c, w)) for g, c in zip(candidates, chains))
 
 
 def _outcome(n: int, scores, tie_tol: float) -> IdentificationOutcome:
@@ -123,11 +137,27 @@ def identify_curve(chain: GibbsChain, potential: Potential, candidates, checkpoi
 
     A single path of length ``max(checkpoints)`` is drawn with ``seed`` and
     scored at each checkpoint, so the outcomes describe one trajectory of
-    the learner.  Checkpoints must pass ``validate_checkpoints``.
+    the learner.  Checkpoints must pass ``validate_checkpoints``, and the
+    chain's symbols must belong to the potential's lexicon.  Each outcome
+    equals ``identify`` on the prefix, bit for bit: the prefix enters the
+    score only through its first block and its counts of range-words,
+    taken cumulatively along the word.
     """
     cps = validate_checkpoints(checkpoints)
-    word = sample(chain, max(cps[-1], chain.potential.range - 1), seed).word
-    if candidate_chains is None:
-        candidate_chains = chain_stack(candidates, potential)
-    return [identify(word[:c], potential, candidates, tie_tol, chains=candidate_chains)
-            for c in cps]
+    if chain.grammar.lexicon.theta > potential.lexicon.theta:
+        raise ValidationError("chain lexicon is larger than the potential's")
+    candidates, chains = _candidate_chains(potential, candidates, candidate_chains)
+    n = max(cps[-1], potential.range - 1)
+    word = sample(chain, max(n, chain.potential.range - 1), seed).word[:n]
+    return _curve(candidates, chains, cps, *_word_counts(potential, word, cps), tie_tol)
+
+
+def _curve(candidates, chains, ends, head: int, counts, tie_tol: float):
+    """The outcomes at the checkpoints ``ends`` of one word, from the code
+    ``head`` of its first block and ``counts[k]``, the range-word counts of
+    its first ``ends[k]`` symbols."""
+    if tie_tol < 0:
+        raise ValidationError("tie tolerance must be nonnegative")
+    return [_outcome(c, [_score(g, chain, _log_measure(chain, c, head, n))
+                         for g, chain in zip(candidates, chains)], tie_tol)
+            for c, n in zip(ends, counts)]

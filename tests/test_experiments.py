@@ -189,3 +189,14 @@ def test_infinite_gaps_survive_serialization(golden, full2):
     report = run_experiment(cfg)
     text = dumps(report.to_dict())
     assert json.loads(text)   # no NaN/Infinity literals sneak through
+
+
+@pytest.mark.parametrize("name, overrides, message", [
+    ("ml-misidentification", {"sample_length": 0}, "shorter than the block size"),
+    ("ml-convergence", {"tie_tol": -1e-9}, "tie tolerance"),
+    ("language-change", {"tie_tol": -1e-9}, "tie tolerance"),
+    ("ml-misidentification", {"tie_tol": -1e-9}, "tie tolerance"),
+])
+def test_runners_reject_a_short_sample_and_a_negative_tie_tolerance(name, overrides, message):
+    with pytest.raises(ValidationError, match=message):
+        run_experiment(small(default_config(name), seeds=3, **overrides))

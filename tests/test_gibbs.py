@@ -304,6 +304,23 @@ def test_class_solves_reject_an_empty_class_and_a_foreign_lexicon(golden, zero2)
             solve((golden,), Potential.zero(Lexicon(3)))
 
 
+def test_class_solves_look_each_block_table_up_once(monkeypatch):
+    grammars = enumerate_grammars(Lexicon(3))
+    phi = _class_potentials(Lexicon(3))[2]
+    calls = Counter()
+    real = gibbs._blocks
+
+    def counted(g, width):
+        calls[g] += 1
+        return real(g, width)
+
+    monkeypatch.setattr(gibbs, "_blocks", counted)
+    for solve in (pressure_stack, chain_stack):
+        calls.clear()
+        solve(grammars, phi)
+        assert len(calls) == len(grammars) and set(calls.values()) == {1}
+
+
 # ---------------------------------------------------------------------------
 # Gibbs chains
 # ---------------------------------------------------------------------------
@@ -439,6 +456,70 @@ def test_cylinder_two_sided_gibbs_bounds(golden, lex2):
     assert c_lo - 1e-9 <= lo and hi <= c_hi + 1e-9
 
 
+def _sequential_log_measure(chain, word):
+    """Oracle: the log stationary mass of the first block plus the
+    log-transitions of the steps, added one step at a time along the word;
+    a word shorter than a block sums the stationary mass of its
+    extensions."""
+    r, w = chain.potential.range, tuple(word)
+    if not w:
+        return 0.0
+    if len(w) < r - 1:
+        total = sum(p for s, p in zip(chain.states, chain.stationary) if s[:len(w)] == w)
+        return math.log(total) if total > 0 else -math.inf
+    state = {s: i for i, s in enumerate(chain.states)}
+    blocks = [w[i:i + r - 1] for i in range(len(w) - r + 2)]
+    if any(b not in state for b in blocks):
+        return -math.inf
+    total = math.log(chain.stationary[state[blocks[0]]])
+    for a, b in zip(blocks, blocks[1:]):
+        p = chain.transition[state[a], state[b]]
+        if p == 0:
+            return -math.inf
+        total += math.log(p)
+    return total
+
+
+@pytest.mark.parametrize("theta", [2, 3])
+def test_cylinder_from_block_counts_matches_the_sequential_sum(theta):
+    lex = Lexicon(theta)
+    rng = np.random.default_rng(21)
+    grammars = enumerate_grammars(lex)
+    grammars = grammars[::max(1, len(grammars) // 12)]
+    checked = 0
+    for r in (2, 3, 4):
+        words = list(all_words(lex, r))
+        phi = Potential.from_table(lex, r, dict(zip(words, rng.uniform(-2.0, 2.0, len(words)))))
+        for chain in chain_stack(grammars, phi):
+            tests = [sample(chain, n, seed).word for n in (r - 1, r, 9, 200) for seed in (1, 2)]
+            tests += [tuple(rng.integers(0, theta, n).tolist()) for n in range(8) for _ in range(3)]
+            for w in tests:
+                got, want = cylinder_log_measure(chain, w), _sequential_log_measure(chain, w)
+                if want == -math.inf:
+                    assert got == -math.inf, w
+                else:
+                    assert got == pytest.approx(want, rel=1e-12, abs=0), w
+                    checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("r, word, forbidden", [
+    (2, (0, 1, 1, 0), True),    # a forbidden step between admissible blocks
+    (2, (0, 1, 0, 0), False),
+    (3, (1, 1, 0, 1), True),    # an inadmissible first block
+    (3, (1, 1), True),          # n == range - 1: the first block alone
+    (3, (0, 1), False),
+    (4, (1, 1), True),          # n < range - 1: no admissible extension
+    (4, (1,), False),
+])
+def test_cylinder_forbidden_cases_match_the_sequential_sum(golden, lex2, r, word, forbidden):
+    chain = gibbs_chain(golden, Potential.from_table(lex2, r, {(0,) * r: 0.5}))
+    got, want = cylinder_log_measure(chain, word), _sequential_log_measure(chain, word)
+    assert (got == -math.inf) == (want == -math.inf) == forbidden
+    if not forbidden:
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_cylinder_rejects_foreign_symbols(golden, zero2):
     chain = gibbs_chain(golden, zero2)
     with pytest.raises(ValidationError):
@@ -521,6 +602,42 @@ def test_sampling_needs_room_for_one_block(golden, lex2):
     with pytest.raises(ValidationError):
         sample(chain, 1, seed=0)
     assert len(sample(chain, 2, seed=0).word) == 2
+
+
+def _lockstep_words(chain, n, seeds):
+    """The words the lockstep sampler draws, rebuilt from the counts of
+    every prefix: growing the prefix by one symbol adds exactly one
+    range-word, which ends in that symbol.  Also returns the first seed's
+    word as the sampler itself records it."""
+    t, r = chain.grammar.lexicon.theta, chain.potential.range
+    first, words = [], []
+    for head, counts in gibbs._sample_counts(chain, n, seeds, range(1, n + 1), first):
+        added = np.diff(counts, axis=0)[r - 2:]
+        assert (added.sum(axis=1) == 1).all()
+        codes = added.argmax(axis=1)
+        words.append(chain.states[chain.index[head]] + tuple((codes % t).tolist()))
+    return words, tuple(first)
+
+
+def test_lockstep_sampler_draws_the_words_of_sample(golden, full2, lex2):
+    lex3 = Lexicon(3)
+    rng = np.random.default_rng(7)
+    words = list(all_words(lex3, 3))
+    phi3 = Potential.from_table(lex3, 3, dict(zip(words, rng.uniform(-1.0, 1.0, len(words)))))
+    chains = [gibbs_chain(golden, Potential.zero(lex2)), gibbs_chain(full2, Potential.zero(lex2)),
+              gibbs_chain(golden, Potential.zero(lex2, 3))]
+    chains += [gibbs_chain(g, phi3) for g in enumerate_grammars(lex3)[::10]]
+    assert len(chains) == 17
+    for chain in chains:
+        drawn, first = _lockstep_words(chain, 60, range(200))
+        assert drawn == [sample(chain, 60, seed).word for seed in range(200)]
+        assert first == drawn[0]
+    # past one block of uniforms and one batch of seeds, on a range-3 chain
+    n, seeds = 2 * gibbs._COLUMNS + 3, range(50, 50 + gibbs._SEED_BATCH + 5)
+    chain = chains[5]
+    drawn, first = _lockstep_words(chain, n, seeds)
+    assert drawn == [sample(chain, n, seed).word for seed in seeds]
+    assert first == drawn[0]
 
 
 # ---------------------------------------------------------------------------

@@ -240,3 +240,17 @@ def test_curve_stabilizes_on_the_truth(golden, trio, zero2):
         if all(out.ml_set == frozenset({golden}) for out in outcomes[1:]):
             stabilized += 1
     assert stabilized >= 95
+
+
+def test_curve_scores_under_the_candidates_potential(golden, trio, zero2, lex2):
+    # the word comes from a range-3 chain, the candidates score at range 2,
+    # and a chain over three symbols cannot feed a two-symbol class
+    phi3 = Potential.from_table(lex2, 3, {(0, 1, 0): 1.0})
+    chain = gibbs_chain(golden, phi3)
+    word = sample(chain, 30, seed=4).word
+    for cp, out in zip((1, 2, 30), identify_curve(chain, zero2, trio, (1, 2, 30), seed=4)):
+        direct = identify(word[:cp], zero2, trio)
+        assert [s.log_likelihood for s in out.scores] == [s.log_likelihood for s in direct.scores]
+    full3 = Grammar.from_rows([[1, 1, 1]] * 3)
+    with pytest.raises(ValidationError, match="larger"):
+        identify_curve(gibbs_chain(full3, Potential.zero(Lexicon(3))), zero2, trio, (5,), seed=0)

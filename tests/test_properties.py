@@ -12,7 +12,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sftlearn import Lexicon, Potential, all_words, chain_stack, enumerate_grammars, pressure_stack
+from sftlearn import (
+    Lexicon,
+    Potential,
+    all_words,
+    chain_stack,
+    cylinder_log_measure,
+    enumerate_grammars,
+    pressure_stack,
+    sample,
+)
 
 LEX3 = Lexicon(3)
 GRAMMARS = enumerate_grammars(LEX3)
@@ -69,3 +78,19 @@ def test_chain_rows_are_stochastic_and_the_law_stationary(phi, k):
     assert np.abs(chain.transition.sum(axis=1) - 1.0).max() <= 1e-12
     assert np.abs(chain.stationary @ chain.transition - chain.stationary).sum() <= 1e-12
     assert math.isclose(chain.stationary.sum(), 1.0, abs_tol=1e-12)
+
+
+@PROPERTY
+@given(potentials(), st.sampled_from(range(len(GRAMMARS))), st.integers(0, 40),
+       st.integers(0, 2**32 - 1), st.sampled_from(LEX3.symbols))
+def test_extending_a_word_adds_the_log_transition_of_its_step(phi, k, extra, seed, a):
+    chain = chain_stack(GRAMMARS[k:k + 1], phi)[0]
+    word = sample(chain, phi.range - 1 + extra, seed).word
+    longer = cylinder_log_measure(chain, word + (a,))
+    if not GRAMMARS[k].matrix[word[-1]][a]:
+        assert longer == -math.inf
+        return
+    block = phi.range - 1
+    step = chain.transition[chain.states.index(word[len(word) - block:]),
+                            chain.states.index((word + (a,))[len(word) + 1 - block:])]
+    assert abs(longer - cylinder_log_measure(chain, word) - math.log(step)) <= 1e-12
