@@ -335,8 +335,8 @@ def _run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     phi = cfg.potential if cfg.potential is not None else Potential.zero(lex)
     candidates = _resolve_candidates(cfg, lex)
     truth_idx = _index_of(cfg.true_grammar, candidates, "true")
-    truth_chain = gibbs_chain(cfg.true_grammar, phi)
     chains = chain_stack(candidates, phi)
+    truth_chain = chains[truth_idx]
     cps = validate_checkpoints(cfg.checkpoints)
     success = [[] for _ in cps]
     gaps = [[] for _ in cps]
@@ -385,17 +385,20 @@ def _entropy_monotonicity_sweep(candidates, phi: Potential, scales) -> dict:
 
 def entropy_crossing(lower: Grammar, upper: Grammar, tol: float = 1e-6) -> float:
     """Smallest orbit reward at which the rewarded chain on ``upper`` drops
-    below the entropy of ``lower``'s chain, located by bisection.
+    below the entropy of ``lower``'s chain, located by bisection to within
+    ``tol > 0`` or until no float lies between the ends.
 
     The reward potential vanishes on words admissible under ``lower``, so
     the comparison baseline is ``lower``'s topological entropy throughout.
     """
     if compare(lower, upper) is not OrderRelation.LESS:
         raise ValidationError("entropy_crossing needs lower strictly below upper")
+    if not tol > 0:
+        raise ValidationError(f"bisect_tol must be > 0, got {tol!r}")
 
     def gap(reward: float) -> float:
-        phi = periodic_orbit_potential(lower, upper, reward)
-        return gibbs_chain(upper, phi).entropy - gibbs_chain(lower, phi).entropy
+        big, small = chain_stack((upper, lower), periodic_orbit_potential(lower, upper, reward))
+        return big.entropy - small.entropy
 
     lo, hi = 0.0, 1.0
     if gap(lo) <= 0:
@@ -406,6 +409,8 @@ def entropy_crossing(lower: Grammar, upper: Grammar, tol: float = 1e-6) -> float
             raise RuntimeError("no entropy crossing found below reward 256")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):   # no float lies between the ends
+            break
         if gap(mid) < 0:
             hi = mid
         else:
@@ -427,8 +432,8 @@ def run_language_change(config: ExperimentConfig) -> ExperimentReport:
     candidates = _resolve_candidates(cfg, lex)
     lower_idx = _index_of(cfg.lower, candidates, "lower")
     upper_idx = _index_of(cfg.upper, candidates, "upper")
-    truth_chain = gibbs_chain(cfg.lower, phi)
     chains = chain_stack(candidates, phi)
+    truth_chain = chains[lower_idx]
     cps = validate_checkpoints(cfg.checkpoints)
     flip = [[] for _ in cps]
     ml_true = [[] for _ in cps]
@@ -478,8 +483,8 @@ def run_ml_misidentification(config: ExperimentConfig) -> ExperimentReport:
     n = cfg.sample_length
     for penalty in cfg.penalties:
         phi = Potential.from_table(lex, 2, {pair: -float(penalty) for pair in extra})
-        truth_chain = gibbs_chain(cfg.upper, phi)
         chains = chain_stack(candidates, phi)
+        truth_chain = chains[upper_idx]
         hits = []
         avoided = []
         gaps = []

@@ -11,7 +11,10 @@ log-domain, with ``-inf`` standing in for forbidden words.
 
 Blocks and words are handled as base-theta integer codes, one symbol of a
 larger alphabet as in a higher-block presentation; codes of equal-length
-words sort like the words.  Transfer weights are ``exp(phi - c)`` with ``c``
+words sort like the words.  The blocks of a whole grammar class grow
+together, one symbol at a time under the stacked incidence masks
+(:func:`_class_blocks`); nothing is kept between calls, so a one-grammar
+call grows its blocks anew.  Transfer weights are ``exp(phi - c)`` with ``c``
 the midpoint of ``phi`` over admissible words, and the pressure adds ``c``
 back (``P(phi - c) = P(phi) - c``), so the values may span up to about 1416
 before a weight leaves the normal floats; a zero potential has ``c = 0``.
@@ -37,7 +40,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -179,85 +181,73 @@ class TransferMatrix:
     index: np.ndarray | None = None
 
 
-# Block tables of each grammar by width, kept while the grammar lives: growing
-# the blocks costs more than a small build, and scans reuse each grammar.
-_BLOCKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+def _class_blocks(grammars, potential: Potential):
+    """The admissible blocks of every grammar of a nonempty class at the
+    potential's block width ``w = range - 1``, grown together.
 
-
-def _blocks(grammar: Grammar, width: int):
-    """``(states, index, rows, cols, words)`` of a grammar's ``width``-blocks.
-
-    The blocks grow one symbol at a time under the grammar's mask, so their
-    codes come out sorted; ``words`` codes the admissible ``(width+1)``-words,
-    the steps from state ``rows`` to state ``cols``."""
-    memo = _BLOCKS.setdefault(grammar, {})
-    if width in memo:
-        return memo[width]
-    t = grammar.lexicon.theta
-    words = np.arange(t)
-    for _ in range(width):
-        blocks = words
-        rows, last = np.nonzero(grammar.array[blocks % t])
-        words = blocks[rows] * t + last
-    index = np.full(t**width, -1, dtype=np.intp)
-    index[blocks] = np.arange(len(blocks))
-    cols = index[words % t**width]
-    for a in (index, rows, cols, words):
-        a.setflags(write=False)
-    states = tuple(map(tuple, (blocks[:, None] // _powers(t, width) % t).tolist()))
-    memo[width] = states, index, rows, cols, words
-    return memo[width]
-
-
-def _class_blocks(grammars, potential: Potential) -> list:
-    """The :func:`_blocks` table of each grammar of a nonempty class at the
-    potential's block width, looked up once per grammar."""
+    Returns ``(index, sizes, owner, words, src, dst)``: ``index[k, c]`` is
+    the state of block code ``c`` under grammar ``k`` (-1 if inadmissible),
+    ``sizes[k]`` its number of blocks, and the rest list every admissible
+    range-word, grammar by grammar in ascending code order, as its grammar
+    ``owner``, its code ``words`` and the states ``src`` and ``dst`` of its
+    first and last ``w`` symbols.  The blocks grow one symbol at a time
+    under the stacked masks, each code carrying its grammar's id, so they
+    come out in that order."""
     if not grammars:
         raise ValidationError("grammar class is empty")
     if any(g.lexicon != potential.lexicon for g in grammars):
         raise ValidationError("grammar and potential use different lexicons")
-    return [_blocks(g, potential.range - 1) for g in grammars]
+    t, k, width = potential.lexicon.theta, len(grammars), potential.range - 1
+    mask = np.array([g.matrix for g in grammars], dtype=bool)
+    owner, words = np.divmod(np.arange(k * t), t)
+    for _ in range(width):
+        blocks, keep = words, owner
+        step, last = np.nonzero(mask[keep, blocks % t])
+        owner, words = keep[step], blocks[step] * t + last
+    sizes = np.bincount(keep, minlength=k)
+    index = np.full((k, t**width), -1, dtype=np.intp)
+    index[keep, blocks] = np.arange(len(blocks)) - (np.cumsum(sizes) - sizes)[keep]
+    index.setflags(write=False)
+    return index, sizes, owner, words, index[owner, words // t], index[owner, words % t**width]
 
 
-def _transfer_stack(tables, potential: Potential):
-    """Transfer matrices of a grammar class under one potential, from the
-    :func:`_class_blocks` tables, as one ``(members, shifts, stack)`` group
-    per block count ``d``, ascending: ``stack[i]`` is the ``d x d`` matrix
-    of grammar ``members[i]`` (members ascend) with weights
+def _words(codes: np.ndarray, theta: int, width: int) -> list:
+    """The ``width``-symbol words with the given codes, as tuples."""
+    return list(map(tuple, (codes[:, None] // _powers(theta, width) % theta).tolist()))
+
+
+def _transfer_stack(blocks, potential: Potential):
+    """Transfer matrices of a grammar class under one potential, from its
+    :func:`_class_blocks`, as one ``(members, shifts, stack)`` group per
+    block count ``d``, ascending: ``stack[i]`` is the ``d x d`` matrix of
+    grammar ``members[i]`` (members ascend) with weights
     ``exp(phi - shifts[i])``."""
-    order = sorted(range(len(tables)), key=lambda k: len(tables[k][0]))
-    tables = [tables[k] for k in order]
-    sizes = [len(t[4]) for t in tables]
-    starts = list(itertools.accumulate(sizes, initial=0))
-    phi = potential._at(np.concatenate([t[4] for t in tables]))
-    low, high = np.minimum.reduceat(phi, starts[:-1]), np.maximum.reduceat(phi, starts[:-1])
+    _, sizes, owner, words, src, dst = blocks
+    starts = np.searchsorted(owner, np.arange(len(sizes)))   # every grammar has words
+    phi = potential._at(words)
+    low, high = np.minimum.reduceat(phi, starts), np.maximum.reduceat(phi, starts)
     shifts = low / 2 + high / 2
     # The largest shifted weight is about the reciprocal of the smallest,
     # so all of them are normal floats iff the smallest is.
     smallest = np.exp(low - shifts)
     if smallest.min() < _TINY:
-        k = min(np.flatnonzero(smallest < _TINY).tolist(), key=order.__getitem__)
-        states, _, rows, cols, _ = tables[k]
-        values = phi[starts[k]:starts[k + 1]].tolist()
-        lo, hi = min(values), max(values)
-        a, b = (states[rows[i]] + states[cols[i]][-1:] for i in map(values.index, (lo, hi)))
+        own = owner == np.argmax(smallest < _TINY)   # the first failing grammar
+        codes, values = words[own], phi[own]
+        lo, hi = values.min().item(), values.max().item()
+        t, r = potential.lexicon.theta, potential.range
+        a, b = _words(codes[[values.argmin(), values.argmax()]], t, r)
         raise ValidationError(
             f"potential values on admissible words span {hi - lo!r}, from {lo!r} at {a} to "
             f"{hi!r} at {b}; the weights exp(phi - c) with c = {lo / 2 + hi / 2!r} must be "
             "normal floats, so the span can be at most about 1416")
-    weights = np.exp(phi - np.repeat(shifts, sizes))
-    rows = np.concatenate([t[2] for t in tables])
-    cols = np.concatenate([t[3] for t in tables])
-    groups, first = [], 0
-    for d, run in itertools.groupby(len(t[0]) for t in tables):
-        last = first + len(list(run))
-        words = slice(starts[first], starts[last])
-        stack = np.zeros((last - first, d, d))
-        owner = np.repeat(np.arange(last - first), sizes[first:last])
-        stack[owner, rows[words], cols[words]] = weights[words]
+    weights = np.exp(phi - shifts[owner])
+    groups = []
+    for d in np.flatnonzero(np.bincount(sizes)).tolist():
+        members, sel = np.flatnonzero(sizes == d), sizes[owner] == d
+        stack = np.zeros((len(members), d, d))
+        stack[np.searchsorted(members, owner[sel]), src[sel], dst[sel]] = weights[sel]
         stack.setflags(write=False)
-        groups.append((order[first:last], shifts[first:last], stack))
-        first = last
+        groups.append((members.tolist(), shifts[members], stack))
     return groups
 
 
@@ -308,9 +298,11 @@ def _normalized(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def build_transfer(grammar: Grammar, potential: Potential) -> TransferMatrix:
     """Assemble the weighted transition matrix over admissible blocks."""
-    [(states, index, *_)] = tables = _class_blocks((grammar,), potential)
-    [(_, shifts, stack)] = _transfer_stack(tables, potential)
-    return TransferMatrix(grammar, potential, states, stack[0], float(shifts[0]), index)
+    blocks = _class_blocks((grammar,), potential)
+    [(_, shifts, stack)] = _transfer_stack(blocks, potential)
+    index = blocks[0][0]
+    states = _words(np.flatnonzero(index >= 0), grammar.lexicon.theta, potential.range - 1)
+    return TransferMatrix(grammar, potential, tuple(states), stack[0], float(shifts[0]), index)
 
 
 def perron(transfer: TransferMatrix) -> tuple[float, np.ndarray, np.ndarray]:
@@ -387,8 +379,11 @@ def chain_stack(grammars, potential: Potential) -> tuple[GibbsChain, ...]:
     certified eigen-solve per block count."""
     grammars = tuple(grammars)
     chains = [None] * len(grammars)
-    tables = _class_blocks(grammars, potential)
-    for members, shifts, stack, lams, pair in _perron_stack(_transfer_stack(tables, potential)):
+    blocks = _class_blocks(grammars, potential)
+    index, sizes = blocks[:2]
+    states = _words(np.nonzero(index >= 0)[1], potential.lexicon.theta, potential.range - 1)
+    bounds = [0, *np.cumsum(sizes).tolist()]
+    for members, shifts, stack, lams, pair in _perron_stack(_transfer_stack(blocks, potential)):
         for i, k in enumerate(members):
             lam, shift, (h, nu) = float(lams[i]), float(shifts[i]), _normalized(pair[i])
             stationary = nu * h
@@ -403,9 +398,9 @@ def chain_stack(grammars, potential: Potential) -> tuple[GibbsChain, ...]:
             p = math.log(lam) + shift
             if shift:   # exp(pressure), which is inf past 709.78
                 lam = math.exp(p) if p <= _LOG_MAX else math.inf
-            states, index = tables[k][:2]
             chains[k] = GibbsChain(
-                grammar=grammars[k], potential=potential, states=states, index=index,
+                grammar=grammars[k], potential=potential,
+                states=tuple(states[bounds[k]:bounds[k + 1]]), index=index[k],
                 lam=lam, pressure=p,
                 h=h, nu=nu, transition=transition, stationary=stationary, entropy=entropy)
     return tuple(chains)
@@ -413,8 +408,7 @@ def chain_stack(grammars, potential: Potential) -> tuple[GibbsChain, ...]:
 
 def pressure(grammar: Grammar, potential: Potential) -> float:
     """log of the Perron eigenvalue of the weighted block matrix."""
-    tm = build_transfer(grammar, potential)
-    return math.log(perron(tm)[0]) + tm.shift
+    return float(pressure_stack((grammar,), potential)[0])
 
 
 def pressure_stack(grammars, potential: Potential) -> np.ndarray:
@@ -422,9 +416,10 @@ def pressure_stack(grammars, potential: Potential) -> np.ndarray:
     certified eigen-solve per block count."""
     grammars = tuple(grammars)
     out = np.empty(len(grammars))
-    tables = _class_blocks(grammars, potential)
-    for members, shifts, _, lam, _ in _perron_stack(_transfer_stack(tables, potential)):
-        # math.log, as in pressure: np.log differs from it in the last bit
+    blocks = _class_blocks(grammars, potential)
+    for members, shifts, _, lam, _ in _perron_stack(_transfer_stack(blocks, potential)):
+        # math.log, not np.log, which differs in the last bit: it keeps the
+        # printed pressures (README's among them) as they were
         out[members] = np.array([math.log(x) for x in lam.tolist()]) + shifts
     return out
 

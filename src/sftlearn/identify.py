@@ -109,11 +109,17 @@ def _outcome(n: int, scores, tie_tol: float) -> IdentificationOutcome:
     return IdentificationOutcome(n, tuple(scores), ml, me, False, tie_tol)
 
 
+def _check_tie_tol(tie_tol: float) -> None:
+    """A NaN tolerance would empty both answer sets, and an infinite one
+    would put forbidden candidates in the maximum-likelihood set."""
+    if not 0 <= tie_tol < math.inf:
+        raise ValidationError(f"tie tolerance tie_tol must be finite and >= 0, got {tie_tol!r}")
+
+
 def identify(word, potential: Potential, candidates, tie_tol: float = DEFAULT_TIE_TOL,
              chains=None) -> IdentificationOutcome:
     """Score every candidate and form both answer sets."""
-    if tie_tol < 0:
-        raise ValidationError("tie tolerance must be nonnegative")
+    _check_tie_tol(tie_tol)
     scores = score_candidates(word, potential, candidates, chains=chains)
     return _outcome(len(tuple(word)), scores, tie_tol)
 
@@ -156,8 +162,7 @@ def _curve(candidates, chains, ends, head: int, counts, tie_tol: float):
     """The outcomes at the checkpoints ``ends`` of one word, from the code
     ``head`` of its first block and ``counts[k]``, the range-word counts of
     its first ``ends[k]`` symbols."""
-    if tie_tol < 0:
-        raise ValidationError("tie tolerance must be nonnegative")
+    _check_tie_tol(tie_tol)
     return [_outcome(c, [_score(g, chain, _log_measure(chain, c, head, n))
                          for g, chain in zip(candidates, chains)], tie_tol)
             for c, n in zip(ends, counts)]

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sftlearn import Grammar, TransferMatrix, enumerate_grammars, Lexicon
+from sftlearn import Grammar, enumerate_grammars, Lexicon
 from sftlearn import gibbs
 from sftlearn.cli import main
 from sftlearn.serialize import grammar_from_dict, potential_from_dict
@@ -117,6 +117,14 @@ def test_output_flag_writes_the_file_instead_of_stdout(capsys, tmp_path, golden_
         math.log(PHI), abs=1e-9)
 
 
+@pytest.mark.parametrize("tie_tol", ["nan", "inf", "-1e-9"])
+def test_identify_rejects_a_tie_tolerance_that_is_not_finite_and_nonnegative(capsys, tie_tol):
+    code, out, err = run(capsys, "identify", "--sample", "0101101", f"--tie-tol={tie_tol}")
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("sftlearn: error:") and "tie_tol" in lines[0]
+
+
 def test_nonprimitive_grammar_exits_1_and_names_the_matrix(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"theta": 2, "matrix": [[0, 1], [1, 0]]}))
@@ -210,8 +218,8 @@ def test_underflow_exits_1_and_a_failed_certificate_exits_2(capsys, tmp_path,
     assert "(1, 1)" in err and "span 1500" in err
 
     # no primitive grammar yields an uncertifiable matrix, so substitute one
-    monkeypatch.setattr(gibbs, "build_transfer", lambda g, p: TransferMatrix(
-        g, p, ((0,), (1,)), np.eye(2)))
+    monkeypatch.setattr(gibbs, "_transfer_stack", lambda blocks, p: [
+        ([0], np.zeros(1), np.eye(2)[None])])
     code, out, err = run(capsys, "pressure", "--grammar", str(full))
     assert (code, out) == (2, "")
     assert "failed its certificate" in err
@@ -257,6 +265,7 @@ def test_readme_cli_examples_match_the_code(capsys, golden_file):
 
 
 GOLDEN = {"theta": 2, "matrix": [[1, 1], [1, 0]]}
+FULL = {"theta": 2, "matrix": [[1, 1], [1, 1]]}
 
 
 @pytest.mark.parametrize("config, name", [
@@ -275,6 +284,11 @@ GOLDEN = {"theta": 2, "matrix": [[1, 1], [1, 0]]}
     pytest.param({"experiment": "smb", "checkpoints": "123"}, "checkpoints",
                  id="checkpoints-string"),
     pytest.param({"experiment": "smb", "tolerance": True}, "tolerance", id="tolerance-bool"),
+    *(pytest.param({"experiment": "language-change", "lower": GOLDEN, "upper": FULL,
+                    "bisect_tol": value}, "bisect_tol", id=f"bisect-tol-{value}")
+      for value in (0, -1, math.nan)),
+    *(pytest.param({"experiment": "ml-convergence", "true_grammar": GOLDEN, "tie_tol": value},
+                   "tie_tol", id=f"tie-tol-{value}") for value in (math.nan, math.inf)),
 ])
 def test_unknown_config_field_is_named(capsys, tmp_path, config, name):
     cfg = tmp_path / "cfg.json"

@@ -18,6 +18,7 @@ from sftlearn import (
     run_experiment,
     run_monotonicity_scan,
 )
+from sftlearn import experiments
 from sftlearn.experiments import EXPERIMENT_IDS, entropy_crossing
 from sftlearn.serialize import dumps
 
@@ -96,9 +97,9 @@ def test_entropy_convergence_and_scale_sweep():
     assert sweep["first_failing_scale"] == 40.0
 
 
-def test_entropy_crossing_matches_the_closed_form(golden, full2):
-    found = entropy_crossing(golden, full2, tol=1e-6)
-
+def _closed_form_crossing():
+    """The reward at which the rewarded full shift's entropy, from the 2x2
+    closed form, falls to that of the golden mean."""
     def entropy_at(energy):
         w = math.exp(energy)
         lam = ((1 + w) + math.sqrt((w - 1) ** 2 + 4)) / 2
@@ -112,7 +113,27 @@ def test_entropy_crossing_matches_the_closed_form(golden, full2):
             hi = mid
         else:
             lo = mid
-    assert found == pytest.approx((lo + hi) / 2, abs=1e-6)
+    return (lo + hi) / 2
+
+
+def test_entropy_crossing_matches_the_closed_form(golden, full2):
+    found = entropy_crossing(golden, full2, tol=1e-6)
+    assert found == pytest.approx(_closed_form_crossing(), abs=1e-6)
+
+
+def test_entropy_crossing_stops_where_no_float_lies_between_the_ends(golden, full2,
+                                                                       monkeypatch):
+    real, calls = experiments.chain_stack, []
+
+    def counted(grammars, phi):
+        calls.append(phi)
+        if len(calls) > 200:
+            raise RuntimeError("the bisection does not stop")
+        return real(grammars, phi)
+
+    monkeypatch.setattr(experiments, "chain_stack", counted)
+    found = entropy_crossing(golden, full2, tol=1e-300)
+    assert found == pytest.approx(_closed_form_crossing(), abs=1e-9)
 
 
 def test_entropy_crossing_requires_strict_order(golden, full2):

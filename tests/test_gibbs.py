@@ -286,7 +286,7 @@ def test_class_solves_reject_underflow_with_the_message_of_pressure():
     phi = Potential.from_table(lex3, 3, {(2, 2, 2): -1500.0, (0, 1, 0): 2.0})
     failing = [g for g in grammars if g.matrix[2][2]]
     # the first failing grammar is not the one with the fewest blocks
-    blocks = [len(gibbs._blocks(g, 2)[0]) for g in failing]
+    blocks = [len(build_transfer(g, Potential.zero(lex3, 3)).states) for g in failing]
     assert blocks[0] > min(blocks)
     with pytest.raises(ValidationError) as single:
         pressure(failing[0], phi)
@@ -304,21 +304,66 @@ def test_class_solves_reject_an_empty_class_and_a_foreign_lexicon(golden, zero2)
             solve((golden,), Potential.zero(Lexicon(3)))
 
 
-def test_class_solves_look_each_block_table_up_once(monkeypatch):
-    grammars = enumerate_grammars(Lexicon(3))
-    phi = _class_potentials(Lexicon(3))[2]
-    calls = Counter()
-    real = gibbs._blocks
+def _oracle_transfer(g, phi):
+    """States, code-to-state list and weights ``exp(phi)`` of a grammar's
+    transfer matrix, by testing every word with ``admits``."""
+    lex, r = g.lexicon, phi.range
+    states = [w for w in all_words(lex, r - 1) if admits(g, w)]
+    pos = {w: i for i, w in enumerate(states)}
+    weights = np.zeros((len(states), len(states)))
+    for w in all_words(lex, r):
+        if admits(g, w):
+            weights[pos[w[:-1]], pos[w[1:]]] = math.exp(phi.value(w))
+    return states, [pos.get(w, -1) for w in all_words(lex, r - 1)], weights
 
-    def counted(g, width):
-        calls[g] += 1
-        return real(g, width)
 
-    monkeypatch.setattr(gibbs, "_blocks", counted)
-    for solve in (pressure_stack, chain_stack):
-        calls.clear()
-        solve(grammars, phi)
-        assert len(calls) == len(grammars) and set(calls.values()) == {1}
+def _class_transfers(grammars, phi):
+    """``(states, index, entries * e^shift)`` of each grammar from one class
+    build."""
+    blocks = gibbs._class_blocks(grammars, phi)
+    index, sizes = blocks[:2]
+    states = gibbs._words(np.nonzero(index >= 0)[1], phi.lexicon.theta, phi.range - 1)
+    ends = np.cumsum(sizes).tolist()
+    out = [None] * len(grammars)
+    for members, shifts, stack in gibbs._transfer_stack(blocks, phi):
+        for i, k in enumerate(members):
+            out[k] = (states[ends[k] - len(stack[i]):ends[k]], index[k],
+                      stack[i] * math.exp(shifts[i]))
+    return out
+
+
+def _random_potential(lex, r, seed):
+    words = list(all_words(lex, r))
+    values = np.random.default_rng(seed).uniform(-2.0, 2.0, len(words))
+    return Potential.from_table(lex, r, dict(zip(words, values)))
+
+
+@pytest.mark.parametrize("theta", [2, 3])
+def test_blocks_match_a_brute_force_oracle(theta):
+    lex = Lexicon(theta)
+    grammars = enumerate_grammars(lex)
+    for r in (2, 3, 4):
+        phi = _random_potential(lex, r, r)
+        for g, whole in zip(grammars, _class_transfers(grammars, phi)):
+            tm = build_transfer(g, phi)
+            states, index, weights = _oracle_transfer(g, phi)
+            for got in (whole, (tm.states, tm.index, tm.entries * math.exp(tm.shift))):
+                assert list(got[0]) == states
+                assert got[1].tolist() == index
+                np.testing.assert_allclose(got[2], weights, rtol=1e-12, atol=0)
+
+
+def test_theta4_class_blocks_match_the_incidence_matrices():
+    lex = Lexicon(4)
+    grammars = enumerate_grammars(lex)
+    phi = _random_potential(lex, 2, 4)
+    states, index, _ = _oracle_transfer(grammars[0], phi)   # every symbol is a block
+    # at range 2 a word (a, b) is admissible iff entry (a, b) of the grammar is 1
+    weights = np.array([[math.exp(phi.value((a, b))) for b in range(4)] for a in range(4)])
+    got = _class_transfers(grammars, phi)
+    assert all(list(s) == states and i.tolist() == index for s, i, _ in got)
+    expected = np.array([g.matrix for g in grammars]) * weights
+    np.testing.assert_allclose(np.array([w for *_, w in got]), expected, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
