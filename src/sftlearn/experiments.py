@@ -32,17 +32,24 @@ import numpy as np
 
 from .gibbs import (
     Potential,
-    _log_measure,
+    _log_measures,
     _sample_counts,
     chain_stack,
     gibbs_chain,
     periodic_orbit_potential,
     pressure_stack,
 )
-from .identify import DEFAULT_TIE_TOL, _curve, validate_checkpoints
+from .identify import (
+    DEFAULT_TIE_TOL,
+    _answer_sets,
+    _check_tie_tol,
+    _outcome,
+    _scores,
+    validate_checkpoints,
+)
 from .serialize import (
     _encode_float,
-    _float,
+    _finite,
     _int,
     _strict,
     _tuple_of,
@@ -156,17 +163,17 @@ _FROM_JSON = {
     "checkpoints": _tuple_of(_int),
     "seeds": _int,
     "base_seed": _int,
-    "tie_tol": _float,
-    "scales": _tuple_of(_float),
-    "reward": lambda v: v if v == "auto" else _float(v),
-    "reward_margin": _float,
-    "bisect_tol": _float,
-    "penalties": _tuple_of(_float),
+    "tie_tol": _finite,
+    "scales": _tuple_of(_finite),
+    "reward": lambda v: v if v == "auto" else _finite(v),
+    "reward_margin": _finite,
+    "bisect_tol": _finite,
+    "penalties": _tuple_of(_finite),
     "sample_length": _int,
     "n_potentials": _int,
-    "value_bound": _float,
+    "value_bound": _finite,
     "potential_ranges": _tuple_of(_int),
-    "tolerance": _float,
+    "tolerance": _finite,
 }
 
 
@@ -273,51 +280,70 @@ def _random_potentials(lexicon: Lexicon, count: int, ranges, bound: float,
     return out
 
 
-def _mean(values) -> float | None:
-    vals = [v for v in values if v is not None]
-    if not vals:
-        return None
-    return sum(vals) / len(vals)
+def _mean(values: list) -> float | None:
+    """Mean of Python numbers, summed in order as Python floats so that its
+    bits do not depend on numpy's summation order; None if there are none."""
+    return sum(values) / len(values) if values else None
 
 
-def _ml_gap(outcome) -> float | None:
-    lls = sorted((s.log_likelihood for s in outcome.scores), reverse=True)
-    if len(lls) < 2 or lls[0] == -math.inf:
-        return None
-    return lls[0] - lls[1]
+def _means(values: np.ndarray, where=True) -> list:
+    """:func:`_mean` over seeds (axis 0) of the entries ``where`` holds, at
+    each checkpoint (axis 1) of an ``(S, P)`` array."""
+    where = np.broadcast_to(where, values.shape)
+    return [_mean(v[w].tolist()) for v, w in zip(values.T, where.T)]
 
 
-def _entropy_gap(outcome) -> float | None:
-    ents = sorted(s.entropy for s in outcome.scores if s.admissible)
-    if len(ents) < 2:
-        return None
-    return ents[1] - ents[0]
+def _gap(values: np.ndarray) -> np.ndarray:
+    """The largest entry minus the next one down, along the last axis (0 on
+    a tie for the largest, inf for a single entry)."""
+    best = values.max(axis=-1, keepdims=True)
+    top = values == best
+    second = np.where(top.sum(axis=-1, keepdims=True) > 1, best,
+                      np.where(top, -np.inf, values).max(axis=-1, keepdims=True))
+    with np.errstate(invalid="ignore"):   # -inf - -inf where nothing is finite
+        return (best - second)[..., 0]
 
 
-def _candidate_table(candidates, chains, final_outcomes) -> list[dict]:
-    rows = []
-    for j, (g, chain) in enumerate(zip(candidates, chains)):
-        lls = [oc.scores[j].log_likelihood for oc in final_outcomes]
-        admit = [oc.scores[j].admissible for oc in final_outcomes]
-        rows.append({
-            "grammar": grammar_to_dict(g),
-            "entropy": chain.entropy,
-            "admit_frequency": _mean(admit),
-            "mean_log_likelihood": _encode_float(_mean(lls)),
-        })
-    return rows
+def _entropy_gaps(admissible: np.ndarray, chains):
+    """Second-least minus least entropy of the admissible candidates, and
+    where two or more admit the word."""
+    ents = np.array([c.entropy for c in chains])
+    return _gap(np.where(admissible, -ents, -np.inf)), admissible.sum(axis=-1) >= 2
 
 
 def _seeds(cfg: ExperimentConfig) -> range:
     return range(cfg.base_seed, cfg.base_seed + cfg.seeds)
 
 
-def _first_seed_record(cfg, word, final_outcome) -> dict:
-    return {
-        "seed": cfg.base_seed,
-        "word": format_word(word),
-        "final_outcome": outcome_to_dict(final_outcome),
-    }
+def _study(cfg: ExperimentConfig, chains, truth: int, ends, n: int):
+    """Draw the config's seeds' words of ``n`` symbols from ``chains[truth]``
+    and score their prefixes of ``ends`` symbols under every chain: the
+    ``(S, P, K)`` log likelihoods, their answer-set masks ``(admissible, ml,
+    min_entropy)``, and the first seed's word."""
+    _check_tie_tol(cfg.tie_tol)
+    word = []
+    lls = np.concatenate([_log_measures(chains, ends, heads, counts) for heads, counts
+                          in _sample_counts(chains[truth], n, _seeds(cfg), ends, word)])
+    return lls, _answer_sets(lls, [c.entropy for c in chains], cfg.tie_tol), word
+
+
+def _report(cfg: ExperimentConfig, curve, **fields) -> ExperimentReport:
+    return ExperimentReport(cfg.experiment, cfg.to_dict(), curve, **fields)
+
+
+def _study_report(cfg, candidates, chains, end: int, lls, word, details: dict,
+                  **report) -> ExperimentReport:
+    """A study's report, with the candidate table of the last prefixes'
+    scores (of ``end`` symbols) and the first seed's word and outcome."""
+    final = lls[:, -1]
+    table = [{"grammar": grammar_to_dict(g), "entropy": chain.entropy,
+              "admit_frequency": _mean((ll > -np.inf).tolist()),
+              "mean_log_likelihood": _encode_float(_mean(ll.tolist()))}
+             for g, chain, ll in zip(candidates, chains, final.T)]
+    outcome = _outcome(end, _scores(candidates, chains, final[0].tolist()), cfg.tie_tol)
+    details["first_seed"] = {"seed": cfg.base_seed, "word": format_word(word),
+                             "final_outcome": outcome_to_dict(outcome)}
+    return _report(cfg, candidate_table=table, details=details, **report)
 
 
 # ---------------------------------------------------------------------------
@@ -336,36 +362,21 @@ def _run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     candidates = _resolve_candidates(cfg, lex)
     truth_idx = _index_of(cfg.true_grammar, candidates, "true")
     chains = chain_stack(candidates, phi)
-    truth_chain = chains[truth_idx]
     cps = validate_checkpoints(cfg.checkpoints)
-    success = [[] for _ in cps]
-    gaps = [[] for _ in cps]
-    finals = []
-    word = []
-    n = max(cps[-1], phi.range - 1)
-    for head, counts in _sample_counts(truth_chain, n, _seeds(cfg), cps, word):
-        outcomes = _curve(candidates, chains, cps, head, counts, cfg.tie_tol)
-        for k, oc in enumerate(outcomes):
-            if procedure == "ml":
-                success[k].append(oc.ml_indices == (truth_idx,))
-                gaps[k].append(_ml_gap(oc))
-            else:
-                success[k].append(oc.min_entropy_indices == (truth_idx,))
-                gaps[k].append(_entropy_gap(oc))
-        finals.append(outcomes[-1])
-    curve = [{"n": cp, "frequency": _mean(success[k]), "mean_score_gap": _mean(gaps[k])}
-             for k, cp in enumerate(cps)]
-    details = {"first_seed": _first_seed_record(cfg, word, finals[0]),
-               "true_index": truth_idx}
+    lls, (admissible, ml, me), word = _study(cfg, chains, truth_idx, cps,
+                                             max(cps[-1], phi.range - 1))
+    if procedure == "ml":
+        defined = admissible.any(axis=-1) & (len(chains) > 1)   # a finite best, and a second
+        chosen, gaps = ml, (_gap(lls), defined)
+    else:
+        chosen, gaps = me, _entropy_gaps(admissible, chains)
+    success = chosen[..., truth_idx] & (chosen.sum(axis=-1) == 1)   # the truth alone
+    curve = [{"n": cp, "frequency": f, "mean_score_gap": g}
+             for cp, f, g in zip(cps, _means(success), _means(*gaps))]
+    details = {"true_index": truth_idx}
     if procedure == "entropy" and cfg.scales:
         details["monotonicity"] = _entropy_monotonicity_sweep(candidates, phi, cfg.scales)
-    return ExperimentReport(
-        experiment=cfg.experiment,
-        config=cfg.to_dict(),
-        curve=curve,
-        candidate_table=_candidate_table(candidates, chains, finals),
-        details=details,
-    )
+    return _study_report(cfg, candidates, chains, cps[-1], lls, word, details, curve=curve)
 
 
 def _entropy_monotonicity_sweep(candidates, phi: Potential, scales) -> dict:
@@ -433,34 +444,21 @@ def run_language_change(config: ExperimentConfig) -> ExperimentReport:
     lower_idx = _index_of(cfg.lower, candidates, "lower")
     upper_idx = _index_of(cfg.upper, candidates, "upper")
     chains = chain_stack(candidates, phi)
-    truth_chain = chains[lower_idx]
     cps = validate_checkpoints(cfg.checkpoints)
-    flip = [[] for _ in cps]
-    ml_true = [[] for _ in cps]
-    gaps = [[] for _ in cps]
-    finals = []
-    word = []
-    n = max(cps[-1], phi.range - 1)
-    for head, counts in _sample_counts(truth_chain, n, _seeds(cfg), cps, word):
-        outcomes = _curve(candidates, chains, cps, head, counts, cfg.tie_tol)
-        for k, oc in enumerate(outcomes):
-            flip[k].append(upper_idx in oc.min_entropy_indices
-                           and lower_idx not in oc.min_entropy_indices)
-            ml_true[k].append(oc.ml_indices == (lower_idx,))
-            gaps[k].append(_entropy_gap(oc))
-        finals.append(outcomes[-1])
-    curve = [{"n": cp, "frequency": _mean(flip[k]), "mean_score_gap": _mean(gaps[k]),
-              "ml_frequency": _mean(ml_true[k])} for k, cp in enumerate(cps)]
-    return ExperimentReport(
-        experiment=cfg.experiment,
-        config=cfg.to_dict(),
+    lls, (admissible, ml, me), word = _study(cfg, chains, lower_idx, cps,
+                                             max(cps[-1], phi.range - 1))
+    flip = me[..., upper_idx] & ~me[..., lower_idx]
+    ml_true = ml[..., lower_idx] & (ml.sum(axis=-1) == 1)
+    curve = [{"n": cp, "frequency": f, "mean_score_gap": g, "ml_frequency": m}
+             for cp, f, g, m in zip(cps, _means(flip), _means(*_entropy_gaps(admissible, chains)),
+                                    _means(ml_true))]
+    return _study_report(
+        cfg, candidates, chains, cps[-1], lls, word,
+        {"lower_index": lower_idx, "upper_index": upper_idx,
+         "orbit_potential": potential_to_dict(phi)},
         curve=curve,
         thresholds={"entropy_crossing": crossing, "reward": reward,
                     "bisect_tol": cfg.bisect_tol},
-        candidate_table=_candidate_table(candidates, chains, finals),
-        details={"first_seed": _first_seed_record(cfg, word, finals[0]),
-                 "lower_index": lower_idx, "upper_index": upper_idx,
-                 "orbit_potential": potential_to_dict(phi)},
     )
 
 
@@ -484,33 +482,17 @@ def run_ml_misidentification(config: ExperimentConfig) -> ExperimentReport:
     for penalty in cfg.penalties:
         phi = Potential.from_table(lex, 2, {pair: -float(penalty) for pair in extra})
         chains = chain_stack(candidates, phi)
-        truth_chain = chains[upper_idx]
-        hits = []
-        avoided = []
-        gaps = []
-        word = []
-        for head, counts in _sample_counts(truth_chain, n, _seeds(cfg), (n,), word):
-            [oc] = _curve(candidates, chains, (n,), head, counts, cfg.tie_tol)
-            ok_avoid = oc.scores[lower_idx].admissible
-            avoided.append(ok_avoid)
-            hits.append(ok_avoid and lower_idx in oc.ml_indices
-                        and upper_idx not in oc.ml_indices)
-            if ok_avoid:
-                gaps.append(oc.scores[lower_idx].log_likelihood
-                            - oc.scores[upper_idx].log_likelihood)
+        lls, (admissible, ml, _), word = _study(cfg, chains, upper_idx, (n,), n)
+        avoided = admissible[:, 0, lower_idx]
+        hits = avoided & ml[:, 0, lower_idx] & ~ml[:, 0, upper_idx]
+        gaps = lls[avoided, 0, lower_idx] - lls[avoided, 0, upper_idx]
         if first is None:
             first = {"seed": cfg.base_seed, "penalty": penalty, "word": format_word(word)}
         curve.append({"n": cfg.sample_length, "penalty": penalty,
-                      "frequency": _mean(hits), "mean_score_gap": _mean(gaps),
-                      "avoid_frequency": _mean(avoided)})
-    return ExperimentReport(
-        experiment=cfg.experiment,
-        config=cfg.to_dict(),
-        curve=curve,
-        thresholds={"penalized_transitions": [list(p) for p in extra]},
-        details={"first_seed": first, "lower_index": lower_idx,
-                 "upper_index": upper_idx},
-    )
+                      "frequency": _mean(hits.tolist()), "mean_score_gap": _mean(gaps.tolist()),
+                      "avoid_frequency": _mean(avoided.tolist())})
+    return _report(cfg, curve, thresholds={"penalized_transitions": [list(p) for p in extra]},
+                   details={"first_seed": first, "lower_index": lower_idx, "upper_index": upper_idx})
 
 
 def run_monotonicity_scan(config: ExperimentConfig) -> ExperimentReport:
@@ -543,10 +525,8 @@ def run_monotonicity_scan(config: ExperimentConfig) -> ExperimentReport:
         curve.append({"n": k, "range": phi.range,
                       "frequency": violations / len(lower) if len(lower) else 0.0,
                       "mean_score_gap": gap})
-    return ExperimentReport(
-        experiment=cfg.experiment,
-        config=cfg.to_dict(),
-        curve=curve,
+    return _report(
+        cfg, curve,
         thresholds={"min_pressure_gap": min_gap,
                     "min_lambda_gap_zero_potential": min_lambda_gap,
                     "comparable_pairs": len(lower),
@@ -565,27 +545,15 @@ def run_smb(config: ExperimentConfig) -> ExperimentReport:
     phi = cfg.potential if cfg.potential is not None else Potential.zero(lex)
     chain = gibbs_chain(cfg.true_grammar, phi)
     cps = validate_checkpoints(cfg.checkpoints)
-    within = [[] for _ in cps]
-    devs = [[] for _ in cps]
-    final_estimates = []
     n = max(cps[-1], phi.range - 1)
-    for head, counts in _sample_counts(chain, n, _seeds(cfg), cps):
-        for k, cp in enumerate(cps):
-            est = -_log_measure(chain, cp, head, counts[k]) / cp
-            dev = abs(est - chain.entropy)
-            within[k].append(dev <= cfg.tolerance)
-            devs[k].append(dev)
-            if k == len(cps) - 1:
-                final_estimates.append(est)
-    curve = [{"n": cp, "frequency": _mean(within[k]), "mean_score_gap": _mean(devs[k])}
-             for k, cp in enumerate(cps)]
-    return ExperimentReport(
-        experiment=cfg.experiment,
-        config=cfg.to_dict(),
-        curve=curve,
-        thresholds={"tolerance": cfg.tolerance, "entropy": chain.entropy},
-        details={"final_estimates": final_estimates},
-    )
+    estimates = np.concatenate([_log_measures((chain,), cps, heads, counts)[..., 0]
+                                for heads, counts in _sample_counts(chain, n, _seeds(cfg), cps)])
+    estimates = -estimates / cps
+    devs = np.abs(estimates - chain.entropy)
+    curve = [{"n": cp, "frequency": f, "mean_score_gap": g}
+             for cp, f, g in zip(cps, _means(devs <= cfg.tolerance), _means(devs))]
+    return _report(cfg, curve, thresholds={"tolerance": cfg.tolerance, "entropy": chain.entropy},
+                   details={"final_estimates": estimates[:, -1].tolist()})
 
 
 _RUNNERS = {

@@ -28,11 +28,13 @@ bit-identical results.  Dense eig costs O(d^3): about 2.4 s at d = 1024 on
 one core of a 2-vCPU Xeon.
 
 A word enters a likelihood only through the code of its first block and its
-counts of range-``r`` words, the sufficient statistic of a Markov chain:
-every score is one contraction of those counts with the chain's table of
-``log P(w)`` (:func:`_log_measure`).  :func:`_sample_counts` draws the words
-of many seeds at once, exactly those of :func:`sample`, and keeps only their
-counts at given prefix lengths.
+counts of range-``r`` words, the sufficient statistic of a Markov chain.
+One array kernel, :func:`_log_measures`, scores many words, prefixes and
+chains at once; it groups them by the set of words they contain, so each
+score is the same pairwise sum over the same terms as for its word alone,
+bit for bit.  :func:`_sample_counts` draws the words of many seeds at once,
+exactly those of :func:`sample`, and keeps only their counts at given
+prefix lengths.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -344,19 +347,19 @@ class GibbsChain:
 
     @cached_property
     def _logs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Log of the stationary law, and ``log P(w)`` at every range-word
-        code ``w``: the log-transition from the block of its first
-        ``range-1`` symbols to the block of its last ``range-1``, ``-inf``
-        where the word is forbidden (an inadmissible block or a zero
-        transition)."""
+        """Log of the stationary law at every block code, and ``log P(w)`` at
+        every range-word code ``w``, the log-transition from the block of
+        its first ``range-1`` symbols to that of its last; ``-inf`` where a
+        block is inadmissible or a transition zero."""
         t, r = self.grammar.lexicon.theta, self.potential.range
         codes = np.arange(t**r)
         src, dst = self.index[codes // t], self.index[codes % t ** (r - 1)]
         ok = (src >= 0) & (dst >= 0)
-        words = np.full(t**r, -np.inf)
+        blocks, words = np.full(t ** (r - 1), -np.inf), np.full(t**r, -np.inf)
         with np.errstate(divide="ignore"):
             words[ok] = np.log(self.transition[src[ok], dst[ok]])
-            return np.log(self.stationary), words
+            blocks[self.index >= 0] = np.log(self.stationary)   # states ascend by code
+        return blocks, words
 
 
 @dataclass(frozen=True)
@@ -436,44 +439,55 @@ def cylinder_log_measure(chain: GibbsChain, word) -> float:
     law over all admissible blocks extending them; the empty word has
     measure 1.
     """
-    w = np.array(validate_word(word, chain.grammar.lexicon), dtype=np.int64)
-    t, r = chain.grammar.lexicon.theta, chain.potential.range
-    head = w[:r - 1] @ _powers(t, r - 1)[:len(w)]
-    counts = np.bincount(_window_codes(w, t, r), minlength=t**r)
-    return _log_measure(chain, len(w), int(head), counts)
-
-
-def _window_codes(word: np.ndarray, theta: int, width: int) -> np.ndarray:
-    """Codes of the ``width``-symbol windows of a word array, in order."""
-    if len(word) < width:
-        return np.zeros(0, dtype=np.int64)
-    return np.lib.stride_tricks.sliding_window_view(word, width) @ _powers(theta, width)
-
-
-def _log_measure(chain: GibbsChain, n: int, head: int, counts: np.ndarray) -> float:
-    """:func:`cylinder_log_measure` of a word of ``n`` symbols, given only
-    ``head``, the code of its first ``range-1`` symbols (as if the word
-    were padded with 0s), and ``counts``, the bincount of its range-word
-    codes: ``log pi(first block) + sum_w counts[w] log P(w)``.
-
-    Every scoring path goes through here, so equal counts give bit-equal
-    scores."""
-    t, r = chain.grammar.lexicon.theta, chain.potential.range
-    if n == 0:
+    w = validate_word(word, chain.grammar.lexicon)
+    if not w:
         return 0.0
-    if n < r - 1:
-        # the admissible blocks extending the word are a slice of the codes
-        span = t ** (r - 1 - n)
-        idx = chain.index[head - head % span:][:span]
-        total = chain.stationary[idx[idx >= 0]].sum()
-        return math.log(total) if total > 0 else -math.inf
-    first = chain.index[head]
-    if first < 0:
-        return -math.inf
-    log_stationary, log_words = chain._logs
-    # only counted words enter, so a forbidden one makes the sum -inf (no nan)
-    seen = np.flatnonzero(counts)
-    return float(log_stationary[first] + (counts[seen] * log_words[seen]).sum())
+    head, counts = _word_counts(chain.potential, w, [len(w)])
+    return float(_log_measures((chain,), [len(w)], [head], counts[None])[0, 0, 0])
+
+
+# The scoring kernel forms at most about this many count-by-log products at once.
+_KERNEL_TERMS = 1 << 16
+
+
+def _log_measures(chains, ends, heads, counts) -> np.ndarray:
+    """:func:`cylinder_log_measure` of the prefixes of W words under K
+    chains of one lexicon and range, as a ``(W, P, K)`` array, from the
+    code ``heads[i]`` of word i's first ``range-1`` symbols (0-padded) and
+    the range-word bincount ``counts[i, p]`` of its first ``ends[p] >= 1``
+    symbols (``ends`` broadcasts to ``(W, P)``).  Every scoring path goes
+    through here.  Rows are grouped by support (``counts > 0``), and a
+    group's ``(rows, K, S)`` products over its S codes, ascending, are
+    summed along the contiguous last axis, which numpy does row by row with
+    the pairwise summation of a 1-D sum of those S terms: a score has the
+    bits of its word scored alone.  Only counted words enter, so a
+    forbidden one makes the score -inf, never nan."""
+    t, r = chains[0].grammar.lexicon.theta, chains[0].potential.range
+    w, p = counts.shape[:2]
+    ns, heads = np.broadcast_to(ends, (w, p)).ravel(), np.repeat(heads, p)
+    counts = counts.reshape(w * p, -1)
+    out = np.empty((w * p, len(chains)))
+    short = ns < r - 1
+    for n, head in set(zip(ns[short].tolist(), heads[short].tolist())):
+        span = t ** (r - 1 - n)   # the blocks extending the prefix are a slice of the codes
+        totals = [c.stationary[i[i >= 0]].sum() for c in chains
+                  for i in (c.index[head - head % span:][:span],)]
+        out[short & (ns == n) & (heads == head)] = [
+            math.log(x) if x > 0 else -math.inf for x in totals]
+    log_first, log_words = map(np.array, zip(*(c._logs for c in chains)))
+    groups = {}
+    for i, support in zip(np.flatnonzero(~short).tolist(), counts[~short] > 0):
+        groups.setdefault(support.tobytes(), []).append(i)
+    for rows in map(np.array, groups.values()):
+        seen = np.flatnonzero(counts[rows[0]])
+        terms = log_words[:, seen]
+        step = max(1, _KERNEL_TERMS // max(1, terms.size))
+        for lo in range(0, len(rows), step):
+            part = rows[lo:lo + step]
+            # C order, since ``a[:, seen]`` alone comes out in F order
+            products = np.multiply(counts[part][:, None, seen], terms, order="C")
+            out[part] = log_first[:, heads[part]].T + products.sum(axis=-1)
+    return out.reshape(w, p, -1)
 
 
 def expected_potential(chain: GibbsChain, potential: Potential) -> float:
@@ -529,83 +543,102 @@ _COLUMNS = 64
 
 
 def _sample_counts(chain: GibbsChain, n: int, seeds, ends, word: list | None = None):
-    """What :func:`sample` draws for each seed, as block counts: yields, seed
-    by seed, ``(head, counts)``, where ``head`` codes the word's first block
-    and ``counts[k]`` is the bincount of the range-word codes among its first
-    ``ends[k]`` symbols.  ``ends`` ascend and ``n == max(ends[-1], range-1)``,
-    so that every step lies in the last prefix.  The first seed's word is
-    appended to ``word``, if given.
-
-    The seeds of a batch step together to the first entry of
-    ``cum[cur]``, the cumulative row, that is not below ``x * total[cur]``:
-    that is ``bisect_left``, and the row's last entry ``total[cur]`` always
-    qualifies since ``x < 1``.  Each seed's uniforms come from its own
-    generator in blocks of columns, which continue its stream exactly; so
-    every word is the one :func:`sample` draws."""
+    """What :func:`sample` draws for each seed, as block counts: yields, per
+    batch of seeds, ``(heads, counts)``: ``heads[b]`` codes the first block
+    of seed b's word and ``counts[b, k]`` is the bincount of the range-word
+    codes among its first ``ends[k]`` symbols (``ends`` ascend, and ``n ==
+    max(ends[-1], range-1)``).  The first seed's word is appended to
+    ``word``, if given.  Each seed's uniforms come from its own generator
+    in blocks of columns, which continue its stream exactly, and a block's
+    steps are looked up in one :func:`_next_codes` table."""
     _check_length(chain, n)
     t, r = chain.grammar.lexicon.theta, chain.potential.range
     blocks = np.flatnonzero(chain.index >= 0)
     lasts = blocks % t
     start_cum = np.cumsum(chain.stationary)
     cum = np.cumsum(chain.transition, axis=1)
-    total = cum[:, -1]
+    # (value, length) of each run of equal entries of cum[s, :-1] below total[s]
+    runs = [[(c, k) for c, k in Counter(row).items() if c < total]
+            for row, total in zip(cum[:, :-1].tolist(), cum[:, -1].tolist())]
     columns = n - r + 2   # column 0 draws the first block, column j step j
+    # step j ends at symbol j + r - 1, so prefix k holds steps 1 .. inside[k]; a step
+    # counts toward the first prefix that holds it, and a cumulative sum over k then
+    # gives each prefix its counts
+    inside = np.maximum(np.asarray(ends) - r + 1, 0)
     seeds = list(seeds)
     for lo in range(0, len(seeds), _SEED_BATCH):
         rngs = [np.random.default_rng(s) for s in seeds[lo:lo + _SEED_BATCH]]
+        rows = np.arange(len(rngs)) * len(ends)
         u = np.empty((len(rngs), _COLUMNS))
-        path = np.empty((_COLUMNS + 1, len(rngs)), dtype=np.intp)
+        # path[j + 1] is the state after column start + j, path[0] the one before,
+        # coded as the table position that reads it
+        path = np.zeros((_COLUMNS + 1, len(rngs)), dtype=np.intp)
         counts = np.zeros((len(rngs), len(ends), t**r), dtype=np.int64)
         for start in range(0, columns, _COLUMNS):
             width = min(_COLUMNS, columns - start)
             for rng, row in zip(rngs, u):
                 rng.random(out=row[:width])
-            x = np.maximum(u[:, :width].T, np.finfo(float).smallest_subnormal, order="C")
-            # path[j + 1] is the state after column start + j; path[0] the one before
-            skip = 0
+            x = np.maximum(u, np.finfo(float).smallest_subnormal, out=u)[:, :width]
+            table, size, skip = _next_codes(x, cum[:, -1], runs), len(rngs) * width, 0
             if start == 0:
-                cur = np.searchsorted(start_cum, x[0] * start_cum[-1])
-                head, path[1], skip = blocks[cur], cur, 1
-            for j in range(skip, width):
-                cur = (cum.take(cur, 0) < (x[j] * total.take(cur))[:, None]).argmin(1)
-                path[j + 1] = cur
-            codes = blocks[path[skip:width]]
+                cur = np.searchsorted(start_cum, x[:, 0] * start_cum[-1])
+                head, skip = blocks[cur], 1
+                path[1] = cur * size + np.arange(1 % width, size, width)
+            else:
+                path[0] = path[0] * size + np.arange(0, size, width)
+            for before, after in zip(path[skip:width], path[skip + 1:width + 1]):
+                table.take(before, out=after, mode="clip")
+            del table
+            states = np.floor_divide(path[:width + 1], size, out=path[:width + 1])
+            codes = blocks[states[skip:width]]
             codes *= t
-            codes += lasts[path[skip + 1:width + 1]]
-            _tally(counts, codes, start + skip, ends, r)
+            codes += lasts[states[skip + 1:]]
+            flat = np.searchsorted(inside, np.arange(start + skip, start + width))[:, None] + rows
+            flat *= t**r
+            flat += codes
+            counts += np.bincount(flat.ravel(), minlength=counts.size).reshape(counts.shape)
             if word is not None and lo == 0:
                 if start == 0:
-                    word.extend(chain.states[path[1, 0]])
-                word.extend(lasts[path[skip + 1:width + 1, 0]].tolist())
-            path[0] = path[width]
+                    word.extend(chain.states[states[1, 0]])
+                word.extend(lasts[states[skip + 1:, 0]].tolist())
+            path[0] = states[width]
         np.cumsum(counts, axis=1, out=counts)
-        yield from zip(head.tolist(), counts)
+        yield head, counts
+
+
+def _next_codes(x: np.ndarray, totals, runs) -> np.ndarray:
+    """The flat step table of a block of uniforms ``x`` (B seeds x width
+    columns), so that a step is one ``take``: position ``(s * B + b) *
+    width + j`` holds the state ``next`` that seed b's column j reaches
+    from state s, as the position its next column reads, ``(next * B + b) *
+    width + (j + 1) % width``.  ``next`` is ``bisect_left`` of ``x *
+    totals[s]`` in the cumulative row s: the count of its entries below
+    that product (the last, ``totals[s]``, never is, since ``x < 1``),
+    taken over its runs of equal entries ``runs[s]``."""
+    b, width = x.shape
+    table = np.zeros((len(runs), b, width), dtype=np.intp)
+    for nxt, total, below in zip(table, totals, runs):
+        v = x * total
+        for c, k in below:
+            nxt += c < v if k == 1 else k * (c < v)
+    table *= b * width
+    table += np.arange(0, b * width, width)[:, None]
+    table += np.arange(1, width + 1) % width
+    return table.ravel()
 
 
 def _word_counts(potential: Potential, word, ends) -> tuple[int, np.ndarray]:
-    """``(head, counts)`` of one word of ``max(ends[-1], range - 1)``
-    symbols, in the potential's lexicon and range, as :func:`_sample_counts`
-    yields them for the words it draws."""
+    """``(head, counts)`` of one word in the potential's lexicon and range,
+    as :func:`_sample_counts` yields them for the words it draws: the code
+    of its first ``range-1`` symbols (0-padded) and the bincounts of the
+    range-word codes among its first ``ends[k]`` symbols."""
     t, r = potential.lexicon.theta, potential.range
     w = np.array(word, dtype=np.int64)
-    counts = np.zeros((1, len(ends), t**r), dtype=np.int64)
-    _tally(counts, _window_codes(w, t, r)[:, None], 1, ends, r)
-    return int(w[:r - 1] @ _powers(t, r - 1)), np.cumsum(counts[0], axis=0)
-
-
-def _tally(counts: np.ndarray, codes: np.ndarray, start: int, ends, r: int) -> None:
-    """Add the ``(L, B)`` range-word codes of steps ``start .. start+L-1``
-    of B words to ``counts[:, k]``, for the first checkpoint ``k`` whose
-    prefix of ``ends[k]`` symbols contains the step; a cumulative sum over
-    ``k`` then gives each prefix its counts.  Step ``s`` ends at symbol
-    ``s + r - 2``."""
-    b, c, size = counts.shape
-    last = np.maximum(np.asarray(ends) - r + 1, 0)   # steps inside each prefix
-    k = np.searchsorted(last, np.arange(start, start + len(codes)))
-    flat = np.arange(b) * c + k[:, None]
-    flat *= size
-    flat += codes
-    counts += np.bincount(flat.ravel(), minlength=counts.size).reshape(counts.shape)
+    windows = (np.lib.stride_tricks.sliding_window_view(w, r) if len(w) >= r
+               else np.zeros((0, r), dtype=np.int64))
+    codes = windows @ _powers(t, r)   # window i is w[i:i + r]
+    counts = [np.bincount(codes[:max(end - r + 1, 0)], minlength=t**r) for end in ends]
+    return int(w[:r - 1] @ _powers(t, r - 1)[:len(w)]), np.array(counts)
 
 
 def periodic_orbit_potential(lower: Grammar, upper: Grammar, reward: float) -> Potential:

@@ -13,10 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gibbs import (
     GibbsChain,
     Potential,
-    _log_measure,
+    _log_measures,
     _word_counts,
     chain_stack,
     cylinder_log_measure,
@@ -80,9 +82,9 @@ def _candidate_chains(potential: Potential, candidates, chains):
     return candidates, chains
 
 
-def _score(grammar: Grammar, chain: GibbsChain, ll: float) -> CandidateScore:
-    admissible = ll > -math.inf
-    return CandidateScore(grammar, ll, chain.entropy if admissible else None, admissible)
+def _scores(candidates, chains, lls) -> tuple[CandidateScore, ...]:
+    return tuple(CandidateScore(g, ll, c.entropy if ll > -math.inf else None, ll > -math.inf)
+                 for g, c, ll in zip(candidates, chains, lls))
 
 
 def score_candidates(word, potential: Potential, candidates,
@@ -95,18 +97,28 @@ def score_candidates(word, potential: Potential, candidates,
     """
     candidates, chains = _candidate_chains(potential, candidates, chains)
     w = validate_word(word, potential.lexicon)
-    return tuple(_score(g, c, cylinder_log_measure(c, w)) for g, c in zip(candidates, chains))
+    return _scores(candidates, chains, [cylinder_log_measure(c, w) for c in chains])
+
+
+def _answer_sets(lls, entropies, tie_tol: float):
+    """Masks over the last axis of log likelihoods ``lls``: the admissible
+    candidates, the maximum-likelihood set (within ``tie_tol`` of the best
+    score) and the minimum-entropy set (admissible, within ``tie_tol`` of
+    the least admissible entropy); both sets are empty where none admits."""
+    admissible = lls > -np.inf
+    best = lls.max(axis=-1, keepdims=True)
+    ml = (lls >= best - tie_tol) & admissible.any(axis=-1, keepdims=True)
+    ents = np.where(admissible, entropies, np.inf)
+    me = admissible & (ents <= ents.min(axis=-1, keepdims=True) + tie_tol)
+    return admissible, ml, me
 
 
 def _outcome(n: int, scores, tie_tol: float) -> IdentificationOutcome:
-    best_ll = max(s.log_likelihood for s in scores)
-    if best_ll == -math.inf:
-        return IdentificationOutcome(n, tuple(scores), (), (), True, tie_tol)
-    ml = tuple(i for i, s in enumerate(scores) if s.log_likelihood >= best_ll - tie_tol)
-    ents = [(s.entropy, i) for i, s in enumerate(scores) if s.admissible]
-    best_h = min(e for e, _ in ents)
-    me = tuple(i for e, i in ents if e <= best_h + tie_tol)
-    return IdentificationOutcome(n, tuple(scores), ml, me, False, tie_tol)
+    lls = np.array([s.log_likelihood for s in scores])
+    ents = np.array([s.entropy if s.admissible else math.inf for s in scores])
+    admissible, ml, me = _answer_sets(lls, ents, tie_tol)
+    return IdentificationOutcome(n, tuple(scores), tuple(np.flatnonzero(ml).tolist()),
+                                 tuple(np.flatnonzero(me).tolist()), not admissible.any(), tie_tol)
 
 
 def _check_tie_tol(tie_tol: float) -> None:
@@ -149,20 +161,14 @@ def identify_curve(chain: GibbsChain, potential: Potential, candidates, checkpoi
     score only through its first block and its counts of range-words,
     taken cumulatively along the word.
     """
+    _check_tie_tol(tie_tol)
     cps = validate_checkpoints(checkpoints)
     if chain.grammar.lexicon.theta > potential.lexicon.theta:
         raise ValidationError("chain lexicon is larger than the potential's")
     candidates, chains = _candidate_chains(potential, candidates, candidate_chains)
     n = max(cps[-1], potential.range - 1)
     word = sample(chain, max(n, chain.potential.range - 1), seed).word[:n]
-    return _curve(candidates, chains, cps, *_word_counts(potential, word, cps), tie_tol)
-
-
-def _curve(candidates, chains, ends, head: int, counts, tie_tol: float):
-    """The outcomes at the checkpoints ``ends`` of one word, from the code
-    ``head`` of its first block and ``counts[k]``, the range-word counts of
-    its first ``ends[k]`` symbols."""
-    _check_tie_tol(tie_tol)
-    return [_outcome(c, [_score(g, chain, _log_measure(chain, c, head, n))
-                         for g, chain in zip(candidates, chains)], tie_tol)
-            for c, n in zip(ends, counts)]
+    head, counts = _word_counts(potential, word, cps)
+    lls = _log_measures(chains, cps, [head], counts[None])[0]
+    return [_outcome(c, _scores(candidates, chains, row.tolist()), tie_tol)
+            for c, row in zip(cps, lls)]

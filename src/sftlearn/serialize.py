@@ -37,6 +37,17 @@ _int = _strict(int, int, "an integer")
 _float = _strict((int, float), float, "a number")
 
 
+def _finite(value) -> float:
+    """:func:`_float` of a value that must also be finite."""
+    try:
+        v = _float(value)
+    except OverflowError:   # an integer past the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return v
+
+
 def _tuple_of(convert):
     return _strict((list, tuple), lambda values: tuple(map(convert, values)), "a list")
 

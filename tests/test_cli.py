@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, diagnostics, determinism."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -264,6 +265,37 @@ def test_readme_cli_examples_match_the_code(capsys, golden_file):
     assert out.splitlines() == shown
 
 
+# SHA-256 of the stdout of ``sftlearn experiment --experiment X --seed S`` at
+# seeds 11 and 2027, recorded before the experiments scored whole studies as
+# arrays (numpy 2.4, x86-64).  Speed-ups must keep these bytes; a change
+# that means to alter them re-records the table and says why.
+RECORDED_SEEDS = (11, 2027)
+RECORDED_EXPERIMENT_DIGESTS = {
+    "ml-convergence": ("dcef4bed4c005c541a01e78fa3909b128012e18d1975bdc0a13b26f74de935a5",
+                       "27ad5a05b1d310cf71a9684516e2f669294a3ea35f9d245328a41be150ac7354"),
+    "entropy-convergence": ("5bdc317f289299eeb2fcc645551f1762e2efcb47d3783152401a0a079fbdf3ee",
+                            "5f034a20fa747e502c78c1efe73735bad8386f02c96f082347096269517e38b0"),
+    "language-change": ("b680ae6d27d2f8d4ef14f166408654a1b89214016c3b156c2708d9e928626ed9",
+                        "f162da336bd5424d4b9bef987b144b27084347be27ccd8133e9a5d02e2ec9152"),
+    "ml-misidentification": ("5cd5736ab6c73af54a64333d1f1cc4e7e4b24a730462a038ee5b317525342ff2",
+                             "31cdda1bb3e669d99f4eddfc8a3ac24177c9fecb2e4f7202dc440e4c2103ff14"),
+    "monotonicity": ("468d6750d37b32a9b7e884f3ee77ee7f0d2506fac86540e7c5a4681fa5596162",
+                     "ef7f88c5d7eaa738197af3f416f8ddff4e906d63a23b16cfebae604712160167"),
+    "smb": ("ba203a890406c0910d944e9b669796230e89b3e67d2f33123c0fe168b301b992",
+            "3fadce62da72bcad70d073a674ced654ac77a760c07553b7a7a9e8af28c48e48"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(RECORDED_EXPERIMENT_DIGESTS))
+@pytest.mark.parametrize("k", range(len(RECORDED_SEEDS)))
+def test_default_experiments_print_their_recorded_bytes(capsys, experiment, k):
+    seed = RECORDED_SEEDS[k]
+    code, out, _ = run(capsys, "experiment", "--experiment", experiment, "--seed", str(seed))
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == RECORDED_EXPERIMENT_DIGESTS[experiment][k]
+
+
 GOLDEN = {"theta": 2, "matrix": [[1, 1], [1, 0]]}
 FULL = {"theta": 2, "matrix": [[1, 1], [1, 1]]}
 
@@ -286,10 +318,25 @@ FULL = {"theta": 2, "matrix": [[1, 1], [1, 1]]}
     pytest.param({"experiment": "smb", "tolerance": True}, "tolerance", id="tolerance-bool"),
     *(pytest.param({"experiment": "language-change", "lower": GOLDEN, "upper": FULL,
                     "bisect_tol": value}, "bisect_tol", id=f"bisect-tol-{value}")
-      for value in (0, -1, math.nan)),
+      for value in (0, -1, math.nan, math.inf)),
     *(pytest.param({"experiment": "ml-convergence", "true_grammar": GOLDEN, "tie_tol": value},
                    "tie_tol", id=f"tie-tol-{value}") for value in (math.nan, math.inf)),
+    # every float field must be finite, an integer past the float range included
+    *(pytest.param({"experiment": experiment, **setup, name: wrap(value)}, name,
+                   id=f"{name}-{label}")
+      for experiment, setup, name, wrap in (
+          ("smb", {"true_grammar": GOLDEN}, "tolerance", lambda v: v),
+          ("monotonicity", {"theta": 2}, "value_bound", lambda v: v),
+          ("language-change", {"lower": GOLDEN, "upper": FULL}, "reward_margin", lambda v: v),
+          ("language-change", {"lower": GOLDEN, "upper": FULL}, "reward", lambda v: v),
+          ("ml-misidentification", {"lower": GOLDEN, "upper": FULL}, "penalties",
+           lambda v: [10.0, v]),
+          ("entropy-convergence", {"true_grammar": GOLDEN}, "scales", lambda v: [1.0, v]))
+      for value, label in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+                           (10**400, "int-1e400"))),
 ])
+
+
 def test_unknown_config_field_is_named(capsys, tmp_path, config, name):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

@@ -1,9 +1,11 @@
 """Experiment runners: protocols, determinism, and report structure."""
 
 import dataclasses
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from sftlearn import (
@@ -12,15 +14,28 @@ from sftlearn import (
     Lexicon,
     Potential,
     ValidationError,
+    chain_stack,
+    cylinder_log_measure,
     default_config,
+    enumerate_grammars,
+    gibbs_chain,
     identify,
     parse_word,
+    periodic_orbit_potential,
     run_experiment,
     run_monotonicity_scan,
+    sample,
 )
 from sftlearn import experiments
-from sftlearn.experiments import EXPERIMENT_IDS, entropy_crossing
-from sftlearn.serialize import dumps
+from sftlearn.experiments import EXPERIMENT_IDS, ExperimentReport, entropy_crossing
+from sftlearn.serialize import (
+    _encode_float,
+    dumps,
+    grammar_to_dict,
+    outcome_to_dict,
+    potential_to_dict,
+)
+from sftlearn.symbolic import format_word
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -221,3 +236,183 @@ def test_infinite_gaps_survive_serialization(golden, full2):
 def test_runners_reject_a_short_sample_and_a_negative_tie_tolerance(name, overrides, message):
     with pytest.raises(ValidationError, match=message):
         run_experiment(small(default_config(name), seeds=3, **overrides))
+
+
+# ---------------------------------------------------------------------------
+# oracle: each report rebuilt seed by seed, the earlier way
+# ---------------------------------------------------------------------------
+
+def _old_mean(values):
+    vals = [v for v in values if v is not None]
+    return sum(vals) / len(vals) if vals else None
+
+
+def _old_ml_gap(outcome):
+    lls = sorted((s.log_likelihood for s in outcome.scores), reverse=True)
+    if len(lls) < 2 or lls[0] == -math.inf:
+        return None
+    return lls[0] - lls[1]
+
+
+def _old_entropy_gap(outcome):
+    ents = sorted(s.entropy for s in outcome.scores if s.admissible)
+    return ents[1] - ents[0] if len(ents) >= 2 else None
+
+
+def _old_study(cfg, candidates, chains, truth, phi, ends):
+    """Per seed: ``sample`` one word from ``chains[truth]`` and ``identify``
+    each prefix; returns the first seed's word and every seed's outcomes."""
+    n = max(ends[-1], phi.range - 1)
+    words = [sample(chains[truth], n, seed).word for seed in experiments._seeds(cfg)]
+    return words[0], [[identify(w[:c], phi, candidates, cfg.tie_tol, chains=chains)
+                       for c in ends] for w in words]
+
+
+def _old_report(cfg, curve, outcomes=None, word=None, candidates=(), chains=(), **report):
+    if outcomes is not None:
+        finals = [per_seed[-1] for per_seed in outcomes]
+        report["candidate_table"] = [
+            {"grammar": grammar_to_dict(g), "entropy": chain.entropy,
+             "admit_frequency": _old_mean([oc.scores[j].admissible for oc in finals]),
+             "mean_log_likelihood": _encode_float(
+                 _old_mean([oc.scores[j].log_likelihood for oc in finals]))}
+            for j, (g, chain) in enumerate(zip(candidates, chains))]
+        report["details"]["first_seed"] = {"seed": cfg.base_seed, "word": format_word(word),
+                                           "final_outcome": outcome_to_dict(finals[0])}
+    return dumps(ExperimentReport(cfg.experiment, cfg.to_dict(), curve, **report).to_dict())
+
+
+def _old_convergence(cfg):
+    lex = cfg.true_grammar.lexicon
+    phi = cfg.potential or Potential.zero(lex)
+    candidates = cfg.candidates or tuple(enumerate_grammars(lex))
+    truth = candidates.index(cfg.true_grammar)
+    chains = chain_stack(candidates, phi)
+    cps = list(cfg.checkpoints)
+    word, outcomes = _old_study(cfg, candidates, chains, truth, phi, cps)
+    success, gaps = [[] for _ in cps], [[] for _ in cps]
+    for per_seed in outcomes:
+        for k, oc in enumerate(per_seed):
+            if cfg.experiment == "ml-convergence":
+                success[k].append(oc.ml_indices == (truth,))
+                gaps[k].append(_old_ml_gap(oc))
+            else:
+                success[k].append(oc.min_entropy_indices == (truth,))
+                gaps[k].append(_old_entropy_gap(oc))
+    curve = [{"n": cp, "frequency": _old_mean(success[k]), "mean_score_gap": _old_mean(gaps[k])}
+             for k, cp in enumerate(cps)]
+    details = {"true_index": truth}
+    if cfg.experiment == "entropy-convergence" and cfg.scales:
+        details["monotonicity"] = experiments._entropy_monotonicity_sweep(
+            candidates, phi, cfg.scales)
+    return _old_report(cfg, curve, outcomes, word, candidates, chains, details=details)
+
+
+def _old_language_change(cfg):
+    crossing = entropy_crossing(cfg.lower, cfg.upper, cfg.bisect_tol)
+    reward = crossing + cfg.reward_margin if cfg.reward == "auto" else float(cfg.reward)
+    phi = periodic_orbit_potential(cfg.lower, cfg.upper, reward)
+    candidates = cfg.candidates or tuple(enumerate_grammars(cfg.lower.lexicon))
+    lower, upper = candidates.index(cfg.lower), candidates.index(cfg.upper)
+    chains = chain_stack(candidates, phi)
+    cps = list(cfg.checkpoints)
+    word, outcomes = _old_study(cfg, candidates, chains, lower, phi, cps)
+    flip, ml_true, gaps = [[] for _ in cps], [[] for _ in cps], [[] for _ in cps]
+    for per_seed in outcomes:
+        for k, oc in enumerate(per_seed):
+            flip[k].append(upper in oc.min_entropy_indices
+                           and lower not in oc.min_entropy_indices)
+            ml_true[k].append(oc.ml_indices == (lower,))
+            gaps[k].append(_old_entropy_gap(oc))
+    curve = [{"n": cp, "frequency": _old_mean(flip[k]), "mean_score_gap": _old_mean(gaps[k]),
+              "ml_frequency": _old_mean(ml_true[k])} for k, cp in enumerate(cps)]
+    return _old_report(cfg, curve, outcomes, word, candidates, chains,
+                       thresholds={"entropy_crossing": crossing, "reward": reward,
+                                   "bisect_tol": cfg.bisect_tol},
+                       details={"lower_index": lower, "upper_index": upper,
+                                "orbit_potential": potential_to_dict(phi)})
+
+
+def _old_misidentification(cfg):
+    lex = cfg.lower.lexicon
+    candidates = cfg.candidates or tuple(enumerate_grammars(lex))
+    lower, upper = candidates.index(cfg.lower), candidates.index(cfg.upper)
+    extra = [(a, b) for a in lex.symbols for b in lex.symbols
+             if cfg.upper.matrix[a][b] and not cfg.lower.matrix[a][b]]
+    curve, first = [], None
+    for penalty in cfg.penalties:
+        phi = Potential.from_table(lex, 2, {pair: -float(penalty) for pair in extra})
+        chains = chain_stack(candidates, phi)
+        word, outcomes = _old_study(cfg, candidates, chains, upper, phi, [cfg.sample_length])
+        hits, avoided, gaps = [], [], []
+        for [oc] in outcomes:
+            ok_avoid = oc.scores[lower].admissible
+            avoided.append(ok_avoid)
+            hits.append(ok_avoid and lower in oc.ml_indices and upper not in oc.ml_indices)
+            if ok_avoid:
+                gaps.append(oc.scores[lower].log_likelihood - oc.scores[upper].log_likelihood)
+        if first is None:
+            first = {"seed": cfg.base_seed, "penalty": penalty, "word": format_word(word)}
+        curve.append({"n": cfg.sample_length, "penalty": penalty, "frequency": _old_mean(hits),
+                      "mean_score_gap": _old_mean(gaps), "avoid_frequency": _old_mean(avoided)})
+    return _old_report(cfg, curve, thresholds={"penalized_transitions": [list(p) for p in extra]},
+                       details={"first_seed": first, "lower_index": lower, "upper_index": upper})
+
+
+def _old_smb(cfg):
+    phi = cfg.potential or Potential.zero(cfg.true_grammar.lexicon)
+    chain = gibbs_chain(cfg.true_grammar, phi)
+    cps = list(cfg.checkpoints)
+    within, devs, final = [[] for _ in cps], [[] for _ in cps], []
+    for seed in experiments._seeds(cfg):
+        word = sample(chain, max(cps[-1], phi.range - 1), seed).word
+        for k, cp in enumerate(cps):
+            est = -cylinder_log_measure(chain, word[:cp]) / cp
+            dev = abs(est - chain.entropy)
+            within[k].append(dev <= cfg.tolerance)
+            devs[k].append(dev)
+        final.append(est)
+    curve = [{"n": cp, "frequency": _old_mean(within[k]), "mean_score_gap": _old_mean(devs[k])}
+             for k, cp in enumerate(cps)]
+    return _old_report(cfg, curve, details={"final_estimates": final},
+                       thresholds={"tolerance": cfg.tolerance, "entropy": chain.entropy})
+
+
+_OLD_RUNNERS = {"ml-convergence": _old_convergence, "entropy-convergence": _old_convergence,
+                "language-change": _old_language_change,
+                "ml-misidentification": _old_misidentification, "smb": _old_smb}
+
+
+def _theta3_range3():
+    """A theta=3 truth with 7 transitions, 13 candidates and a full range-3
+    potential, so that the chains have up to 9 states and the words up to 27
+    codes."""
+    lex = Lexicon(3)
+    words = list(itertools.product(range(3), repeat=3))
+    values = np.random.default_rng(5).uniform(-1.0, 1.0, len(words))
+    truth = Grammar.from_rows([[0, 1, 1], [1, 1, 1], [1, 1, 0]])
+    return {"true_grammar": truth, "candidates": tuple(enumerate_grammars(lex)[::12]) + (truth,),
+            "potential": Potential.from_table(lex, 3, dict(zip(words, values.tolist()))),
+            "seeds": 9, "checkpoints": (1, 2, 5, 90), "scales": (0.5, 2.0)}
+
+
+@pytest.mark.parametrize("name, overrides", [
+    *(pytest.param(name, {"seeds": 1, "base_seed": 3}, id=f"{name}-1-seed")
+      for name in _OLD_RUNNERS),
+    # past one batch of seeds and one block of uniforms, with a prefix of one symbol
+    *(pytest.param(name, {"seeds": 257, "base_seed": 40,
+                          "checkpoints": (1, 9, 70, 1300 if name == "smb" else 130),
+                          "sample_length": 70, "penalties": (0.5, 10.0)},
+                   id=f"{name}-257-seeds") for name in _OLD_RUNNERS),
+    *(pytest.param(name, _theta3_range3(), id=f"{name}-theta3-range3")
+      for name in ("ml-convergence", "entropy-convergence", "smb")),
+    # a repeated candidate ties every score and entropy with its twin
+    *(pytest.param(name, {"seeds": 20, "checkpoints": (1, 10, 50),
+                          "candidates": tuple(Grammar.from_rows(rows) for rows in
+                                              ([[1, 1], [1, 0]], [[1, 1], [1, 1]]) * 2)},
+                   id=f"{name}-repeated-candidate")
+      for name in ("ml-convergence", "entropy-convergence", "language-change")),
+])
+def test_study_reports_match_the_word_by_word_oracle(name, overrides):
+    cfg = small(default_config(name), **overrides)
+    assert dumps(run_experiment(cfg).to_dict()) == _OLD_RUNNERS[name](cfg)

@@ -565,6 +565,98 @@ def test_cylinder_forbidden_cases_match_the_sequential_sum(golden, lex2, r, word
         assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
+class _OneWordKernel:
+    """Oracle: the earlier one-word scoring formula, kept verbatim, with the
+    chain's log tables built as it built them.  A word enters only as its
+    length ``n``, the code ``head`` of its first ``range-1`` symbols and
+    the bincount ``counts`` of its range-word codes."""
+
+    def __init__(self, chain):
+        t, r = chain.grammar.lexicon.theta, chain.potential.range
+        codes = np.arange(t**r)
+        src, dst = chain.index[codes // t], chain.index[codes % t ** (r - 1)]
+        ok = (src >= 0) & (dst >= 0)
+        self.chain, self.log_words = chain, np.full(t**r, -np.inf)
+        with np.errstate(divide="ignore"):
+            self.log_words[ok] = np.log(chain.transition[src[ok], dst[ok]])
+            self.log_stationary = np.log(chain.stationary)
+
+    def __call__(self, n, head, counts):
+        chain = self.chain
+        t, r = chain.grammar.lexicon.theta, chain.potential.range
+        if n == 0:
+            return 0.0
+        if n < r - 1:
+            span = t ** (r - 1 - n)
+            idx = chain.index[head - head % span:][:span]
+            total = chain.stationary[idx[idx >= 0]].sum()
+            return math.log(total) if total > 0 else -math.inf
+        first = chain.index[head]
+        if first < 0:
+            return -math.inf
+        seen = np.flatnonzero(counts)
+        return float(self.log_stationary[first] + (counts[seen] * self.log_words[seen]).sum())
+
+
+def _kernel_rows(words, theta, r):
+    """``(ns, heads, counts)`` of words, one row each, for ``_log_measures``
+    with ``ends`` of shape ``(W, 1)``."""
+    heads = [sum(s * theta ** (r - 2 - i) for i, s in enumerate(w[:r - 1])) for w in words]
+    counts = [np.bincount([sum(s * theta ** (r - 1 - i) for i, s in enumerate(w[j:j + r]))
+                           for j in range(len(w) - r + 1)], minlength=theta**r) for w in words]
+    return np.array([[len(w)] for w in words]), np.array(heads), np.array(counts)[:, None]
+
+
+def _kernel_words(chain, rng, lengths=(1, 2, 3, 9, 60, 400)):
+    """Sampled words (each prefix of ``range - 1`` symbols or more is
+    admissible), uniform random words (mostly forbidden), and short ones."""
+    t, r = chain.grammar.lexicon.theta, chain.potential.range
+    words = [sample(chain, max(n, r - 1), seed).word[:n] for n in lengths for seed in (1, 2)]
+    return words + [tuple(rng.integers(0, t, n).tolist()) for n in (1, 2, 3, 4, 7, 30)]
+
+
+@pytest.mark.parametrize("theta", [2, 3])
+def test_count_kernel_has_the_bits_of_the_one_word_formula(theta):
+    lex = Lexicon(theta)
+    rng = np.random.default_rng(17)
+    grammars = enumerate_grammars(lex)
+    pairwise = forbidden = short = 0
+    for r in (2, 3, 4):
+        words = list(all_words(lex, r))
+        phi = Potential.from_table(lex, r, dict(zip(words, rng.uniform(-2.0, 2.0, len(words)))))
+        for chain in chain_stack(grammars, phi):
+            oracle = _OneWordKernel(chain)
+            ns, heads, counts = _kernel_rows(_kernel_words(chain, rng), theta, r)
+            got = gibbs._log_measures((chain,), ns, heads, counts)[:, 0, 0]
+            want = [oracle(n, h, c) for (n,), h, (c,) in zip(ns, heads, counts)]
+            assert got.tolist() == want
+            pairwise += sum(w > -math.inf and (c > 0).sum() >= 8 for w, (c,) in zip(want, counts))
+            forbidden += want.count(-math.inf)
+            short += (ns[:, 0] <= r - 1).sum()
+    assert min(pairwise, forbidden, short) >= 5
+
+
+def test_count_kernel_scores_a_row_alike_alone_and_in_a_batch():
+    lex = Lexicon(3)
+    rng = np.random.default_rng(23)
+    words = list(all_words(lex, 3))
+    phi = Potential.from_table(lex, 3, dict(zip(words, rng.uniform(-1.0, 1.0, len(words)))))
+    chains = chain_stack(enumerate_grammars(lex), phi)
+    assert len(chains) == 139
+    batch = [w for chain in chains[::6] for w in _kernel_words(chain, rng, (1, 2, 5, 40, 300))]
+    batch = batch[:300]
+    assert len(batch) == 300
+    ns, heads, counts = _kernel_rows(batch, 3, 3)
+    got = gibbs._log_measures(chains, ns, heads, counts)
+    assert got.shape == (300, 1, 139)
+    oracles = [_OneWordKernel(chain) for chain in chains]
+    for i, ((n,), h, c) in enumerate(zip(ns, heads, counts)):
+        alone = gibbs._log_measures(chains, [[n]], [h], c[None])
+        assert alone[0, 0].tolist() == got[i, 0].tolist()
+        assert got[i, 0].tolist() == [oracle(n, h, c[0]) for oracle in oracles]
+    assert ((counts[:, 0] > 0).sum(axis=1) >= 8).sum() > 50
+
+
 def test_cylinder_rejects_foreign_symbols(golden, zero2):
     chain = gibbs_chain(golden, zero2)
     with pytest.raises(ValidationError):
@@ -656,11 +748,12 @@ def _lockstep_words(chain, n, seeds):
     word as the sampler itself records it."""
     t, r = chain.grammar.lexicon.theta, chain.potential.range
     first, words = [], []
-    for head, counts in gibbs._sample_counts(chain, n, seeds, range(1, n + 1), first):
-        added = np.diff(counts, axis=0)[r - 2:]
-        assert (added.sum(axis=1) == 1).all()
-        codes = added.argmax(axis=1)
-        words.append(chain.states[chain.index[head]] + tuple((codes % t).tolist()))
+    for heads, batch in gibbs._sample_counts(chain, n, seeds, range(1, n + 1), first):
+        for head, counts in zip(heads.tolist(), batch):
+            added = np.diff(counts, axis=0)[r - 2:]
+            assert (added.sum(axis=1) == 1).all()
+            codes = added.argmax(axis=1)
+            words.append(chain.states[chain.index[head]] + tuple((codes % t).tolist()))
     return words, tuple(first)
 
 

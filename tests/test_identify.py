@@ -12,7 +12,9 @@ from sftlearn import (
     ValidationError,
     admits,
     all_words,
+    chain_stack,
     cylinder_log_measure,
+    enumerate_grammars,
     gibbs_chain,
     identify,
     identify_curve,
@@ -230,6 +232,23 @@ def test_curve_agrees_with_direct_scoring_of_prefixes(golden, trio, zero2):
         assert out.min_entropy_indices == direct.min_entropy_indices
         assert [s.log_likelihood for s in out.scores] \
             == [s.log_likelihood for s in direct.scores]
+
+
+def test_curve_matches_identify_on_theta3_prefixes_shorter_and_longer_than_a_block():
+    lex = Lexicon(3)
+    words = list(all_words(lex, 3))
+    phi = Potential.from_table(lex, 3, {w: (i % 7 - 3) / 4 for i, w in enumerate(words)})
+    candidates = tuple(enumerate_grammars(lex)[::10])
+    chains = chain_stack(candidates, phi)
+    checkpoints = (1, 2, 3, 70, 200)
+    for seed in range(3):
+        outcomes = identify_curve(chains[-1], phi, candidates, checkpoints, seed=seed,
+                                  candidate_chains=chains)
+        word = sample(chains[-1], 200, seed=seed).word
+        for cp, out in zip(checkpoints, outcomes):
+            direct = identify(word[:cp], phi, candidates, chains=chains)
+            assert (out.n, out.scores, out.ml_indices, out.min_entropy_indices) == \
+                (direct.n, direct.scores, direct.ml_indices, direct.min_entropy_indices)
 
 
 def test_curve_stabilizes_on_the_truth(golden, trio, zero2):
