@@ -39,7 +39,7 @@ from .serialize import (
     potential_from_dict,
     sample_to_dict,
 )
-from .symbolic import Grammar, Lexicon, ValidationError, enumerate_grammars, parse_word
+from .symbolic import Lexicon, ValidationError, enumerate_grammars, parse_word
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,22 +63,17 @@ def _load_json(path: str):
         raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
 
 
-def _load_grammar(path: str) -> Grammar:
+def _load(path: str, convert):
+    """``convert`` of the JSON file at ``path``, its errors prefixed with the path."""
     data = _load_json(path)
     try:
-        return grammar_from_dict(data)
+        return convert(data)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _load_potential(path: str | None, lexicon: Lexicon) -> Potential:
-    if path is None:
-        return Potential.zero(lexicon)
-    data = _load_json(path)
-    try:
-        return potential_from_dict(data)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    return Potential.zero(lexicon) if path is None else _load(path, potential_from_dict)
 
 
 def _load_word(args) -> tuple[int, ...]:
@@ -97,19 +92,19 @@ def _load_word(args) -> tuple[int, ...]:
 
 
 def _cmd_pressure(args) -> str:
-    g = _load_grammar(args.grammar)
+    g = _load(args.grammar, grammar_from_dict)
     phi = _load_potential(args.potential, g.lexicon)
     return dumps({"pressure": pressure(g, phi)})
 
 
 def _cmd_entropy(args) -> str:
-    g = _load_grammar(args.grammar)
+    g = _load(args.grammar, grammar_from_dict)
     phi = _load_potential(args.potential, g.lexicon)
     return dumps({"entropy": ks_entropy(gibbs_chain(g, phi))})
 
 
 def _cmd_sample(args) -> str:
-    g = _load_grammar(args.grammar)
+    g = _load(args.grammar, grammar_from_dict)
     phi = _load_potential(args.potential, g.lexicon)
     chain = gibbs_chain(g, phi)
     s = sample(chain, args.length, args.seed)

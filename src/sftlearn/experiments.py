@@ -573,6 +573,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             f"unknown experiment id {config.experiment!r}; expected one of {EXPERIMENT_IDS}")
     if config.seeds < 1:
         raise ValidationError("seeds must be a positive count of runs")
+    if config.base_seed < 0:
+        raise ValidationError(f"base_seed must be nonnegative, got {config.base_seed}")
     started = time.perf_counter()
     report = _RUNNERS[config.experiment](config)
     report.wall_time_s = time.perf_counter() - started

@@ -34,7 +34,8 @@ chains at once; it groups them by the set of words they contain, so each
 score is the same pairwise sum over the same terms as for its word alone,
 bit for bit.  :func:`_sample_counts` draws the words of many seeds at once,
 exactly those of :func:`sample`, and keeps only their counts at given
-prefix lengths.
+prefix lengths.  It steps all seeds through one lookup table per block of
+uniforms, each block as wide as a fixed table-entry budget allows.
 """
 
 from __future__ import annotations
@@ -518,8 +519,10 @@ def sample(chain: GibbsChain, n: int, seed: int) -> Sample:
 
     The initial block comes from the stationary law and each step from the
     transition matrix via inverse-CDF lookup, so a given ``seed`` always
-    reproduces the same word.  Requires ``n >= range - 1``.
+    reproduces the same word.  Requires ``n >= range - 1`` and ``seed >= 0``.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     _check_length(chain, n)
     u = np.random.default_rng(seed).random(n - chain.potential.range + 2)
     # a uniform of exactly 0 would pick a row's leading zero-probability column
@@ -536,95 +539,95 @@ def sample(chain: GibbsChain, n: int, seed: int) -> Sample:
     return Sample(tuple(word), seed, chain.grammar, chain.potential)
 
 
-# The lockstep sampler draws this many seeds at a time, this many uniforms
-# per seed at a time, so its memory does not grow with seeds or length.
+# The lockstep sampler draws up to this many seeds at a time, and per seed as
+# many uniforms at a time as make a step table of about this many entries (at
+# least 64), so its memory does not grow with seeds or length.
 _SEED_BATCH = 256
-_COLUMNS = 64
+_TABLE_ENTRIES = 1 << 15
 
 
 def _sample_counts(chain: GibbsChain, n: int, seeds, ends, word: list | None = None):
-    """What :func:`sample` draws for each seed, as block counts: yields, per
-    batch of seeds, ``(heads, counts)``: ``heads[b]`` codes the first block
-    of seed b's word and ``counts[b, k]`` is the bincount of the range-word
-    codes among its first ``ends[k]`` symbols (``ends`` ascend, and ``n ==
-    max(ends[-1], range-1)``).  The first seed's word is appended to
-    ``word``, if given.  Each seed's uniforms come from its own generator
-    in blocks of columns, which continue its stream exactly, and a block's
-    steps are looked up in one :func:`_next_codes` table."""
+    """What :func:`sample` draws for each of a sequence of seeds, as block
+    counts: yields, per batch of seeds, ``(heads, counts)``: ``heads[b]``
+    codes the first block of seed b's word and ``counts[b, k]`` is the
+    bincount of the range-word codes among its first ``ends[k]`` symbols
+    (``ends`` ascend, and ``n == max(ends[-1], range-1)``).  The first
+    seed's word is appended to ``word``, if given.  A batch of B seeds of a
+    d-state chain draws each seed's uniforms from its own generator,
+    continuing its stream exactly, in blocks of ``min(columns, max(64,
+    _TABLE_ENTRIES // (d * B)))`` columns, and a block's steps are one
+    ``take`` each in one table."""
     _check_length(chain, n)
     t, r = chain.grammar.lexicon.theta, chain.potential.range
     blocks = np.flatnonzero(chain.index >= 0)
-    lasts = blocks % t
-    start_cum = np.cumsum(chain.stationary)
-    cum = np.cumsum(chain.transition, axis=1)
-    # (value, length) of each run of equal entries of cum[s, :-1] below total[s]
-    runs = [[(c, k) for c, k in Counter(row).items() if c < total]
-            for row, total in zip(cum[:, :-1].tolist(), cum[:, -1].tolist())]
+    d, lasts = len(blocks), blocks % t
+    start_cum, cum = np.cumsum(chain.stationary), np.cumsum(chain.transition, axis=1)
+    # The state after s is bisect_left of x * total in cumulative row s, x = max(u, tiny): the
+    # count of entries of cum[s, :-1] below that product (the last never is, as x < 1), summed
+    # over runs of equal entries c, each counted iff x >= _least_above(c, total).  The runs
+    # counted for every x add up to always[s]; a state with no other run has one successor.
+    tiny, always, sometimes = np.finfo(float).smallest_subnormal, [], []
+    for row, total in zip(cum[:, :-1].tolist(), cum[:, -1].tolist()):
+        runs = [(_least_above(c, total), k) for c, k in Counter(row).items() if c < total]
+        always.append(sum(k for x, k in runs if x <= tiny))
+        sometimes.append([(x, k) for x, k in runs if x > tiny])
+    several = [(s, runs) for s, runs in enumerate(sometimes) if runs]
+    pairs = (blocks[:, None] * t + lasts).ravel()   # the range-word of step i -> j, at i * d + j
     columns = n - r + 2   # column 0 draws the first block, column j step j
-    # step j ends at symbol j + r - 1, so prefix k holds steps 1 .. inside[k]; a step
-    # counts toward the first prefix that holds it, and a cumulative sum over k then
-    # gives each prefix its counts
+    # step j ends at symbol j + r - 1, so prefix k holds steps 1 .. inside[k]; a step is
+    # counted in the first prefix holding it, and a cumulative sum over k does the rest
     inside = np.maximum(np.asarray(ends) - r + 1, 0)
-    seeds = list(seeds)
     for lo in range(0, len(seeds), _SEED_BATCH):
         rngs = [np.random.default_rng(s) for s in seeds[lo:lo + _SEED_BATCH]]
-        rows = np.arange(len(rngs)) * len(ends)
-        u = np.empty((len(rngs), _COLUMNS))
-        # path[j + 1] is the state after column start + j, path[0] the one before,
-        # coded as the table position that reads it
-        path = np.zeros((_COLUMNS + 1, len(rngs)), dtype=np.intp)
-        counts = np.zeros((len(rngs), len(ends), t**r), dtype=np.int64)
-        for start in range(0, columns, _COLUMNS):
-            width = min(_COLUMNS, columns - start)
+        b = len(rngs)
+        width = min(columns, max(64, _TABLE_ENTRIES // (d * b)))
+        u, less = np.empty((b, width)), np.empty((b, width), dtype=bool)
+        # table[s, i, j] holds the state that seed i's column j reaches from s, as
+        # the position its next column reads, next * size + base[i, j]; path[j + 1]
+        # holds the position after column start + j, path[0] the state before
+        size, base = b * width, np.arange(b)[:, None] * width + np.arange(1, width + 1) % width
+        table = np.array(always)[:, None, None] * size + base
+        path, flat = np.zeros((width + 1, b), dtype=np.intp), np.empty((width, b), dtype=np.intp)
+        counts = np.zeros((b, len(ends), t**r), dtype=np.int64)
+        for start in range(0, columns, width):
+            span, skip = min(width, columns - start), int(start == 0)
             for rng, row in zip(rngs, u):
-                rng.random(out=row[:width])
-            x = np.maximum(u, np.finfo(float).smallest_subnormal, out=u)[:, :width]
-            table, size, skip = _next_codes(x, cum[:, -1], runs), len(rngs) * width, 0
-            if start == 0:
-                cur = np.searchsorted(start_cum, x[:, 0] * start_cum[-1])
-                head, skip = blocks[cur], 1
-                path[1] = cur * size + np.arange(1 % width, size, width)
-            else:
-                path[0] = path[0] * size + np.arange(0, size, width)
-            for before, after in zip(path[skip:width], path[skip + 1:width + 1]):
+                rng.random(out=row[:span])
+            for s, runs in several:
+                nxt = table[s]
+                nxt.fill(always[s])
+                for x, k in runs:
+                    nxt += np.less_equal(x, u, out=less) if k == 1 else k * (x <= u)
+                nxt *= size
+                nxt += base
+            if skip:   # column 0 draws the first block from the stationary law
+                path[0] = np.searchsorted(start_cum, np.maximum(u[:, 0], tiny) * start_cum[-1])
+                head = blocks[path[0]]
+            path[skip] = path[0] * size + base[:, skip - 1]
+            for before, after in zip(path[skip:span], path[skip + 1:span + 1]):
                 table.take(before, out=after, mode="clip")
-            del table
-            states = np.floor_divide(path[:width + 1], size, out=path[:width + 1])
-            codes = blocks[states[skip:width]]
-            codes *= t
-            codes += lasts[states[skip + 1:]]
-            flat = np.searchsorted(inside, np.arange(start + skip, start + width))[:, None] + rows
-            flat *= t**r
-            flat += codes
-            counts += np.bincount(flat.ravel(), minlength=counts.size).reshape(counts.shape)
-            if word is not None and lo == 0:
-                if start == 0:
-                    word.extend(chain.states[states[1, 0]])
-                word.extend(lasts[states[skip + 1:, 0]].tolist())
-            path[0] = states[width]
+            states = np.floor_divide(path[:span + 1], size, out=path[:span + 1])
+            steps = np.multiply(states[skip:span], d, out=flat[skip:span])
+            steps += states[skip + 1:]
+            pairs.take(steps, out=steps)
+            steps += np.arange(b) * (len(ends) * t**r)
+            steps += np.searchsorted(inside, np.arange(start + skip, start + span))[:, None] * t**r
+            counts += np.bincount(steps.ravel(), minlength=counts.size).reshape(counts.shape)
+            if word is not None and lo == 0:   # states[1] is the first block if skip
+                word.extend(chain.states[states[1, 0]][:-1] if skip else ())
+                word.extend(lasts[states[1:, 0]].tolist())
+            path[0] = states[span]
         np.cumsum(counts, axis=1, out=counts)
         yield head, counts
 
 
-def _next_codes(x: np.ndarray, totals, runs) -> np.ndarray:
-    """The flat step table of a block of uniforms ``x`` (B seeds x width
-    columns), so that a step is one ``take``: position ``(s * B + b) *
-    width + j`` holds the state ``next`` that seed b's column j reaches
-    from state s, as the position its next column reads, ``(next * B + b) *
-    width + (j + 1) % width``.  ``next`` is ``bisect_left`` of ``x *
-    totals[s]`` in the cumulative row s: the count of its entries below
-    that product (the last, ``totals[s]``, never is, since ``x < 1``),
-    taken over its runs of equal entries ``runs[s]``."""
-    b, width = x.shape
-    table = np.zeros((len(runs), b, width), dtype=np.intp)
-    for nxt, total, below in zip(table, totals, runs):
-        v = x * total
-        for c, k in below:
-            nxt += c < v if k == 1 else k * (c < v)
-    table *= b * width
-    table += np.arange(0, b * width, width)[:, None]
-    table += np.arange(1, width + 1) % width
-    return table.ravel()
+def _least_above(c: float, total: float) -> float:
+    """The least float x with ``c < x * total`` (and so every larger one, rounding being monotone),
+    for ``0 <= c < total``.  No float below ``c / total`` passes, so the search starts there."""
+    x = c / total
+    while x * total <= c:
+        x = math.nextafter(x, math.inf)
+    return x
 
 
 def _word_counts(potential: Potential, word, ends) -> tuple[int, np.ndarray]:

@@ -74,10 +74,10 @@ def parse_word(text: str) -> tuple[int, ...]:
 
 def format_word(word) -> str:
     """Render a word as a digit string; only works for lexicons with theta <= 10."""
-    w = tuple(int(s) for s in word)
-    if any(s > 9 or s < 0 for s in w):
+    w = np.asarray(word, dtype=np.int64)
+    if w.size and (w.min() < 0 or w.max() > 9):
         raise ValidationError("digit rendering needs symbols in 0..9; use a JSON integer array instead")
-    return "".join(str(s) for s in w)
+    return (w + ord("0")).astype(np.uint8).tobytes().decode()
 
 
 def _as_incidence(matrix) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sftlearn import Grammar, enumerate_grammars, Lexicon
-from sftlearn import gibbs
+from sftlearn import experiments, gibbs
 from sftlearn.cli import main
 from sftlearn.serialize import grammar_from_dict, potential_from_dict
 
@@ -205,6 +205,24 @@ def test_experiment_seed_flag_overrides_base_seed(capsys, tmp_path):
     assert base_out == same
     assert json.loads(moved)["config"]["base_seed"] == 9
     assert moved != base_out
+
+
+@pytest.mark.parametrize("experiment", ["smb", "language-change"])
+def test_negative_seeds_exit_1_before_any_work_and_name_the_field(capsys, tmp_path, monkeypatch,
+                                                                  golden_file, experiment):
+    # the seed is checked before the runner starts (language-change bisects first)
+    monkeypatch.setitem(experiments._RUNNERS, experiment, lambda cfg: pytest.fail("ran"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "base_seed": -1,
+                               "true_grammar": GOLDEN, "lower": GOLDEN, "upper": FULL}))
+    for argv, name in ((["experiment", "--experiment", experiment, "--seed", "-1"], "base_seed"),
+                       (["experiment", "--config", str(cfg)], "base_seed"),
+                       (["sample", "--grammar", golden_file, "--length", "5", "--seed", "-3"],
+                        "seed")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"sftlearn: error: {name} must be")
 
 
 def test_underflow_exits_1_and_a_failed_certificate_exits_2(capsys, tmp_path,

@@ -741,6 +741,18 @@ def test_sampling_needs_room_for_one_block(golden, lex2):
     assert len(sample(chain, 2, seed=0).word) == 2
 
 
+def test_least_above_is_the_least_float_whose_product_passes():
+    rng = np.random.default_rng(3)
+    totals = [1.0, 1.0000000000000002, 0.9999999999999999, *rng.uniform(0.5, 2.0, 50)]
+    for total in totals:
+        # c also drawn independently of total: only then can c / total * total exceed c
+        for c in [0.0, math.nextafter(total, 0.0), total / 3, *rng.uniform(0.0, total, 20),
+                  *(c for c in rng.uniform(0.0, 2.0, 40) if c < total)]:
+            x = gibbs._least_above(c, total)
+            assert c < x * total
+            assert not c < math.nextafter(x, -math.inf) * total
+
+
 def _lockstep_words(chain, n, seeds):
     """The words the lockstep sampler draws, rebuilt from the counts of
     every prefix: growing the prefix by one symbol adds exactly one
@@ -757,7 +769,7 @@ def _lockstep_words(chain, n, seeds):
     return words, tuple(first)
 
 
-def test_lockstep_sampler_draws_the_words_of_sample(golden, full2, lex2):
+def test_lockstep_sampler_draws_the_words_of_sample(golden, full2, lex2, monkeypatch):
     lex3 = Lexicon(3)
     rng = np.random.default_rng(7)
     words = list(all_words(lex3, 3))
@@ -770,9 +782,44 @@ def test_lockstep_sampler_draws_the_words_of_sample(golden, full2, lex2):
         drawn, first = _lockstep_words(chain, 60, range(200))
         assert drawn == [sample(chain, 60, seed).word for seed in range(200)]
         assert first == drawn[0]
-    # past one block of uniforms and one batch of seeds, on a range-3 chain
-    n, seeds = 2 * gibbs._COLUMNS + 3, range(50, 50 + gibbs._SEED_BATCH + 5)
-    chain = chains[5]
+    # A batch of B seeds of a d-state chain draws its uniforms in blocks of
+    # min(columns, max(64, _TABLE_ENTRIES // (d * B))) columns.
+    full3 = Grammar(lex3, ((1, 1, 1), (1, 1, 1), (1, 1, 1)))
+    words4 = list(all_words(lex3, 4))
+    phi4 = Potential.from_table(lex3, 4, dict(zip(words4, rng.uniform(-1.0, 1.0, len(words4)))))
+    golden2, range3, d27 = chains[0], chains[5], gibbs_chain(full3, phi4)
+    assert len(d27.states) == 27
+    assert (golden2.transition[1] > 0).tolist() == [True, False]   # 1 steps to 0 only
+    # a transition too small to move the running sum: two equal cumulative entries
+    flat = gibbs_chain(full3, Potential.from_table(lex3, 2, {(0, 1): -40.0}))
+    assert 0 < flat.transition[0, 1] and np.diff(np.cumsum(flat.transition[0]))[0] == 0
+    tail = range(50, 50 + gibbs._SEED_BATCH + 5)
+    cases = [
+        (golden2, 3 * gibbs._TABLE_ENTRIES // 2, [9], [3]),   # one seed, in wide blocks
+        (range3, 150, tail, [3, 1]),   # one full batch of seeds and a tail
+        (d27, 70, tail, [2, 1]),
+        (golden2, 1, range(3), [1]),   # n = range - 1: the first block only
+        (d27, 3, range(3), [1]),
+        (flat, 400, range(20), [1]),
+    ]
+    for chain, n, seeds, blocks in cases:
+        _assert_lockstep_draws_sample(chain, n, seeds, blocks)
+    # with a small budget, every batch takes three blocks of 64 columns and a
+    # fourth of one column
+    monkeypatch.setattr(gibbs, "_TABLE_ENTRIES", 1)
+    for chain, seeds in ((golden2, tail), (range3, tail), (d27, range(4)), (flat, range(9))):
+        n = 3 * 64 + chain.potential.range - 1
+        _assert_lockstep_draws_sample(chain, n, seeds, [4] * -(-len(seeds) // gibbs._SEED_BATCH))
+
+
+def _assert_lockstep_draws_sample(chain, n, seeds, blocks):
+    """The lockstep sampler draws ``sample``'s words, and the width rule
+    gives each batch of seeds the expected number of blocks of uniforms."""
+    columns, d = n - chain.potential.range + 2, len(chain.states)
+    batches = [len(seeds[lo:lo + gibbs._SEED_BATCH])
+               for lo in range(0, len(seeds), gibbs._SEED_BATCH)]
+    widths = [min(columns, max(64, gibbs._TABLE_ENTRIES // (d * b))) for b in batches]
+    assert [-(-columns // w) for w in widths] == blocks
     drawn, first = _lockstep_words(chain, n, seeds)
     assert drawn == [sample(chain, n, seed).word for seed in seeds]
     assert first == drawn[0]

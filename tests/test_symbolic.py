@@ -10,14 +10,17 @@ from sftlearn import (
     Grammar,
     Lexicon,
     OrderRelation,
+    Potential,
     ValidationError,
     admits,
     all_words,
     compare,
     enumerate_grammars,
     format_word,
+    gibbs_chain,
     is_primitive,
     parse_word,
+    sample,
     transition_closure,
     validate_word,
     wielandt_exponent,
@@ -68,6 +71,24 @@ def test_parse_word_rejects_non_digits():
 def test_format_word_rejects_symbols_beyond_digits():
     with pytest.raises(ValidationError):
         format_word((0, 11))
+
+
+def test_format_word_writes_one_digit_per_symbol():
+    def digits(word):   # the plain one-symbol-at-a-time rendering
+        return "".join(str(int(s)) for s in word)
+
+    lex3 = Lexicon(3)
+    full3 = Grammar(lex3, ((1, 1, 1), (1, 1, 1), (1, 1, 1)))
+    words = [sample(gibbs_chain(full3, Potential.zero(lex3)), 5000, seed=4).word,
+             (), (7,), tuple(range(10)), [np.int64(3), 9, 0], np.arange(10)[::-1]]
+    phi = Potential.from_table(lex3, 3, {(0, 1, 2): 1.5, (2, 2, 0): -0.5, (1, 0, 1): 2.0})
+    words += [w for w, _ in phi.entries]
+    for word in words:
+        assert format_word(word) == digits(word)
+    for bad in ((0, 11), (10,), (-1,), (3, -2, 12)):
+        with pytest.raises(ValidationError, match=r"^digit rendering needs symbols in 0\.\.9; "
+                                                  r"use a JSON integer array instead$"):
+            format_word(bad)
 
 
 # ---------------------------------------------------------------------------
