@@ -32,12 +32,14 @@ import numpy as np
 
 from .gibbs import (
     Potential,
+    _chains,
+    _class_blocks,
     _log_measures,
+    _pressure_family,
     _sample_counts,
     chain_stack,
     gibbs_chain,
     periodic_orbit_potential,
-    pressure_stack,
 )
 from .identify import (
     DEFAULT_TIE_TOL,
@@ -381,10 +383,11 @@ def _run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
 
 def _entropy_monotonicity_sweep(candidates, phi: Potential, scales) -> dict:
     lower, upper = _comparable_pairs(candidates).T
+    blocks = _class_blocks(candidates, phi)
     rows = []
     first_fail = None
     for s in sorted(scales):
-        ents = np.array([c.entropy for c in chain_stack(candidates, phi.scaled(s))])
+        ents = np.array([c.entropy for c in _chains(candidates, phi.scaled(s), blocks)])
         deltas = ents[upper] - ents[lower]
         violations = int((deltas <= 0).sum())
         rows.append({"scale": s, "violations": violations,
@@ -407,8 +410,11 @@ def entropy_crossing(lower: Grammar, upper: Grammar, tol: float = 1e-6) -> float
     if not tol > 0:
         raise ValidationError(f"bisect_tol must be > 0, got {tol!r}")
 
+    pair = (upper, lower)
+    blocks = _class_blocks(pair, periodic_orbit_potential(lower, upper, 0.0))
+
     def gap(reward: float) -> float:
-        big, small = chain_stack((upper, lower), periodic_orbit_potential(lower, upper, reward))
+        big, small = _chains(pair, periodic_orbit_potential(lower, upper, reward), blocks)
         return big.entropy - small.entropy
 
     lo, hi = 0.0, 1.0
@@ -508,30 +514,22 @@ def run_monotonicity_scan(config: ExperimentConfig) -> ExperimentReport:
     lower, upper = _comparable_pairs(grammars).T
     potentials = [Potential.zero(lex)] + _random_potentials(
         lex, cfg.n_potentials, cfg.potential_ranges, cfg.value_bound, cfg.base_seed)
-    curve = []
-    total_violations = 0
-    min_gap = math.inf
-    min_lambda_gap = math.inf
-    for k, phi in enumerate(potentials):
-        values = pressure_stack(grammars, phi)
-        deltas = values[upper] - values[lower]
-        violations = int((deltas <= 0).sum())
-        total_violations += violations
-        gap = float(deltas.min()) if len(deltas) else math.inf
-        min_gap = min(min_gap, gap)
-        if k == 0:
-            lams = np.array([math.exp(v) for v in values.tolist()])
-            min_lambda_gap = float((lams[upper] - lams[lower]).min()) if len(lower) else math.inf
-        curve.append({"n": k, "range": phi.range,
-                      "frequency": violations / len(lower) if len(lower) else 0.0,
-                      "mean_score_gap": gap})
+    values = _pressure_family(grammars, potentials)
+    deltas = values[:, upper] - values[:, lower]
+    violations = (deltas <= 0).sum(axis=1).tolist()
+    gaps = deltas.min(axis=1, initial=math.inf).tolist()
+    lams = np.array([math.exp(v) for v in values[0].tolist()])
+    curve = [{"n": k, "range": phi.range, "frequency": v / len(lower) if len(lower) else 0.0,
+              "mean_score_gap": gap}
+             for k, (phi, v, gap) in enumerate(zip(potentials, violations, gaps))]
     return _report(
         cfg, curve,
-        thresholds={"min_pressure_gap": min_gap,
-                    "min_lambda_gap_zero_potential": min_lambda_gap,
+        thresholds={"min_pressure_gap": min(gaps),
+                    "min_lambda_gap_zero_potential":
+                        float((lams[upper] - lams[lower]).min(initial=math.inf)),
                     "comparable_pairs": len(lower),
                     "grammars": len(grammars),
-                    "violations": total_violations},
+                    "violations": sum(violations)},
     )
 
 

@@ -19,13 +19,13 @@ the midpoint of ``phi`` over admissible words, and the pressure adds ``c``
 back (``P(phi - c) = P(phi) - c``), so the values may span up to about 1416
 before a weight leaves the normal floats; a zero potential has ``c = 0``.
 
-Every pressure, entropy and cylinder likelihood goes through one dense
-eigen-solve of the stack ``(M_1..M_K, M_1^T..M_K^T)``, certified as
-:func:`perron` describes.  :func:`pressure_stack` and :func:`chain_stack`
-solve a whole grammar class under one potential, one stack per block count
-``d``; the single-grammar functions are the case ``K = 1``, with
-bit-identical results.  Dense eig costs O(d^3): about 2.4 s at d = 1024 on
-one core of a 2-vCPU Xeon.
+Every pressure, entropy and cylinder likelihood goes through a dense
+eigen-solve of a stack ``(M_1..M_K, M_1^T..M_K^T)`` of one block count,
+certified as :func:`perron` describes, of at most ``_EIG_ENTRIES`` entries.
+:func:`_pressure_family` solves a class under many potentials, with blocks
+grown once per range; :func:`pressure_stack`, :func:`chain_stack` and the
+one-grammar functions are its smaller cases, bit for bit.  Dense eig costs
+O(d^3): about 2.4 s at d = 1024 on one core of a 2-vCPU Xeon.
 
 A word enters a likelihood only through the code of its first block and its
 counts of range-``r`` words, the sufficient statistic of a Markov chain.
@@ -220,13 +220,10 @@ def _words(codes: np.ndarray, theta: int, width: int) -> list:
     return list(map(tuple, (codes[:, None] // _powers(theta, width) % theta).tolist()))
 
 
-def _transfer_stack(blocks, potential: Potential):
-    """Transfer matrices of a grammar class under one potential, from its
-    :func:`_class_blocks`, as one ``(members, shifts, stack)`` group per
-    block count ``d``, ascending: ``stack[i]`` is the ``d x d`` matrix of
-    grammar ``members[i]`` (members ascend) with weights
-    ``exp(phi - shifts[i])``."""
-    _, sizes, owner, words, src, dst = blocks
+def _weighted(blocks, potential: Potential):
+    """Each grammar's shift ``c``, the midpoint of phi on its words, and the
+    weights ``exp(phi - c)`` at the words of a class's :func:`_class_blocks`."""
+    _, sizes, owner, words, _, _ = blocks
     starts = np.searchsorted(owner, np.arange(len(sizes)))   # every grammar has words
     phi = potential._at(words)
     low, high = np.minimum.reduceat(phi, starts), np.maximum.reduceat(phi, starts)
@@ -244,15 +241,38 @@ def _transfer_stack(blocks, potential: Potential):
             f"potential values on admissible words span {hi - lo!r}, from {lo!r} at {a} to "
             f"{hi!r} at {b}; the weights exp(phi - c) with c = {lo / 2 + hi / 2!r} must be "
             "normal floats, so the span can be at most about 1416")
-    weights = np.exp(phi - shifts[owner])
-    groups = []
+    return shifts, np.exp(phi - shifts[owner])
+
+
+# A transfer stack holds at most this many entries (sum of d^2), or one matrix.
+_EIG_ENTRIES = 1 << 17
+
+
+def _transfer_stack(blocks, potentials):
+    """Transfer matrices of a class of K grammars under P potentials of one
+    lexicon and range, from its :func:`_class_blocks`, in ``(members,
+    shifts, stack)`` groups of one block count ``d``, ascending, each within
+    ``_EIG_ENTRIES``: ``stack[i]`` is grammar ``members[i] % K``'s matrix
+    under potential ``members[i] // K`` (members ascend), weighted
+    ``exp(phi - shifts[i])``."""
+    _, sizes, owner, _, src, dst = blocks
+    shifts, weights = map(np.array, zip(*(_weighted(blocks, phi) for phi in potentials)))
+    keys = np.arange(shifts.size).reshape(shifts.shape)
     for d in np.flatnonzero(np.bincount(sizes)).tolist():
-        members, sel = np.flatnonzero(sizes == d), sizes[owner] == d
-        stack = np.zeros((len(members), d, d))
-        stack[np.searchsorted(members, owner[sel]), src[sel], dst[sel]] = weights[sel]
-        stack.setflags(write=False)
-        groups.append((members.tolist(), shifts[members], stack))
-    return groups
+        members, words = np.flatnonzero(sizes == d), np.flatnonzero(sizes[owner] == d)
+        local = np.searchsorted(members, owner[words])
+        rows, cols, values = src[words], dst[words], weights[:, words]
+        # a stack holds several potentials' whole groups, or a slice of one potential's
+        step = max(1, _EIG_ENTRIES // (d * d))
+        span, per = min(step, len(members)), max(1, step // len(members))
+        cuts = np.searchsorted(local, np.arange(0, len(members) + span, span)).tolist()
+        for j, k in itertools.product(range(0, len(keys), per), range(len(cuts) - 1)):
+            (a, b), of = cuts[k:k + 2], members[k * span:(k + 1) * span]
+            stack = np.zeros((len(keys[j:j + per]), len(of), d, d))
+            stack[:, local[a:b] - k * span, rows[a:b], cols[a:b]] = values[j:j + per, a:b]
+            stack = stack.reshape(-1, d, d)
+            stack.setflags(write=False)
+            yield keys[j:j + per, of].ravel().tolist(), shifts[j:j + per, of].ravel(), stack
 
 
 def _perron_stack(groups):
@@ -263,9 +283,9 @@ def _perron_stack(groups):
     One dense eigen-solve per group, on ``(M_1..M_K, M_1^T..M_K^T)``.
     numpy runs LAPACK's ``geev`` on each matrix separately, so every result
     equals that of a stack of one.  Every matrix must pass the certificate
-    :func:`perron` describes; otherwise the error names the first member,
-    in input order, that fails it."""
-    solved, failures = [], []
+    :func:`perron` describes; a group where one fails is not yielded, and
+    the error, raised after the last group, names the least failing member."""
+    failures = []
     for members, shifts, stack in groups:
         k, d = stack.shape[:2]
         both = np.concatenate((stack, stack.transpose(0, 2, 1)))
@@ -274,7 +294,7 @@ def _perron_stack(groups):
         every = np.arange(2 * k)
         lam = values.real[every[:k], top[:k]]
         vecs = np.abs(vectors[every, :, top].real)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             ratios = ((both @ vecs[:, :, None])[:, :, 0] / vecs).reshape(2, k, d)
         # matrix i's bounds run over its own ratios and those of its transpose
         lower, upper = ratios.min(axis=(0, 2)), ratios.max(axis=(0, 2))
@@ -282,13 +302,15 @@ def _perron_stack(groups):
         least = pair.min(axis=(1, 2))
         width = np.maximum(upper, lam) - np.minimum(lower, lam)
         ok = (least > 0) & (width <= CERTIFICATE_RTOL * lam)
-        for i in np.flatnonzero(~ok)[:1].tolist():
+        if not ok.all():   # members ascend, so the first failing one is the least
+            i = int(ok.argmin())
             failures.append((members[i], PerronConvergenceError(
                 d, float(lam[i]), float(lower[i]), float(upper[i]), float(least[i]))))
-        solved.append((members, shifts, stack, lam, pair))
+            continue
+        del both, values, vectors, ratios   # not kept while the caller runs
+        yield members, shifts, stack, lam, pair
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
-    return solved
 
 
 def _normalized(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,7 +325,7 @@ def _normalized(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def build_transfer(grammar: Grammar, potential: Potential) -> TransferMatrix:
     """Assemble the weighted transition matrix over admissible blocks."""
     blocks = _class_blocks((grammar,), potential)
-    [(_, shifts, stack)] = _transfer_stack(blocks, potential)
+    [(_, shifts, stack)] = _transfer_stack(blocks, [potential])
     index = blocks[0][0]
     states = _words(np.flatnonzero(index >= 0), grammar.lexicon.theta, potential.range - 1)
     return TransferMatrix(grammar, potential, tuple(states), stack[0], float(shifts[0]), index)
@@ -380,14 +402,19 @@ def gibbs_chain(grammar: Grammar, potential: Potential) -> GibbsChain:
 
 def chain_stack(grammars, potential: Potential) -> tuple[GibbsChain, ...]:
     """:func:`gibbs_chain` of each grammar of a class, in order, from one
-    certified eigen-solve per block count."""
+    certified eigen-solve per stack of a block count."""
     grammars = tuple(grammars)
+    return _chains(grammars, potential, _class_blocks(grammars, potential))
+
+
+def _chains(grammars: tuple, potential: Potential, blocks) -> tuple[GibbsChain, ...]:
+    """:func:`chain_stack` from the class's :func:`_class_blocks` at the
+    potential's range, which may serve many potentials."""
     chains = [None] * len(grammars)
-    blocks = _class_blocks(grammars, potential)
     index, sizes = blocks[:2]
     states = _words(np.nonzero(index >= 0)[1], potential.lexicon.theta, potential.range - 1)
     bounds = [0, *np.cumsum(sizes).tolist()]
-    for members, shifts, stack, lams, pair in _perron_stack(_transfer_stack(blocks, potential)):
+    for members, shifts, stack, lams, pair in _perron_stack(_transfer_stack(blocks, [potential])):
         for i, k in enumerate(members):
             lam, shift, (h, nu) = float(lams[i]), float(shifts[i]), _normalized(pair[i])
             stationary = nu * h
@@ -417,14 +444,33 @@ def pressure(grammar: Grammar, potential: Potential) -> float:
 
 def pressure_stack(grammars, potential: Potential) -> np.ndarray:
     """:func:`pressure` of each grammar of a class, in order, from one
-    certified eigen-solve per block count."""
+    certified eigen-solve per stack of a block count."""
+    return _pressure_family(grammars, (potential,))[0]
+
+
+def _pressure_family(grammars, potentials) -> np.ndarray:
+    """:func:`pressure_stack` under each of P potentials, as a ``(P, K)``
+    array, from blocks grown once per lexicon and range.  A family that
+    fails is solved again one potential at a time, to raise what a loop
+    over the potentials raises."""
     grammars = tuple(grammars)
-    out = np.empty(len(grammars))
-    blocks = _class_blocks(grammars, potential)
-    for members, shifts, _, lam, _ in _perron_stack(_transfer_stack(blocks, potential)):
-        # math.log, not np.log, which differs in the last bit: it keeps the
-        # printed pressures (README's among them) as they were
-        out[members] = np.array([math.log(x) for x in lam.tolist()]) + shifts
+    out, ranges = np.empty((len(potentials), len(grammars))), {}
+    for p, phi in enumerate(potentials):
+        ranges.setdefault((phi.lexicon, phi.range), []).append(p)
+    try:
+        for ps in map(np.array, ranges.values()):
+            blocks = _class_blocks(grammars, potentials[ps[0]])
+            groups = _transfer_stack(blocks, [potentials[p] for p in ps])
+            for members, shifts, _, lam, _ in _perron_stack(groups):
+                j, k = np.divmod(members, len(grammars))
+                # math.log, not np.log, which differs in the last bit: it keeps the
+                # printed pressures (README's among them) as they were
+                out[ps[j], k] = np.array([math.log(x) for x in lam.tolist()]) + shifts
+    except (ValueError, RuntimeError):
+        if len(potentials) > 1:
+            for phi in potentials:
+                _pressure_family(grammars, (phi,))
+        raise
     return out
 
 
@@ -689,7 +735,6 @@ def entropy_via_pressure_derivative(grammar: Grammar, potential: Potential,
     Uses the thermodynamic identity h = P(phi) - dP(beta * phi)/dbeta at
     beta = 1, with the derivative taken by central finite difference.
     """
-    p0 = pressure(grammar, potential)
-    p_plus = pressure(grammar, potential.scaled(1.0 + step))
-    p_minus = pressure(grammar, potential.scaled(1.0 - step))
+    scaled = (potential, potential.scaled(1.0 + step), potential.scaled(1.0 - step))
+    p0, p_plus, p_minus = _pressure_family((grammar,), scaled)[:, 0].tolist()
     return p0 - (p_plus - p_minus) / (2.0 * step)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sftlearn import Grammar, enumerate_grammars, Lexicon
+from sftlearn import Grammar, enumerate_grammars, Lexicon, Potential, pressure_stack
 from sftlearn import experiments, gibbs
 from sftlearn.cli import main
 from sftlearn.serialize import grammar_from_dict, potential_from_dict
@@ -312,6 +312,50 @@ def test_default_experiments_print_their_recorded_bytes(capsys, experiment, k):
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == RECORDED_EXPERIMENT_DIGESTS[experiment][k]
+
+
+# SHA-256 of the stdout of ``sftlearn experiment --config C`` for the
+# benchmark's theta=3 scan, ``{"experiment": "monotonicity", "theta": 3,
+# "base_seed": S}``, at the same seeds, recorded before the scan solved its
+# potentials as one family (numpy 2.4, x86-64).
+RECORDED_THETA3_SCAN_DIGESTS = (
+    "483968a6cdccde06422677ca7581fd71bc1b85c9b8ac9c279eacd05938e9cb94",
+    "b4cadc42b5e3edd82af82f3ad546b2192dbc5f6b37af39ed97690db2bfdc864c",
+)
+
+
+@pytest.mark.parametrize("k", range(len(RECORDED_SEEDS)))
+def test_theta3_scans_print_their_recorded_bytes(capsys, tmp_path, k):
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps({"experiment": "monotonicity", "theta": 3,
+                                "base_seed": RECORDED_SEEDS[k]}))
+    code, out, _ = run(capsys, "experiment", "--config", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RECORDED_THETA3_SCAN_DIGESTS[k]
+
+
+@pytest.mark.parametrize("fields, code", [
+    # potential 1 (range 3) overflows the span; potential 2, of the range that is
+    # solved first, fails its certificate
+    pytest.param({"value_bound": 720.0, "potential_ranges": [3, 2]}, 1, id="span"),
+    # potential 1 (range 3) fails its certificate; eig does not converge on potential 2
+    pytest.param({"value_bound": 700.0, "potential_ranges": [3, 2]}, 2, id="certificate"),
+])
+def test_a_failing_scan_exits_like_a_loop_over_its_potentials(capsys, tmp_path, fields, code):
+    config = {"experiment": "monotonicity", "theta": 3, "n_potentials": 8, **fields}
+    cfg = experiments.ExperimentConfig.from_dict(config)
+    lex = Lexicon(3)
+    grammars = enumerate_grammars(lex)
+    potentials = [Potential.zero(lex)] + experiments._random_potentials(
+        lex, cfg.n_potentials, cfg.potential_ranges, cfg.value_bound, cfg.base_seed)
+    with pytest.raises((ValueError, RuntimeError)) as loop:
+        for phi in potentials:
+            pressure_stack(grammars, phi)
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps(config))
+    kind = "error" if code == 1 else "numerical failure"
+    assert run(capsys, "experiment", "--config", str(path)) == (
+        code, "", f"sftlearn: {kind}: {loop.value}\n")
 
 
 GOLDEN = {"theta": 2, "matrix": [[1, 1], [1, 0]]}

@@ -218,58 +218,102 @@ def test_pressure_is_convex_along_potential_rays(full2, lex2):
 # ---------------------------------------------------------------------------
 
 def _class_potentials(lex):
-    """The zero potential and seeded random range-2 and range-3 tables."""
+    """The zero potential and seeded random range-2, range-3 and range-4 tables."""
     rng = np.random.default_rng(11)
     out = [Potential.zero(lex)]
-    for r in (2, 3):
+    for r in (2, 3, 4):
         words = list(all_words(lex, r))
         values = rng.uniform(-2.0, 2.0, len(words))
         out.append(Potential.from_table(lex, r, dict(zip(words, values))))
     return out
 
 
+def _bounded_eig(monkeypatch, budget):
+    """Patch ``np.linalg.eig`` to fail on a stack of more than ``budget``
+    matrix entries (sum of d^2 over the matrices, not their transposes)
+    unless it holds one matrix; returns the list of solved stack sizes."""
+    real, sizes = np.linalg.eig, []
+
+    def eig(a):
+        k, d = a.shape[0] // 2, a.shape[-1]
+        assert k * d * d <= max(budget, d * d)
+        sizes.append(k)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    return sizes
+
+
 @pytest.mark.parametrize("theta", [2, 3])
-def test_class_solves_equal_the_single_solves_exactly(theta):
+def test_class_solves_equal_the_single_solves_exactly(theta, monkeypatch):
     lex = Lexicon(theta)
     grammars = enumerate_grammars(lex)
-    for phi in _class_potentials(lex):
-        assert pressure_stack(grammars, phi).tolist() == [pressure(g, phi) for g in grammars]
-        for chain, g in zip(chain_stack(grammars, phi), grammars):
-            tm = build_transfer(g, phi)
-            lam, h, nu = perron(tm)
-            assert chain.grammar == g and chain.states == tm.states
-            assert chain.pressure == math.log(lam) + tm.shift
-            assert (chain.h == h).all() and (chain.nu == nu).all()
-            one = gibbs_chain(g, phi)
-            assert (chain.pressure, chain.entropy, chain.lam) \
-                == (one.pressure, one.entropy, one.lam)
-            assert (chain.transition == one.transition).all()
-            assert (chain.stationary == one.stationary).all()
+    potentials = _class_potentials(lex)
+    singles = [[(build_transfer(g, phi), gibbs_chain(g, phi), pressure(g, phi)) for g in grammars]
+               for phi in potentials]
+    groups = {(phi.range, d): n for phi in potentials
+              for d, n in enumerate(np.bincount(gibbs._class_blocks(grammars, phi)[1]))
+              if n}
+    # a budget of 40 entries splits some block count's group of one potential
+    assert any(n > 1 and n * d * d > 40 for (_, d), n in groups.items())
+    # one matrix per stack, a potential's class split across stacks, the whole family at once
+    for budget in (1, 40, 1 << 30):
+        monkeypatch.undo()
+        monkeypatch.setattr(gibbs, "_EIG_ENTRIES", budget)
+        sizes = _bounded_eig(monkeypatch, budget)
+        family = gibbs._pressure_family(grammars, potentials)
+        if budget == 1:
+            assert set(sizes) == {1}
+        if budget == 1 << 30:   # one stack per range and block count
+            assert len(sizes) == len(groups)
+        for phi, row, single in zip(potentials, family, singles):
+            expected = [p for *_, p in single]
+            assert row.tolist() == pressure_stack(grammars, phi).tolist() == expected
+            for chain, g, (tm, one, _) in zip(chain_stack(grammars, phi), grammars, single):
+                lam, h, nu = perron(tm)
+                assert chain.grammar == g and chain.states == tm.states
+                assert chain.pressure == math.log(lam) + tm.shift
+                assert (chain.h == h).all() and (chain.nu == nu).all()
+                assert (chain.pressure, chain.entropy, chain.lam) \
+                    == (one.pressure, one.entropy, one.lam)
+                assert (chain.transition == one.transition).all()
+                assert (chain.stationary == one.stationary).all()
+
+
+def _first_failures(grammars, phi):
+    """Grammars ``a < b`` where ``b`` has fewer blocks under ``phi``, so its
+    group is solved first, and the block counts of all grammars."""
+    dims = [len(build_transfer(g, phi).states) for g in grammars]
+    a = next(k for k in range(len(dims)) if min(dims[k + 1:]) < dims[k])
+    b = next(j for j in range(a + 1, len(dims)) if dims[j] < dims[a])
+    return a, b, dims
+
+
+def _uncertifiable(monkeypatch, failing, block_codes=None):
+    """Patch ``_transfer_stack`` so that each grammar ``k`` in ``failing``
+    gets ``(k + 1) I``, which fails the certificate (no primitive grammar
+    yields an uncertifiable matrix), under every potential, or only under
+    those whose blocks have ``block_codes`` codes, theta^(range - 1)."""
+    real = gibbs._transfer_stack
+
+    def broken(grown, potentials):
+        k, codes = grown[0].shape
+        for members, shifts, stack in real(grown, potentials):
+            stack = stack.copy()
+            for i, m in enumerate(members):
+                if m % k in failing and block_codes in (None, codes):
+                    stack[i] = np.eye(stack.shape[-1]) * (m % k + 1)
+            yield members, shifts, stack
+
+    monkeypatch.setattr(gibbs, "_transfer_stack", broken)
 
 
 def test_class_solves_raise_the_first_failing_grammar_in_input_order(monkeypatch):
     lex3 = Lexicon(3)
     grammars = enumerate_grammars(lex3)
     phi = _class_potentials(lex3)[2]
-    dims = [len(build_transfer(g, phi).states) for g in grammars]
-    # b comes after a but has fewer blocks, so its group is solved first
-    a = next(k for k in range(len(dims)) if min(dims[k + 1:]) < dims[k])
-    b = next(j for j in range(a + 1, len(dims)) if dims[j] < dims[a])
-    real = gibbs._transfer_stack
-
-    def broken(gs, p):
-        # no primitive grammar yields an uncertifiable matrix, so substitute
-        # multiples of the identity, each with its own root k + 1
-        out = []
-        for members, shifts, stack in real(gs, p):
-            stack = stack.copy()
-            for i, k in enumerate(members):
-                if k in (a, b):
-                    stack[i] = np.eye(stack.shape[-1]) * (k + 1)
-            out.append((members, shifts, stack))
-        return out
-
-    monkeypatch.setattr(gibbs, "_transfer_stack", broken)
+    a, b, dims = _first_failures(grammars, phi)
+    _uncertifiable(monkeypatch, (a, b))
     for solve in (pressure_stack, chain_stack):
         with pytest.raises(PerronConvergenceError) as err:
             solve(grammars, phi)
@@ -278,6 +322,26 @@ def test_class_solves_raise_the_first_failing_grammar_in_input_order(monkeypatch
     with pytest.raises(PerronConvergenceError) as single:
         perron(TransferMatrix(grammars[a], phi, (), np.eye(dims[a]) * (a + 1)))
     assert str(err.value) == str(single.value)
+
+
+@pytest.mark.parametrize("layout", ["fine cert span", "fine span cert", "span fine cert"])
+def test_a_family_raises_the_error_of_its_first_failing_potential(monkeypatch, layout):
+    lex3 = Lexicon(3)
+    grammars = enumerate_grammars(lex3)
+    fine, cert = _class_potentials(lex3)[1:3]   # ranges 2 and 3
+    # range 2 like ``fine``, so the ranges are solved in another order than the potentials
+    span = Potential.from_table(lex3, 2, {(2, 2): -1500.0, (0, 1): 2.0})
+    family = [{"fine": fine, "cert": cert, "span": span}[name] for name in layout.split()]
+    a, b, dims = _first_failures(grammars, cert)
+    with pytest.raises(ValidationError) as span_err:
+        pressure_stack(grammars, span)
+    with pytest.raises(PerronConvergenceError) as cert_err:
+        perron(TransferMatrix(grammars[a], cert, (), np.eye(dims[a]) * (a + 1)))
+    _uncertifiable(monkeypatch, (a, b), block_codes=9)   # range 3 fails at a and b
+    with pytest.raises((ValidationError, PerronConvergenceError)) as err:
+        gibbs._pressure_family(grammars, family)
+    want = (cert_err if layout.index("cert") < layout.index("span") else span_err).value
+    assert type(err.value) is type(want) and str(err.value) == str(want)
 
 
 def test_class_solves_reject_underflow_with_the_message_of_pressure():
@@ -325,7 +389,7 @@ def _class_transfers(grammars, phi):
     states = gibbs._words(np.nonzero(index >= 0)[1], phi.lexicon.theta, phi.range - 1)
     ends = np.cumsum(sizes).tolist()
     out = [None] * len(grammars)
-    for members, shifts, stack in gibbs._transfer_stack(blocks, phi):
+    for members, shifts, stack in gibbs._transfer_stack(blocks, [phi]):
         for i, k in enumerate(members):
             out[k] = (states[ends[k] - len(stack[i]):ends[k]], index[k],
                       stack[i] * math.exp(shifts[i]))

@@ -221,6 +221,20 @@ def test_enumerate_theta3_matches_graph_oracle(theta, count):
     assert len(got) == count
 
 
+@pytest.mark.parametrize("theta, sample", [(2, None), (3, None), (4, 500)])
+def test_enumerated_grammars_equal_validated_ones(theta, sample):
+    lex = Lexicon(theta)
+    grammars = enumerate_grammars(lex)
+    if sample is not None:
+        picks = np.random.default_rng(theta).choice(len(grammars), sample, replace=False)
+        grammars = [grammars[i] for i in sorted(picks.tolist())]
+    for g in grammars:
+        built = Grammar(lex, [list(row) for row in g.matrix])   # validated from scratch
+        assert g == built and hash(g) == hash(built) and repr(g) == repr(built)
+        assert (g.array == built.array).all() and not g.array.flags.writeable
+    assert len(set(grammars)) == len(grammars)
+
+
 def test_enumeration_is_row_major_ascending(lex2):
     def key(g):
         return tuple(bit for row in g.matrix for bit in row)
