@@ -29,7 +29,6 @@ from .gibbs import (
     entropy_via_pressure_derivative,
     expected_potential,
     gibbs_chain,
-    ks_entropy,
     periodic_orbit_potential,
     perron,
     pressure,

@@ -27,7 +27,7 @@ import time
 
 from . import __version__
 from .experiments import EXPERIMENT_IDS, ExperimentConfig, default_config, run_experiment
-from .gibbs import Potential, gibbs_chain, ks_entropy, pressure, sample
+from .gibbs import Potential, gibbs_chain, pressure, sample
 from .identify import DEFAULT_TIE_TOL, identify
 from .serialize import (
     chain_summary,
@@ -100,7 +100,7 @@ def _cmd_pressure(args) -> str:
 def _cmd_entropy(args) -> str:
     g = _load(args.grammar, grammar_from_dict)
     phi = _load_potential(args.potential, g.lexicon)
-    return dumps({"entropy": ks_entropy(gibbs_chain(g, phi))})
+    return dumps({"entropy": gibbs_chain(g, phi).entropy})
 
 
 def _cmd_sample(args) -> str:

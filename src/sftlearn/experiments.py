@@ -32,8 +32,6 @@ import numpy as np
 
 from .gibbs import (
     Potential,
-    _chains,
-    _class_blocks,
     _log_measures,
     _pressure_family,
     _sample_counts,
@@ -383,11 +381,9 @@ def _run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
 
 def _entropy_monotonicity_sweep(candidates, phi: Potential, scales) -> dict:
     lower, upper = _comparable_pairs(candidates).T
-    blocks = _class_blocks(candidates, phi)
-    rows = []
-    first_fail = None
+    rows, first_fail = [], None
     for s in sorted(scales):
-        ents = np.array([c.entropy for c in _chains(candidates, phi.scaled(s), blocks)])
+        ents = np.array([c.entropy for c in chain_stack(candidates, phi.scaled(s))])
         deltas = ents[upper] - ents[lower]
         violations = int((deltas <= 0).sum())
         rows.append({"scale": s, "violations": violations,
@@ -403,27 +399,24 @@ def entropy_crossing(lower: Grammar, upper: Grammar, tol: float = 1e-6) -> float
     ``tol > 0`` or until no float lies between the ends.
 
     The reward potential vanishes on words admissible under ``lower``, so
-    the comparison baseline is ``lower``'s topological entropy throughout.
+    the comparison baseline is ``lower``'s topological entropy throughout,
+    solved once.  The rewarded entropy tends to 0, below it, so a crossing exists.
     """
     if compare(lower, upper) is not OrderRelation.LESS:
         raise ValidationError("entropy_crossing needs lower strictly below upper")
     if not tol > 0:
         raise ValidationError(f"bisect_tol must be > 0, got {tol!r}")
 
-    pair = (upper, lower)
-    blocks = _class_blocks(pair, periodic_orbit_potential(lower, upper, 0.0))
+    baseline = gibbs_chain(lower, periodic_orbit_potential(lower, upper, 0.0)).entropy
 
     def gap(reward: float) -> float:
-        big, small = _chains(pair, periodic_orbit_potential(lower, upper, reward), blocks)
-        return big.entropy - small.entropy
+        return gibbs_chain(upper, periodic_orbit_potential(lower, upper, reward)).entropy - baseline
 
     lo, hi = 0.0, 1.0
     if gap(lo) <= 0:
         raise RuntimeError("entropy of the larger grammar does not exceed the smaller at reward 0")
     while gap(hi) >= 0:
         hi *= 2.0
-        if hi > 256.0:
-            raise RuntimeError("no entropy crossing found below reward 256")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):   # no float lies between the ends

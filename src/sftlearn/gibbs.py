@@ -19,13 +19,13 @@ the midpoint of ``phi`` over admissible words, and the pressure adds ``c``
 back (``P(phi - c) = P(phi) - c``), so the values may span up to about 1416
 before a weight leaves the normal floats; a zero potential has ``c = 0``.
 
-Every pressure, entropy and cylinder likelihood goes through a dense
-eigen-solve of a stack ``(M_1..M_K, M_1^T..M_K^T)`` of one block count,
-certified as :func:`perron` describes, of at most ``_EIG_ENTRIES`` entries.
-:func:`_pressure_family` solves a class under many potentials, with blocks
-grown once per range; :func:`pressure_stack`, :func:`chain_stack` and the
-one-grammar functions are its smaller cases, bit for bit.  Dense eig costs
-O(d^3): about 2.4 s at d = 1024 on one core of a 2-vCPU Xeon.
+Every pressure, entropy and cylinder likelihood goes through a dense eigen-solve of a
+stack ``(M_1..M_K, M_1^T..M_K^T)`` of one block count, certified as :func:`perron`
+describes, of at most ``_EIG_ENTRIES`` entries.  :func:`_pressure_family` solves a class
+under many potentials, with blocks grown once per range; :func:`pressure_stack`,
+:func:`chain_stack` (array arithmetic per stack, ``nu`` by ``matmul`` for its bits) and
+the one-grammar functions are its smaller cases, bit for bit.  Dense eig costs O(d^3):
+about 2.4 s at d = 1024 on one core of a 2-vCPU Xeon.
 
 A word enters a likelihood only through the code of its first block and its
 counts of range-``r`` words, the sufficient statistic of a Markov chain.
@@ -276,47 +276,59 @@ def _transfer_stack(blocks, potentials):
 
 
 def _perron_stack(groups):
-    """Each ``(members, shifts, stack)`` group of :func:`_transfer_stack`
-    with ``(lam, pair)`` appended: the Perron root of ``stack[i]`` and, in
-    ``pair[i]``, the absolute values of its right and left eigenvectors.
-
-    One dense eigen-solve per group, on ``(M_1..M_K, M_1^T..M_K^T)``.
-    numpy runs LAPACK's ``geev`` on each matrix separately, so every result
-    equals that of a stack of one.  Every matrix must pass the certificate
-    :func:`perron` describes; a group where one fails is not yielded, and
-    the error, raised after the last group, names the least failing member."""
+    """Each ``(members, shifts, stack)`` group of :func:`_transfer_stack` with ``(lam,
+    pair)`` appended: the Perron root of ``stack[i]`` and, in ``pair[i]``, the absolute
+    values of its right and left eigenvectors.  A group where a matrix fails is not
+    yielded, and the error, raised after the last group, names the least failing member."""
     failures = []
     for members, shifts, stack in groups:
-        k, d = stack.shape[:2]
-        both = np.concatenate((stack, stack.transpose(0, 2, 1)))
-        values, vectors = np.linalg.eig(both)
-        top = values.real.argmax(axis=1)
-        every = np.arange(2 * k)
-        lam = values.real[every[:k], top[:k]]
-        vecs = np.abs(vectors[every, :, top].real)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            ratios = ((both @ vecs[:, :, None])[:, :, 0] / vecs).reshape(2, k, d)
-        # matrix i's bounds run over its own ratios and those of its transpose
-        lower, upper = ratios.min(axis=(0, 2)), ratios.max(axis=(0, 2))
-        pair = vecs.reshape(2, k, d).swapaxes(0, 1)
-        least = pair.min(axis=(1, 2))
-        width = np.maximum(upper, lam) - np.minimum(lower, lam)
-        ok = (least > 0) & (width <= CERTIFICATE_RTOL * lam)
-        if not ok.all():   # members ascend, so the first failing one is the least
-            i = int(ok.argmin())
-            failures.append((members[i], PerronConvergenceError(
-                d, float(lam[i]), float(lower[i]), float(upper[i]), float(least[i]))))
-            continue
-        del both, values, vectors, ratios   # not kept while the caller runs
-        yield members, shifts, stack, lam, pair
+        lam, pair, failure = _certified(members, stack)
+        if failure:
+            failures.append(failure)
+        else:
+            yield members, shifts, stack, lam, pair
     if failures:
         raise min(failures, key=lambda f: f[0])[1]
 
 
+def _certified(members, stack):
+    """``(lam, pair, failure)`` of a ``(k, d, d)`` stack from one dense eigen-solve of
+    ``(M_1..M_k, M_1^T..M_k^T)``, each matrix solved apart by LAPACK's ``geev``, so as
+    in a stack of one; ``failure`` is None, or ``(member, error)`` for the first that
+    fails :func:`perron`'s certificate, or whose ``geev`` does not converge."""
+    k, d = stack.shape[:2]
+    both = np.concatenate((stack, stack.transpose(0, 2, 1)))
+    try:
+        values, vectors = np.linalg.eig(both)
+    except np.linalg.LinAlgError as exc:   # then each matrix alone, to find the first that fails
+        error = RuntimeError(f"eigen-solve of a {d}x{d} matrix failed: {exc}")
+        alone = (_certified(members[i:i + 1], stack[i:i + 1])[2] for i in range(k)) if k > 1 else ()
+        return None, None, next(filter(None, alone), (members[0], error))
+    top = values.real.argmax(axis=1)
+    every = np.arange(2 * k)
+    lam = values.real[every[:k], top[:k]]
+    vecs = np.abs(vectors[every, :, top].real)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratios = ((both @ vecs[:, :, None])[:, :, 0] / vecs).reshape(2, k, d)
+    # matrix i's bounds run over its own ratios and those of its transpose
+    lower, upper = ratios.min(axis=(0, 2)), ratios.max(axis=(0, 2))
+    pair = vecs.reshape(2, k, d).swapaxes(0, 1)
+    least = pair.min(axis=(1, 2))
+    width = np.maximum(upper, lam) - np.minimum(lower, lam)
+    ok = (least > 0) & (width <= CERTIFICATE_RTOL * lam)
+    if not ok.all():
+        i = int(ok.argmin())
+        return None, None, (members[i], PerronConvergenceError(
+            d, float(lam[i]), float(lower[i]), float(upper[i]), float(least[i])))
+    return lam, pair, None
+
+
 def _normalized(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``h`` summing to 1 and ``nu`` with ``nu @ h == 1``, both read-only."""
-    h = pair[0] / pair[0].sum()
-    nu = pair[1] / (pair[1] @ h)
+    """Read-only ``h`` with rows summing to 1 and ``nu`` with ``nu[i] @ h[i] == 1``
+    from ``(k, 2, d)`` eigenvectors; ``matmul`` of a ``(1, d)`` and a ``(d, 1)``
+    matrix has the bits of a 1-D ``@``, where ``einsum`` or a product's sum would not."""
+    h = pair[:, 0] / pair[:, 0].sum(axis=1, keepdims=True)
+    nu = pair[:, 1] / np.matmul(pair[:, 1, None], h[:, :, None])[:, 0]
     h.setflags(write=False)
     nu.setflags(write=False)
     return h, nu
@@ -342,7 +354,8 @@ def perron(transfer: TransferMatrix) -> tuple[float, np.ndarray, np.ndarray]:
     is narrower than ``CERTIFICATE_RTOL * lam``.
     """
     [(*_, lam, pair)] = _perron_stack([((0,), None, np.asarray(transfer.entries, float)[None])])
-    return (float(lam[0]),) + _normalized(pair[0])
+    h, nu = _normalized(pair)
+    return float(lam[0]), h[0], nu[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,39 +414,35 @@ def gibbs_chain(grammar: Grammar, potential: Potential) -> GibbsChain:
 
 
 def chain_stack(grammars, potential: Potential) -> tuple[GibbsChain, ...]:
-    """:func:`gibbs_chain` of each grammar of a class, in order, from one
-    certified eigen-solve per stack of a block count."""
+    """:func:`gibbs_chain` of each grammar of a class, in order, from one certified
+    eigen-solve per stack of a block count, whose chains are computed as arrays
+    together; each chain's arrays are read-only views of its stack's."""
     grammars = tuple(grammars)
-    return _chains(grammars, potential, _class_blocks(grammars, potential))
-
-
-def _chains(grammars: tuple, potential: Potential, blocks) -> tuple[GibbsChain, ...]:
-    """:func:`chain_stack` from the class's :func:`_class_blocks` at the
-    potential's range, which may serve many potentials."""
-    chains = [None] * len(grammars)
+    blocks = _class_blocks(grammars, potential)
     index, sizes = blocks[:2]
     states = _words(np.nonzero(index >= 0)[1], potential.lexicon.theta, potential.range - 1)
     bounds = [0, *np.cumsum(sizes).tolist()]
-    for members, shifts, stack, lams, pair in _perron_stack(_transfer_stack(blocks, [potential])):
-        for i, k in enumerate(members):
-            lam, shift, (h, nu) = float(lams[i]), float(shifts[i]), _normalized(pair[i])
-            stationary = nu * h
-            stationary = stationary / stationary.sum()
-            transition = stack[i] * h[None, :] / (lam * h[:, None])
-            support = transition > 0
-            plogp = np.zeros_like(transition)
-            plogp[support] = transition[support] * np.log(transition[support])
-            entropy = float(-(stationary[:, None] * plogp).sum())
-            transition.setflags(write=False)
-            stationary.setflags(write=False)
-            p = math.log(lam) + shift
+    chains = [None] * len(grammars)
+    for members, shifts, stack, lam, pair in _perron_stack(_transfer_stack(blocks, [potential])):
+        h, nu = _normalized(pair)
+        stationary = nu * h
+        stationary /= stationary.sum(axis=1, keepdims=True)
+        transition = stack * h[:, None, :] / (lam[:, None, None] * h[:, :, None])
+        logs = np.log(transition, out=np.zeros_like(transition), where=transition > 0)
+        # a C-ordered (d, d) block sums like the flat sum of one chain's terms
+        entropy = -(stationary[:, :, None] * (transition * logs)).sum(axis=(1, 2))
+        transition.setflags(write=False)
+        stationary.setflags(write=False)
+        for i, (k, root, shift, ent) in enumerate(zip(members, lam.tolist(), shifts.tolist(),
+                                                      entropy.tolist())):
+            p = math.log(root) + shift
             if shift:   # exp(pressure), which is inf past 709.78
-                lam = math.exp(p) if p <= _LOG_MAX else math.inf
+                root = math.exp(p) if p <= _LOG_MAX else math.inf
             chains[k] = GibbsChain(
                 grammar=grammars[k], potential=potential,
                 states=tuple(states[bounds[k]:bounds[k + 1]]), index=index[k],
-                lam=lam, pressure=p,
-                h=h, nu=nu, transition=transition, stationary=stationary, entropy=entropy)
+                lam=root, pressure=p, h=h[i], nu=nu[i],
+                transition=transition[i], stationary=stationary[i], entropy=ent)
     return tuple(chains)
 
 
@@ -472,11 +481,6 @@ def _pressure_family(grammars, potentials) -> np.ndarray:
                 _pressure_family(grammars, (phi,))
         raise
     return out
-
-
-def ks_entropy(chain: GibbsChain) -> float:
-    """Entropy rate -sum_u pi[u] sum_v P[u,v] log P[u,v] of the chain."""
-    return chain.entropy
 
 
 def cylinder_log_measure(chain: GibbsChain, word) -> float:

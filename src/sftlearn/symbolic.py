@@ -73,7 +73,10 @@ def parse_word(text: str) -> tuple[int, ...]:
 
 
 def format_word(word) -> str:
-    """Render a word as a digit string; only works for lexicons with theta <= 10."""
+    """Render a word of integer symbols (not floats or bools) as a digit string; theta <= 10."""
+    kinds = {word.dtype.type} if isinstance(word, np.ndarray) and word.size else set(map(type, word))
+    if not all(issubclass(k, (int, np.integer)) and k is not bool for k in kinds):
+        raise ValidationError("word symbols must be integers, not floats or bools")
     w = np.asarray(word, dtype=np.int64)
     if w.size and (w.min() < 0 or w.max() > 9):
         raise ValidationError("digit rendering needs symbols in 0..9; use a JSON integer array instead")

@@ -244,6 +244,19 @@ def test_underflow_exits_1_and_a_failed_certificate_exits_2(capsys, tmp_path,
     assert "failed its certificate" in err
 
 
+def test_an_eig_that_does_not_converge_exits_2_naming_the_matrix(capsys, golden_file,
+                                                                  monkeypatch):
+    # whether LAPACK's geev converges depends on its build, so fail it by hand
+    def eig(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    code, out, err = run(capsys, "pressure", "--grammar", golden_file)
+    assert (code, out) == (2, "")
+    assert err == ("sftlearn: numerical failure: eigen-solve of a 2x2 matrix failed: "
+                   "Eigenvalues did not converge\n")
+
+
 def test_chain_commands_accept_pressures_past_the_float_range(capsys, tmp_path):
     # every range-2 word at 800: P = 800 + log 2, and exp(P) is no float
     full = tmp_path / "full.json"

@@ -30,7 +30,6 @@ from sftlearn import (
     enumerate_grammars,
     expected_potential,
     gibbs_chain,
-    ks_entropy,
     periodic_orbit_potential,
     perron,
     pressure,
@@ -289,11 +288,11 @@ def _first_failures(grammars, phi):
     return a, b, dims
 
 
-def _uncertifiable(monkeypatch, failing, block_codes=None):
+def _uncertifiable(monkeypatch, failing, block_codes=None, sign=1.0):
     """Patch ``_transfer_stack`` so that each grammar ``k`` in ``failing``
-    gets ``(k + 1) I``, which fails the certificate (no primitive grammar
-    yields an uncertifiable matrix), under every potential, or only under
-    those whose blocks have ``block_codes`` codes, theta^(range - 1)."""
+    gets ``sign * (k + 1) I``, which fails the certificate (no primitive
+    grammar yields an uncertifiable matrix), under every potential, or only
+    under those whose blocks have ``block_codes`` codes, theta^(range - 1)."""
     real = gibbs._transfer_stack
 
     def broken(grown, potentials):
@@ -302,7 +301,7 @@ def _uncertifiable(monkeypatch, failing, block_codes=None):
             stack = stack.copy()
             for i, m in enumerate(members):
                 if m % k in failing and block_codes in (None, codes):
-                    stack[i] = np.eye(stack.shape[-1]) * (m % k + 1)
+                    stack[i] = np.eye(stack.shape[-1]) * sign * (m % k + 1)
             yield members, shifts, stack
 
     monkeypatch.setattr(gibbs, "_transfer_stack", broken)
@@ -322,6 +321,43 @@ def test_class_solves_raise_the_first_failing_grammar_in_input_order(monkeypatch
     with pytest.raises(PerronConvergenceError) as single:
         perron(TransferMatrix(grammars[a], phi, (), np.eye(dims[a]) * (a + 1)))
     assert str(err.value) == str(single.value)
+
+
+def _unconvergent(monkeypatch, failing):
+    """Plant ``-(k + 1) I`` for each grammar ``k`` in ``failing``, and patch
+    ``np.linalg.eig`` to raise on a stack with a negative entry, as LAPACK's
+    ``geev`` does when it does not converge, naming the largest ``k + 1``."""
+    _uncertifiable(monkeypatch, failing, sign=-1.0)
+    real = np.linalg.eig
+
+    def eig(a):
+        if (a < 0).any():
+            raise np.linalg.LinAlgError(f"Eigenvalues did not converge at {-a.min():g}")
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+
+
+def test_an_eig_that_does_not_converge_is_a_numerical_failure_of_the_first_grammar(
+        monkeypatch, golden, zero2):
+    lex3 = Lexicon(3)
+    grammars = enumerate_grammars(lex3)
+    phi = _class_potentials(lex3)[2]
+    a, b, dims = _first_failures(grammars, phi)
+    c = next(j for j in range(a + 1, len(dims)) if dims[j] == dims[a])   # in a's stack
+    _unconvergent(monkeypatch, (a, b, c))
+    for solve in (pressure_stack, chain_stack):
+        with pytest.raises(RuntimeError) as err:
+            solve(grammars, phi)
+        # the stack of a and c is solved again one matrix at a time, after b's
+        assert type(err.value) is RuntimeError and str(err.value) == (
+            f"eigen-solve of a {dims[a]}x{dims[a]} matrix failed: "
+            f"Eigenvalues did not converge at {a + 1}")
+    monkeypatch.undo()
+    _unconvergent(monkeypatch, (0,))
+    with pytest.raises(RuntimeError, match=r"^eigen-solve of a 2x2 matrix failed: "
+                                           r"Eigenvalues did not converge at 1$"):
+        pressure(golden, zero2)
 
 
 @pytest.mark.parametrize("layout", ["fine cert span", "fine span cert", "span fine cert"])
@@ -434,6 +470,66 @@ def test_theta4_class_blocks_match_the_incidence_matrices():
 # Gibbs chains
 # ---------------------------------------------------------------------------
 
+def _oracle_logs(index, transition, stationary, t, r):
+    """``GibbsChain._logs`` of one chain, computed alone."""
+    codes = np.arange(t**r)
+    src, dst = index[codes // t], index[codes % t ** (r - 1)]
+    ok = (src >= 0) & (dst >= 0)
+    blocks, words = np.full(t ** (r - 1), -np.inf), np.full(t**r, -np.inf)
+    with np.errstate(divide="ignore"):
+        words[ok] = np.log(transition[src[ok], dst[ok]])
+        blocks[index >= 0] = np.log(stationary)
+    return blocks, words
+
+
+def _oracle_chains(grammars, phi):
+    """Every field of each grammar's chain from the eigendata of the class
+    solve, by the arithmetic of one chain at a time: ``(lam, pressure,
+    entropy, h, nu, stationary, transition, log_blocks, log_words)``."""
+    t, r = phi.lexicon.theta, phi.range
+    blocks = gibbs._class_blocks(grammars, phi)
+    out = [None] * len(grammars)
+    for members, shifts, stack, lams, pair in gibbs._perron_stack(
+            gibbs._transfer_stack(blocks, [phi])):
+        for i, k in enumerate(members):
+            lam, shift = float(lams[i]), float(shifts[i])
+            h = pair[i][0] / pair[i][0].sum()
+            nu = pair[i][1] / (pair[i][1] @ h)
+            stationary = nu * h
+            stationary = stationary / stationary.sum()
+            transition = stack[i] * h[None, :] / (lam * h[:, None])
+            support = transition > 0
+            plogp = np.zeros_like(transition)
+            plogp[support] = transition[support] * np.log(transition[support])
+            entropy = float(-(stationary[:, None] * plogp).sum())
+            p = math.log(lam) + shift
+            if shift:
+                lam = math.exp(p) if p <= gibbs._LOG_MAX else math.inf
+            out[k] = (lam, p, entropy, h, nu, stationary, transition,
+                      *_oracle_logs(blocks[0][k], transition, stationary, t, r))
+    return out
+
+
+def _bits(fields):
+    return [(a.shape, a.tobytes()) for a in map(np.asarray, fields)]
+
+
+@pytest.mark.parametrize("theta", [2, 3, 4])
+def test_class_chains_have_the_bits_of_the_per_chain_arithmetic(theta):
+    """``chain_stack`` computes a block count's chains together; every field
+    has the bits of the same formulas applied to one chain alone."""
+    lex = Lexicon(theta)
+    grammars = enumerate_grammars(lex)
+    potentials = _class_potentials(lex) if theta < 4 else [_random_potential(lex, 2, 4)]
+    for phi in potentials:
+        chains = chain_stack(grammars, phi)
+        for chain, want in zip(chains, _oracle_chains(grammars, phi), strict=True):
+            arrays = (chain.h, chain.nu, chain.stationary, chain.transition)
+            got = (chain.lam, chain.pressure, chain.entropy, *arrays, *chain._logs)
+            assert _bits(got) == _bits(want)
+            assert not any(a.flags.writeable for a in arrays)
+
+
 def test_parry_chain_of_golden_mean(golden, zero2):
     chain = gibbs_chain(golden, zero2)
     assert chain.stationary == pytest.approx(
@@ -442,7 +538,6 @@ def test_parry_chain_of_golden_mean(golden, zero2):
         np.array([[1 / PHI, 1 / PHI ** 2], [1.0, 0.0]]), abs=1e-12)
     # the measure of maximal entropy realizes the topological entropy
     assert chain.entropy == pytest.approx(math.log(PHI), abs=1e-10)
-    assert ks_entropy(chain) == chain.entropy
 
 
 def test_parry_chain_of_swapped_golden_mean(swapped, zero2):

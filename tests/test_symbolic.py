@@ -91,6 +91,17 @@ def test_format_word_writes_one_digit_per_symbol():
             format_word(bad)
 
 
+def test_format_word_rejects_floats_and_bools_instead_of_truncating():
+    for bad in ((0, 1.9), [True, 0], (0.0,), [False], [0, np.True_], np.array([1.0, 2.0]),
+                np.array([True, False]), (0, "1")):
+        with pytest.raises(ValidationError, match="^word symbols must be integers"):
+            format_word(bad)
+    for word, text in (((), ""), ([], ""), (np.array([], dtype=np.int64), ""),
+                       ([2, 0, 1], "201"), ((2, 0, 1), "201"), (np.array([2, 0, 1]), "201"),
+                       (np.array([2, 0, 1], dtype=np.uint8), "201")):
+        assert format_word(word) == text
+
+
 # ---------------------------------------------------------------------------
 # primitivity
 # ---------------------------------------------------------------------------
