@@ -48,10 +48,6 @@ from .experiments import (
     ExperimentReport,
     default_config,
     run_experiment,
-    run_language_change,
-    run_ml_misidentification,
-    run_monotonicity_scan,
-    run_smb,
 )
 
 __version__ = "0.1.0"

@@ -39,7 +39,7 @@ from .serialize import (
     potential_from_dict,
     sample_to_dict,
 )
-from .symbolic import Lexicon, ValidationError, enumerate_grammars, parse_word
+from .symbolic import Grammar, Lexicon, ValidationError, enumerate_grammars, parse_word
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,24 +91,23 @@ def _load_word(args) -> tuple[int, ...]:
     return word
 
 
-def _cmd_pressure(args) -> str:
+def _chain_inputs(args) -> tuple[Grammar, Potential]:
+    """The ``--grammar`` and ``--potential`` of a chain subcommand."""
     g = _load(args.grammar, grammar_from_dict)
-    phi = _load_potential(args.potential, g.lexicon)
-    return dumps({"pressure": pressure(g, phi)})
+    return g, _load_potential(args.potential, g.lexicon)
+
+
+def _cmd_pressure(args) -> str:
+    return dumps({"pressure": pressure(*_chain_inputs(args))})
 
 
 def _cmd_entropy(args) -> str:
-    g = _load(args.grammar, grammar_from_dict)
-    phi = _load_potential(args.potential, g.lexicon)
-    return dumps({"entropy": gibbs_chain(g, phi).entropy})
+    return dumps({"entropy": gibbs_chain(*_chain_inputs(args)).entropy})
 
 
 def _cmd_sample(args) -> str:
-    g = _load(args.grammar, grammar_from_dict)
-    phi = _load_potential(args.potential, g.lexicon)
-    chain = gibbs_chain(g, phi)
-    s = sample(chain, args.length, args.seed)
-    out = sample_to_dict(s)
+    chain = gibbs_chain(*_chain_inputs(args))
+    out = sample_to_dict(sample(chain, args.length, args.seed))
     out["chain"] = chain_summary(chain)
     return dumps(out)
 
@@ -160,20 +159,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the result here instead of standard output")
         return p
 
-    p = add("pressure", "log of the leading transfer-operator eigenvalue", _cmd_pressure)
-    p.add_argument("--grammar", required=True, metavar="PATH", help="grammar JSON file")
-    p.add_argument("--potential", metavar="PATH",
-                   help="potential JSON file (omitted: the zero potential)")
-
-    p = add("entropy", "Kolmogorov-Sinai entropy of the Gibbs chain", _cmd_entropy)
-    p.add_argument("--grammar", required=True, metavar="PATH", help="grammar JSON file")
-    p.add_argument("--potential", metavar="PATH",
-                   help="potential JSON file (omitted: the zero potential)")
-
-    p = add("sample", "draw one word from the Gibbs chain", _cmd_sample)
-    p.add_argument("--grammar", required=True, metavar="PATH", help="grammar JSON file")
-    p.add_argument("--potential", metavar="PATH",
-                   help="potential JSON file (omitted: the zero potential)")
+    for name, help_text, func in (
+            ("pressure", "log of the leading transfer-operator eigenvalue", _cmd_pressure),
+            ("entropy", "Kolmogorov-Sinai entropy of the Gibbs chain", _cmd_entropy),
+            ("sample", "draw one word from the Gibbs chain", _cmd_sample)):
+        p = add(name, help_text, func)
+        p.add_argument("--grammar", required=True, metavar="PATH", help="grammar JSON file")
+        p.add_argument("--potential", metavar="PATH",
+                       help="potential JSON file (omitted: the zero potential)")
+    # p is sample's parser
     p.add_argument("--length", required=True, type=int, help="word length to draw")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
 

@@ -21,11 +21,10 @@ Run ``i`` of an experiment uses seed ``base_seed + i``, and a report is a
 pure function of its config, so repeated runs are bit-identical.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import time
+import typing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -51,6 +50,7 @@ from .serialize import (
     _encode_float,
     _finite,
     _int,
+    _read,
     _strict,
     _tuple_of,
     encode_floats,
@@ -68,15 +68,6 @@ from .symbolic import (
     compare,
     enumerate_grammars,
     format_word,
-)
-
-EXPERIMENT_IDS = (
-    "ml-convergence",
-    "entropy-convergence",
-    "language-change",
-    "ml-misidentification",
-    "monotonicity",
-    "smb",
 )
 
 DEFAULT_CHECKPOINTS = (10, 50, 200, 2000)
@@ -128,53 +119,45 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data) -> "ExperimentConfig":
-        """Build a config from a flat JSON object.  Omitted fields, ``null``
-        for a field whose default is ``None``, and ``"candidates": "auto"``
-        take the default; any other bad value raises a ``ValidationError``
-        naming its field."""
+        """Build a config from a flat JSON object, each field converted by
+        its annotation (:func:`_converter`; this module does not postpone
+        annotations, so they are types).  Omitted fields, and
+        ``"candidates": "auto"``, take the default; any bad value raises a
+        ``ValidationError`` naming its field."""
         if not isinstance(data, dict):
             raise ValidationError("experiment config must be a JSON object")
         if "experiment" not in data:
             raise ValidationError("experiment config is missing the 'experiment' field")
-        known = {f.name: f.default for f in fields(cls)}
+        types = {f.name: f.type for f in fields(cls)}
         for key in data:
-            if key not in known:
+            if key not in types:
                 raise ValidationError(f"unknown experiment config field: {key!r}")
-        kwargs: dict = {}
-        for key, value in data.items():
-            if (value is None and known[key] is None) or (key == "candidates" and value == "auto"):
-                continue
-            try:
-                kwargs[key] = _FROM_JSON[key](value)
-            except (TypeError, ValueError) as exc:  # ValidationError included
-                raise ValidationError(f"experiment config field {key!r}: {exc}") from exc
-        return cls(**kwargs)
+        return cls(**{key: _read(data, "experiment config", key, _converter(types[key]))
+                      for key in data if not (key == "candidates" and data[key] == "auto")})
 
 
-# JSON value -> field value, one converter per ``ExperimentConfig`` field.
-_FROM_JSON = {
-    "experiment": _strict(str, str, "a string"),
-    "theta": _int,
-    "true_grammar": grammar_from_dict,
-    "lower": grammar_from_dict,
-    "upper": grammar_from_dict,
-    "potential": potential_from_dict,
-    "candidates": _tuple_of(grammar_from_dict),
-    "checkpoints": _tuple_of(_int),
-    "seeds": _int,
-    "base_seed": _int,
-    "tie_tol": _finite,
-    "scales": _tuple_of(_finite),
-    "reward": lambda v: v if v == "auto" else _finite(v),
-    "reward_margin": _finite,
-    "bisect_tol": _finite,
-    "penalties": _tuple_of(_finite),
-    "sample_length": _int,
-    "n_potentials": _int,
-    "value_bound": _finite,
-    "potential_ranges": _tuple_of(_int),
-    "tolerance": _finite,
+# JSON value -> field value, by a config field's type.
+_CONVERTERS = {
+    str: _strict(str, str, "a string"),
+    int: _int,
+    float: _finite,
+    float | str: lambda v: v if v == "auto" else _finite(v),
+    Grammar: grammar_from_dict,
+    Potential: potential_from_dict,
 }
+
+
+def _converter(hint):
+    """The converter of a field annotated ``hint``: a ``_CONVERTERS`` type,
+    ``tuple[X, ...]`` of one, or ``X | None`` (``null`` reads ``None``)."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        (inner,) = set(args) - {type(None)}
+        convert = _converter(inner)
+        return lambda v: None if v is None else convert(v)
+    if typing.get_origin(hint) is tuple and args[1:] == (...,):
+        return _tuple_of(_converter(args[0]))
+    return _CONVERTERS[hint]
 
 
 def _field_to_json(value):
@@ -428,11 +411,10 @@ def entropy_crossing(lower: Grammar, upper: Grammar, tol: float = 1e-6) -> float
     return 0.5 * (lo + hi)
 
 
-def run_language_change(config: ExperimentConfig) -> ExperimentReport:
+def _run_language_change(cfg: ExperimentConfig) -> ExperimentReport:
     """Reward a periodic orbit outside the smaller language and watch the
     minimum-entropy learner switch to the larger grammar while maximum
     likelihood stays with the true (smaller) one."""
-    cfg = config
     if cfg.lower is None or cfg.upper is None:
         raise ValidationError("language-change needs lower and upper grammars")
     lex = cfg.lower.lexicon
@@ -461,14 +443,15 @@ def run_language_change(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def run_ml_misidentification(config: ExperimentConfig) -> ExperimentReport:
+def _run_ml_misidentification(cfg: ExperimentConfig) -> ExperimentReport:
     """Penalize the true grammar's extra transitions and measure how often a
     short sample is maximum-likelihood-attributed to the smaller grammar."""
-    cfg = config
     if cfg.lower is None or cfg.upper is None:
         raise ValidationError("ml-misidentification needs lower and upper grammars")
     if compare(cfg.lower, cfg.upper) is not OrderRelation.LESS:
         raise ValidationError("ml-misidentification needs lower strictly below upper")
+    if not cfg.penalties:
+        raise ValidationError("penalties must list at least one penalty")
     lex = cfg.lower.lexicon
     candidates = _resolve_candidates(cfg, lex)
     lower_idx = _index_of(cfg.lower, candidates, "lower")
@@ -494,14 +477,17 @@ def run_ml_misidentification(config: ExperimentConfig) -> ExperimentReport:
                    details={"first_seed": first, "lower_index": lower_idx, "upper_index": upper_idx})
 
 
-def run_monotonicity_scan(config: ExperimentConfig) -> ExperimentReport:
+def _run_monotonicity_scan(cfg: ExperimentConfig) -> ExperimentReport:
     """Strict pressure monotonicity over every comparable primitive pair of a
     lexicon, swept across the zero potential and random finite-range tables."""
-    cfg = config
     if cfg.theta is None:
         raise ValidationError("monotonicity scan needs a theta")
+    if cfg.n_potentials < 0:
+        raise ValidationError(f"n_potentials must be nonnegative, got {cfg.n_potentials}")
     if cfg.n_potentials > 0 and not cfg.potential_ranges:
         raise ValidationError("potential_ranges must list at least one range when n_potentials > 0")
+    if cfg.n_potentials > 0 and cfg.value_bound < 0:
+        raise ValidationError(f"value_bound must be nonnegative, got {cfg.value_bound}")
     lex = Lexicon(cfg.theta)
     grammars = enumerate_grammars(lex)
     lower, upper = _comparable_pairs(grammars).T
@@ -526,10 +512,9 @@ def run_monotonicity_scan(config: ExperimentConfig) -> ExperimentReport:
     )
 
 
-def run_smb(config: ExperimentConfig) -> ExperimentReport:
+def _run_smb(cfg: ExperimentConfig) -> ExperimentReport:
     """Fraction of sampled words whose per-symbol cylinder score sits within
     a tolerance of the chain's entropy rate, along growing prefixes."""
-    cfg = config
     if cfg.true_grammar is None:
         raise ValidationError("smb needs a true_grammar")
     lex = cfg.true_grammar.lexicon
@@ -550,11 +535,12 @@ def run_smb(config: ExperimentConfig) -> ExperimentReport:
 _RUNNERS = {
     "ml-convergence": _run_convergence,
     "entropy-convergence": _run_convergence,
-    "language-change": run_language_change,
-    "ml-misidentification": run_ml_misidentification,
-    "monotonicity": run_monotonicity_scan,
-    "smb": run_smb,
+    "language-change": _run_language_change,
+    "ml-misidentification": _run_ml_misidentification,
+    "monotonicity": _run_monotonicity_scan,
+    "smb": _run_smb,
 }
+EXPERIMENT_IDS = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:

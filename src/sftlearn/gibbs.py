@@ -54,6 +54,7 @@ from .symbolic import (
     Lexicon,
     OrderRelation,
     ValidationError,
+    _integer,
     compare,
     validate_word,
 )
@@ -105,7 +106,7 @@ class Potential:
     entries: tuple[tuple[tuple[int, ...], float], ...] = ()
 
     def __post_init__(self) -> None:
-        r = int(self.range)
+        r = _integer(self.range, "potential range")
         if r < 2:
             raise ValidationError(f"potential range must be >= 2, got {self.range!r}")
         object.__setattr__(self, "range", r)
@@ -709,9 +710,10 @@ def periodic_orbit_potential(lower: Grammar, upper: Grammar, reward: float) -> P
         raise ValidationError("periodic_orbit_potential needs lower strictly below upper")
     up, low = upper.array, lower.array
     theta = lower.lexicon.theta
-    # Every rotation of a distinguishing cycle distinguishes too, so the
-    # first one in lexicographic order is its own least rotation.
-    orbit = next((w for q in range(1, theta + 1) for w in _cyclic_words(theta, q)
+    # Periods go up, and if a cycle u^k distinguishes the grammars then u does
+    # at period |u|, so the first hit has minimal period q.  Every rotation of
+    # it distinguishes too, so it is its own least rotation.
+    orbit = next((w for q in range(1, theta + 1) for w in itertools.product(range(theta), repeat=q)
                   if up[w, w[1:] + w[:1]].all() and not low[w, w[1:] + w[:1]].all()), None)
     if orbit is None:
         # Every extra edge of a strongly connected graph lies on a simple
@@ -723,13 +725,6 @@ def periodic_orbit_potential(lower: Grammar, upper: Grammar, reward: float) -> P
         rot = orbit[i:] + orbit[:i]
         table[rot + (rot[0],)] = float(reward)
     return Potential.from_table(lower.lexicon, q + 1, table)
-
-
-def _cyclic_words(theta: int, q: int):
-    """Words of length q whose minimal period is exactly q."""
-    for word in itertools.product(range(theta), repeat=q):
-        if all(word != word[d:] + word[:d] for d in range(1, q)):
-            yield word
 
 
 def entropy_via_pressure_derivative(grammar: Grammar, potential: Potential,

@@ -24,7 +24,7 @@ from .gibbs import (
     cylinder_log_measure,
     sample,
 )
-from .symbolic import Grammar, ValidationError, validate_word
+from .symbolic import Grammar, ValidationError, _integer, validate_word
 
 DEFAULT_TIE_TOL = 1e-9
 
@@ -138,7 +138,7 @@ def identify(word, potential: Potential, candidates, tie_tol: float = DEFAULT_TI
 
 def validate_checkpoints(checkpoints) -> list[int]:
     """Check that prefix lengths are nonempty, positive and strictly increasing."""
-    cps = [int(c) for c in checkpoints]
+    cps = [_integer(c, "checkpoint") for c in checkpoints]
     if not cps:
         raise ValidationError("checkpoints must list at least one prefix length")
     if cps[0] < 1:

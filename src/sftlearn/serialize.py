@@ -53,11 +53,11 @@ def _tuple_of(convert):
 
 
 def _read(data: dict, kind: str, name: str, convert):
-    """``convert(data[name])``; a value of the wrong type is bad input
-    whose message names the field."""
+    """``convert(data[name])``; a value of the wrong type or out of range is
+    bad input whose message names the field."""
     try:
         return convert(data[name])
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # ValidationError included
         raise ValidationError(f"{kind} field {name!r}: {exc}") from exc
 
 
@@ -86,10 +86,9 @@ def potential_from_dict(data) -> Potential:
     for item in data.get("entries", ()):
         if not isinstance(item, dict) or "word" not in item or "value" not in item:
             raise ValidationError(f"potential entry needs 'word' and 'value', got {item!r}")
-        word = item["word"]
-        entries.append((parse_word(word) if isinstance(word, str)
-                        else _read(item, "potential entry", "word", _tuple_of(_int)),
-                        _read(item, "potential entry", "value", _float)))
+        entries.append((_read(item, "potential entry", "word",
+                              parse_word if isinstance(item["word"], str) else _tuple_of(_int)),
+                        _read(item, "potential entry", "value", _finite)))
     return Potential(Lexicon(_read(data, "potential", "theta", _int)),
                      _read(data, "potential", "range", _int), tuple(entries))
 

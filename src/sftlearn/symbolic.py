@@ -31,6 +31,13 @@ class ClassTooLargeError(ValidationError):
     """Exhaustive grammar enumeration requested beyond the feasible cap."""
 
 
+def _integer(value, what: str) -> int:
+    """``value``, a Python or numpy integer (not a float or bool), as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Lexicon:
     """Alphabet of ``theta`` symbols, represented as the integers 0..theta-1."""

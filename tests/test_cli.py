@@ -409,6 +409,13 @@ FULL = {"theta": 2, "matrix": [[1, 1], [1, 1]]}
           ("entropy-convergence", {"true_grammar": GOLDEN}, "scales", lambda v: [1.0, v]))
       for value, label in ((math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
                            (10**400, "int-1e400"))),
+    # values a runner used to take silently, or report only in numpy's words
+    pytest.param({"experiment": "monotonicity", "theta": 2, "n_potentials": -3},
+                 "n_potentials", id="n-potentials-negative"),
+    pytest.param({"experiment": "monotonicity", "theta": 2, "value_bound": -2},
+                 "value_bound", id="value-bound-negative"),
+    pytest.param({"experiment": "ml-misidentification", "lower": GOLDEN, "upper": FULL,
+                  "penalties": []}, "penalties", id="penalties-empty"),
 ])
 
 
@@ -434,8 +441,13 @@ ZERO2 = {"theta": 2, "range": 2, "entries": []}
     pytest.param({"theta": True, "matrix": [[1, 1], [1, 0]]}, ZERO2, "theta", id="theta-bool"),
     pytest.param(GOLDEN, {"theta": 2, "range": 2, "entries": [{"word": [0, 1.9], "value": 1}]},
                  "word", id="word-float"),
+    pytest.param(GOLDEN, {"theta": 2, "range": 2, "entries": [{"word": "0a", "value": 1}]},
+                 "word", id="word-not-digits"),
     pytest.param(GOLDEN, {"theta": 2, "range": 2, "entries": [{"word": "01", "value": True}]},
                  "value", id="value-bool"),
+    pytest.param(GOLDEN, {"theta": 2, "range": 2,
+                          "entries": [{"word": "01", "value": 10**400}]},
+                 "value", id="value-int-1e400"),
     pytest.param(GOLDEN, {"theta": "2", "range": 2, "entries": []}, "theta",
                  id="potential-theta-string"),
     pytest.param(GOLDEN, {"theta": 2, "range": 2.5, "entries": []}, "range",

@@ -23,7 +23,6 @@ from sftlearn import (
     parse_word,
     periodic_orbit_potential,
     run_experiment,
-    run_monotonicity_scan,
     sample,
 )
 from sftlearn import experiments
@@ -58,9 +57,30 @@ def test_experiment_ids_have_default_configs_and_dispatch():
 
 
 def test_config_round_trips_through_json():
-    cfg = default_config("language-change")
-    clone = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-    assert clone == cfg
+    lex = Lexicon(2)
+    golden, full = Grammar.from_rows([[1, 1], [1, 0]]), Grammar.from_rows([[1, 1], [1, 1]])
+    # every field away from its default, so that every derived converter runs
+    everything = ExperimentConfig(
+        experiment="language-change", theta=2, true_grammar=golden, lower=golden, upper=full,
+        potential=Potential.from_table(lex, 3, {(0, 1, 1): 0.5, (1, 1, 0): -1.25}),
+        candidates=(golden, full), checkpoints=(5, 7), seeds=3, base_seed=4, tie_tol=1e-7,
+        scales=(0.5, 2.0), reward=1.5, reward_margin=0.5, bisect_tol=1e-3,
+        penalties=(1.0, -2.0), sample_length=9, n_potentials=4, value_bound=0.5,
+        potential_ranges=(2, 4), tolerance=0.1)
+    defaults = ExperimentConfig(experiment="smb")
+    assert all(getattr(everything, f.name) != getattr(defaults, f.name)
+               for f in dataclasses.fields(ExperimentConfig))
+    for cfg in (*map(default_config, EXPERIMENT_IDS), everything):
+        clone = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        assert clone == cfg
+
+
+def test_every_config_field_type_has_a_converter():
+    for f in dataclasses.fields(ExperimentConfig):
+        assert callable(experiments._converter(f.type)), f.name
+    for unsupported in (dict[str, int], list[int], tuple[int, int], int | str | None):
+        with pytest.raises((KeyError, ValueError)):
+            experiments._converter(unsupported)
 
 
 def test_config_from_dict_diagnostics():
@@ -179,7 +199,7 @@ def test_misidentification_needs_the_penalty():
 
 
 def test_monotonicity_scan_is_clean_at_theta_two():
-    report = run_monotonicity_scan(default_config("monotonicity"))
+    report = run_experiment(default_config("monotonicity"))
     assert report.thresholds["grammars"] == 3
     assert report.thresholds["comparable_pairs"] == 2
     assert report.thresholds["violations"] == 0
@@ -191,9 +211,37 @@ def test_monotonicity_scan_is_clean_at_theta_two():
     assert len(report.curve) == 21    # zero potential + twenty random tables
 
 
+@pytest.mark.parametrize("experiment, overrides, name", [
+    ("monotonicity", {"n_potentials": -3}, "n_potentials"),
+    ("monotonicity", {"value_bound": -2.0}, "value_bound"),
+    ("ml-misidentification", {"penalties": ()}, "penalties"),
+])
+def test_bad_runner_fields_are_named_before_any_solve(monkeypatch, experiment, overrides, name):
+    def no_solve(*args):
+        raise AssertionError("solved before the config was checked")
+    monkeypatch.setattr(experiments, "chain_stack", no_solve)
+    monkeypatch.setattr(experiments, "_pressure_family", no_solve)
+    with pytest.raises(ValidationError, match=name):
+        run_experiment(small(default_config(experiment), **overrides))
+
+
+def test_runners_take_zero_counts_and_ignore_fields_they_do_not_use():
+    # no random potentials: the bound goes unused, and only the zero potential is scanned
+    report = run_experiment(small(default_config("monotonicity"), n_potentials=0,
+                                  value_bound=-1.0))
+    assert len(report.curve) == 1
+    # a zero bound makes every random table the zero potential
+    report = run_experiment(small(default_config("monotonicity"), n_potentials=3,
+                                  value_bound=0.0))
+    gaps = [row["mean_score_gap"] for row in report.curve]
+    assert gaps == pytest.approx([gaps[0]] * 4, rel=1e-12)
+    run_experiment(small(default_config("smb"), seeds=2, penalties=(), n_potentials=-3,
+                         value_bound=-1.0))
+
+
 def test_monotonicity_scan_requires_theta():
     with pytest.raises(ValidationError):
-        run_monotonicity_scan(small(default_config("monotonicity"), theta=None))
+        run_experiment(small(default_config("monotonicity"), theta=None))
 
 
 def test_smb_estimates_concentrate():

@@ -79,6 +79,15 @@ def test_potential_rejects_duplicates_wrong_length_and_non_finite(lex2):
         Potential(lex2, 1, ())
 
 
+def test_potential_range_is_checked_not_truncated(lex2):
+    for bad in (2.7, 3.0, True, np.float64(3.0), "3"):
+        with pytest.raises(ValidationError, match="^potential range must be an integer"):
+            Potential(lex2, bad, ())
+    for good in (3, np.int64(3), np.uint8(3)):
+        p = Potential(lex2, good, ())
+        assert p.range == 3 and type(p.range) is int
+
+
 def test_potential_scaling(lex2):
     p = Potential.from_table(lex2, 2, {(0, 1): 0.4})
     assert p.scaled(2.5).value((0, 1)) == pytest.approx(1.0)

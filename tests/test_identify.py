@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from sftlearn import (
@@ -22,6 +23,7 @@ from sftlearn import (
     score_candidates,
     transition_closure,
 )
+from sftlearn.identify import validate_checkpoints
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -218,6 +220,14 @@ def test_curve_checkpoints_must_increase(golden, trio, zero2):
         identify_curve(chain, zero2, trio, (0, 5), seed=0)
     with pytest.raises(ValidationError):
         identify_curve(chain, zero2, trio, (), seed=0)
+
+
+def test_checkpoints_are_checked_not_truncated():
+    for bad in ((10.9, 50.2), (10, 50.0), (True, 5), (np.float64(3.0),)):
+        with pytest.raises(ValidationError, match="^checkpoint must be an integer"):
+            validate_checkpoints(bad)
+    assert validate_checkpoints((np.int64(10), 50)) == [10, 50]
+    assert validate_checkpoints(np.array([1, 5])) == [1, 5]
 
 
 def test_curve_agrees_with_direct_scoring_of_prefixes(golden, trio, zero2):
