@@ -91,6 +91,12 @@ def _load_word(args) -> tuple[int, ...]:
     return word
 
 
+def _grammar_set(data) -> tuple[Grammar, ...]:
+    if not isinstance(data, list) or not data:
+        raise ValidationError("grammar set must be a nonempty JSON array")
+    return tuple(map(grammar_from_dict, data))
+
+
 def _chain_inputs(args) -> tuple[Grammar, Potential]:
     """The ``--grammar`` and ``--potential`` of a chain subcommand."""
     g = _load(args.grammar, grammar_from_dict)
@@ -118,10 +124,7 @@ def _cmd_identify(args) -> str:
         theta = args.theta if args.theta is not None else max(2, max(word) + 1)
         candidates = tuple(enumerate_grammars(Lexicon(theta)))
     else:
-        data = _load_json(args.grammar_set)
-        if not isinstance(data, list) or not data:
-            raise ValidationError(f"{args.grammar_set}: grammar set must be a nonempty JSON array")
-        candidates = tuple(grammar_from_dict(item) for item in data)
+        candidates = _load(args.grammar_set, _grammar_set)
     phi = _load_potential(args.potential, candidates[0].lexicon)
     outcome = identify(word, phi, candidates, args.tie_tol)
     return dumps(outcome_to_dict(outcome))

@@ -47,7 +47,6 @@ from .identify import (
     validate_checkpoints,
 )
 from .serialize import (
-    _encode_float,
     _finite,
     _int,
     _read,
@@ -226,19 +225,15 @@ def default_config(experiment: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def _resolve_candidates(cfg: ExperimentConfig, lexicon: Lexicon) -> tuple[Grammar, ...]:
-    if cfg.candidates is not None:
-        for g in cfg.candidates:
-            if g.lexicon != lexicon:
-                raise ValidationError("candidate lexicon mismatch")
-        return tuple(cfg.candidates)
-    return tuple(enumerate_grammars(lexicon))
+    """The config's candidates, or every primitive grammar over ``lexicon``;
+    a candidate over another lexicon is rejected by the class solve."""
+    return tuple(enumerate_grammars(lexicon) if cfg.candidates is None else cfg.candidates)
 
 
-def _index_of(grammar: Grammar, candidates, role: str) -> int:
-    for i, g in enumerate(candidates):
-        if g == grammar:
-            return i
-    raise ValidationError(f"{role} grammar is not among the candidates")
+def _index_of(grammar: Grammar, candidates: tuple, role: str) -> int:
+    if grammar not in candidates:
+        raise ValidationError(f"{role} grammar is not among the candidates")
+    return candidates.index(grammar)
 
 
 def _comparable_pairs(grammars) -> np.ndarray:
@@ -298,32 +293,38 @@ def _seeds(cfg: ExperimentConfig) -> range:
     return range(cfg.base_seed, cfg.base_seed + cfg.seeds)
 
 
-def _study(cfg: ExperimentConfig, chains, truth: int, ends, n: int):
-    """Draw the config's seeds' words of ``n`` symbols from ``chains[truth]``
-    and score their prefixes of ``ends`` symbols under every chain: the
-    ``(S, P, K)`` log likelihoods, their answer-set masks ``(admissible, ml,
-    min_entropy)``, and the first seed's word."""
-    _check_tie_tol(cfg.tie_tol)
+def _study(cfg: ExperimentConfig, phi: Potential, candidates, truth: Grammar, role: str, ends):
+    """The one study path: solve the candidates' chains under ``phi``, draw
+    the config's seeds' words from the chain of ``truth`` (the ``role``
+    grammar, one of the candidates), of ``ends[-1]`` symbols or one block,
+    and score their prefixes of ``ends`` symbols under every chain.  Returns
+    the chains, the truth's index, the ``(S, P, K)`` log likelihoods, their
+    answer-set masks ``(admissible, ml, min_entropy)``, and the first seed's
+    word."""
+    index = _index_of(truth, candidates, role)
+    chains = chain_stack(candidates, phi)
     word = []
-    lls = np.concatenate([_log_measures(chains, ends, heads, counts) for heads, counts
-                          in _sample_counts(chains[truth], n, _seeds(cfg), ends, word)])
-    return lls, _answer_sets(lls, [c.entropy for c in chains], cfg.tie_tol), word
+    draws = _sample_counts(chains[index], max(ends[-1], phi.range - 1), _seeds(cfg), ends, word)
+    lls = np.concatenate([_log_measures(chains, ends, heads, counts) for heads, counts in draws])
+    return (chains, index, lls, _answer_sets(lls, [c.entropy for c in chains], cfg.tie_tol),
+            word)
 
 
 def _report(cfg: ExperimentConfig, curve, **fields) -> ExperimentReport:
     return ExperimentReport(cfg.experiment, cfg.to_dict(), curve, **fields)
 
 
-def _study_report(cfg, candidates, chains, end: int, lls, word, details: dict,
+def _study_report(cfg, candidates, chains, lls, word, details: dict,
                   **report) -> ExperimentReport:
-    """A study's report, with the candidate table of the last prefixes'
-    scores (of ``end`` symbols) and the first seed's word and outcome."""
+    """A study's report, with the candidate table of the scores at the last
+    checkpoint and the first seed's word and outcome."""
     final = lls[:, -1]
     table = [{"grammar": grammar_to_dict(g), "entropy": chain.entropy,
               "admit_frequency": _mean((ll > -np.inf).tolist()),
-              "mean_log_likelihood": _encode_float(_mean(ll.tolist()))}
+              "mean_log_likelihood": _mean(ll.tolist())}
              for g, chain, ll in zip(candidates, chains, final.T)]
-    outcome = _outcome(end, _scores(candidates, chains, final[0].tolist()), cfg.tie_tol)
+    outcome = _outcome(int(cfg.checkpoints[-1]), _scores(candidates, chains, final[0].tolist()),
+                       cfg.tie_tol)
     details["first_seed"] = {"seed": cfg.base_seed, "word": format_word(word),
                              "final_outcome": outcome_to_dict(outcome)}
     return _report(cfg, candidate_table=table, details=details, **report)
@@ -340,14 +341,13 @@ def _run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     procedure = "ml" if cfg.experiment == "ml-convergence" else "entropy"
     if cfg.true_grammar is None:
         raise ValidationError(f"{cfg.experiment} needs a true_grammar")
+    _check_tie_tol(cfg.tie_tol)
+    cps = validate_checkpoints(cfg.checkpoints)
     lex = cfg.true_grammar.lexicon
     phi = cfg.potential if cfg.potential is not None else Potential.zero(lex)
     candidates = _resolve_candidates(cfg, lex)
-    truth_idx = _index_of(cfg.true_grammar, candidates, "true")
-    chains = chain_stack(candidates, phi)
-    cps = validate_checkpoints(cfg.checkpoints)
-    lls, (admissible, ml, me), word = _study(cfg, chains, truth_idx, cps,
-                                             max(cps[-1], phi.range - 1))
+    chains, truth_idx, lls, (admissible, ml, me), word = _study(
+        cfg, phi, candidates, cfg.true_grammar, "true", cps)
     if procedure == "ml":
         defined = admissible.any(axis=-1) & (len(chains) > 1)   # a finite best, and a second
         chosen, gaps = ml, (_gap(lls), defined)
@@ -359,7 +359,7 @@ def _run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     details = {"true_index": truth_idx}
     if procedure == "entropy" and cfg.scales:
         details["monotonicity"] = _entropy_monotonicity_sweep(candidates, phi, cfg.scales)
-    return _study_report(cfg, candidates, chains, cps[-1], lls, word, details, curve=curve)
+    return _study_report(cfg, candidates, chains, lls, word, details, curve=curve)
 
 
 def _entropy_monotonicity_sweep(candidates, phi: Potential, scales) -> dict:
@@ -417,24 +417,22 @@ def _run_language_change(cfg: ExperimentConfig) -> ExperimentReport:
     likelihood stays with the true (smaller) one."""
     if cfg.lower is None or cfg.upper is None:
         raise ValidationError("language-change needs lower and upper grammars")
-    lex = cfg.lower.lexicon
+    _check_tie_tol(cfg.tie_tol)
+    cps = validate_checkpoints(cfg.checkpoints)
+    candidates = _resolve_candidates(cfg, cfg.lower.lexicon)
+    upper_idx = _index_of(cfg.upper, candidates, "upper")
     crossing = entropy_crossing(cfg.lower, cfg.upper, cfg.bisect_tol)
     reward = crossing + cfg.reward_margin if cfg.reward == "auto" else float(cfg.reward)
     phi = periodic_orbit_potential(cfg.lower, cfg.upper, reward)
-    candidates = _resolve_candidates(cfg, lex)
-    lower_idx = _index_of(cfg.lower, candidates, "lower")
-    upper_idx = _index_of(cfg.upper, candidates, "upper")
-    chains = chain_stack(candidates, phi)
-    cps = validate_checkpoints(cfg.checkpoints)
-    lls, (admissible, ml, me), word = _study(cfg, chains, lower_idx, cps,
-                                             max(cps[-1], phi.range - 1))
+    chains, lower_idx, lls, (admissible, ml, me), word = _study(
+        cfg, phi, candidates, cfg.lower, "lower", cps)
     flip = me[..., upper_idx] & ~me[..., lower_idx]
     ml_true = ml[..., lower_idx] & (ml.sum(axis=-1) == 1)
     curve = [{"n": cp, "frequency": f, "mean_score_gap": g, "ml_frequency": m}
              for cp, f, g, m in zip(cps, _means(flip), _means(*_entropy_gaps(admissible, chains)),
                                     _means(ml_true))]
     return _study_report(
-        cfg, candidates, chains, cps[-1], lls, word,
+        cfg, candidates, chains, lls, word,
         {"lower_index": lower_idx, "upper_index": upper_idx,
          "orbit_potential": potential_to_dict(phi)},
         curve=curve,
@@ -452,25 +450,27 @@ def _run_ml_misidentification(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValidationError("ml-misidentification needs lower strictly below upper")
     if not cfg.penalties:
         raise ValidationError("penalties must list at least one penalty")
+    _check_tie_tol(cfg.tie_tol)
+    n = cfg.sample_length
+    if n < 1:   # the penalty potential has range 2, so its blocks are single symbols
+        raise ValidationError(f"sample_length {n} is shorter than the block size 1")
     lex = cfg.lower.lexicon
     candidates = _resolve_candidates(cfg, lex)
     lower_idx = _index_of(cfg.lower, candidates, "lower")
-    upper_idx = _index_of(cfg.upper, candidates, "upper")
     extra = [(a, b) for a in lex.symbols for b in lex.symbols
              if cfg.upper.matrix[a][b] and not cfg.lower.matrix[a][b]]
     curve = []
     first = None
-    n = cfg.sample_length
     for penalty in cfg.penalties:
         phi = Potential.from_table(lex, 2, {pair: -float(penalty) for pair in extra})
-        chains = chain_stack(candidates, phi)
-        lls, (admissible, ml, _), word = _study(cfg, chains, upper_idx, (n,), n)
+        _, upper_idx, lls, (admissible, ml, _), word = _study(
+            cfg, phi, candidates, cfg.upper, "upper", (n,))
         avoided = admissible[:, 0, lower_idx]
         hits = avoided & ml[:, 0, lower_idx] & ~ml[:, 0, upper_idx]
         gaps = lls[avoided, 0, lower_idx] - lls[avoided, 0, upper_idx]
         if first is None:
             first = {"seed": cfg.base_seed, "penalty": penalty, "word": format_word(word)}
-        curve.append({"n": cfg.sample_length, "penalty": penalty,
+        curve.append({"n": n, "penalty": penalty,
                       "frequency": _mean(hits.tolist()), "mean_score_gap": _mean(gaps.tolist()),
                       "avoid_frequency": _mean(avoided.tolist())})
     return _report(cfg, curve, thresholds={"penalized_transitions": [list(p) for p in extra]},
@@ -517,14 +517,10 @@ def _run_smb(cfg: ExperimentConfig) -> ExperimentReport:
     a tolerance of the chain's entropy rate, along growing prefixes."""
     if cfg.true_grammar is None:
         raise ValidationError("smb needs a true_grammar")
-    lex = cfg.true_grammar.lexicon
-    phi = cfg.potential if cfg.potential is not None else Potential.zero(lex)
-    chain = gibbs_chain(cfg.true_grammar, phi)
     cps = validate_checkpoints(cfg.checkpoints)
-    n = max(cps[-1], phi.range - 1)
-    estimates = np.concatenate([_log_measures((chain,), cps, heads, counts)[..., 0]
-                                for heads, counts in _sample_counts(chain, n, _seeds(cfg), cps)])
-    estimates = -estimates / cps
+    phi = cfg.potential if cfg.potential is not None else Potential.zero(cfg.true_grammar.lexicon)
+    [chain], _, lls, _, _ = _study(cfg, phi, (cfg.true_grammar,), cfg.true_grammar, "true", cps)
+    estimates = -lls[..., 0] / cps
     devs = np.abs(estimates - chain.entropy)
     curve = [{"n": cp, "frequency": f, "mean_score_gap": g}
              for cp, f, g in zip(cps, _means(devs <= cfg.tolerance), _means(devs))]

@@ -363,7 +363,8 @@ def perron(transfer: TransferMatrix) -> tuple[float, np.ndarray, np.ndarray]:
 class GibbsChain:
     """Stationary Markov chain realizing the equilibrium measure exactly.
 
-    States and ``index`` are those of the transfer matrix.
+    ``index`` is the transfer matrix's, and so are ``states``, which the
+    chain derives from ``index`` on first use.
     ``transition[u, v] = entries[u, v] * h[v] / (lam * h[u])`` is stochastic
     and ``stationary = nu * h`` is its invariant law; cylinder probabilities
     of admissible words are exact products along the block path.  ``lam``
@@ -372,7 +373,6 @@ class GibbsChain:
 
     grammar: Grammar
     potential: Potential
-    states: tuple[tuple[int, ...], ...]
     index: np.ndarray
     lam: float
     pressure: float
@@ -381,6 +381,12 @@ class GibbsChain:
     transition: np.ndarray
     stationary: np.ndarray
     entropy: float
+
+    @cached_property
+    def states(self) -> tuple[tuple[int, ...], ...]:
+        """The admissible ``(range-1)``-blocks, in code order."""
+        return tuple(_words(np.flatnonzero(self.index >= 0), self.grammar.lexicon.theta,
+                            self.potential.range - 1))
 
     @cached_property
     def _logs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -420,9 +426,6 @@ def chain_stack(grammars, potential: Potential) -> tuple[GibbsChain, ...]:
     together; each chain's arrays are read-only views of its stack's."""
     grammars = tuple(grammars)
     blocks = _class_blocks(grammars, potential)
-    index, sizes = blocks[:2]
-    states = _words(np.nonzero(index >= 0)[1], potential.lexicon.theta, potential.range - 1)
-    bounds = [0, *np.cumsum(sizes).tolist()]
     chains = [None] * len(grammars)
     for members, shifts, stack, lam, pair in _perron_stack(_transfer_stack(blocks, [potential])):
         h, nu = _normalized(pair)
@@ -440,10 +443,9 @@ def chain_stack(grammars, potential: Potential) -> tuple[GibbsChain, ...]:
             if shift:   # exp(pressure), which is inf past 709.78
                 root = math.exp(p) if p <= _LOG_MAX else math.inf
             chains[k] = GibbsChain(
-                grammar=grammars[k], potential=potential,
-                states=tuple(states[bounds[k]:bounds[k + 1]]), index=index[k],
-                lam=root, pressure=p, h=h[i], nu=nu[i],
-                transition=transition[i], stationary=stationary[i], entropy=ent)
+                grammar=grammars[k], potential=potential, index=blocks[0][k], lam=root,
+                pressure=p, h=h[i], nu=nu[i], transition=transition[i],
+                stationary=stationary[i], entropy=ent)
     return tuple(chains)
 
 
@@ -570,8 +572,9 @@ def sample(chain: GibbsChain, n: int, seed: int) -> Sample:
 
     The initial block comes from the stationary law and each step from the
     transition matrix via inverse-CDF lookup, so a given ``seed`` always
-    reproduces the same word.  Requires ``n >= range - 1`` and ``seed >= 0``.
+    reproduces the same word.  Requires integers ``n >= range - 1`` and ``seed >= 0``.
     """
+    n, seed = _integer(n, "sample length"), _integer(seed, "seed")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
     _check_length(chain, n)

@@ -45,8 +45,10 @@ class Lexicon:
     theta: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.theta, int) or isinstance(self.theta, bool) or self.theta < 2:
+        theta = _integer(self.theta, "lexicon theta")
+        if theta < 2:
             raise ValidationError(f"lexicon needs an integer theta >= 2, got {self.theta!r}")
+        object.__setattr__(self, "theta", theta)
 
     @property
     def symbols(self) -> range:
@@ -91,14 +93,15 @@ def format_word(word) -> str:
 
 
 def _as_incidence(matrix) -> np.ndarray:
-    try:
-        arr = np.asarray(matrix, dtype=np.int64)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"incidence matrix must be numeric, got {matrix!r}") from exc
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"incidence matrix must be square, got shape {arr.shape}")
-    if arr.shape[0] < 2:
+    """``matrix`` as a square int64 array of at least two symbols whose
+    entries are :func:`_integer` 0s and 1s."""
+    entries = np.array(matrix, dtype=object)   # ragged rows make a 1-D array of rows
+    if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+        raise ValidationError(f"incidence matrix must be square, got shape {entries.shape}")
+    if entries.shape[0] < 2:
         raise ValidationError("incidence matrix needs at least two symbols")
+    arr = np.array([_integer(x, "incidence matrix entry") for x in entries.flat],
+                   dtype=np.int64).reshape(entries.shape)
     if arr.min() < 0 or arr.max() > 1:
         raise ValidationError("incidence matrix entries must be 0 or 1")
     return arr

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,17 @@ def test_identify_accepts_word_files_and_explicit_sets(capsys, tmp_path, zero_fi
     code, _, err = run(capsys, "identify", "--sample-file", str(bad_word))
     assert code == 1
     assert "array of nonnegative integers" in err
+
+
+def test_a_bad_grammar_set_is_named_by_its_path(capsys, tmp_path):
+    path = tmp_path / "set.json"
+    for data, message in (([{"theta": 2, "matrix": [[1, 1.5], [1, 0]]}],
+                           "grammar field 'matrix': expected an integer, got 1.5"),
+                          ([], "grammar set must be a nonempty JSON array")):
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "identify", "--sample", "0101", "--grammar-set", str(path))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"sftlearn: error: {path}: {message}"]
 
 
 def test_enumerate_emits_reparsable_grammars(capsys):
@@ -294,6 +306,22 @@ def test_readme_cli_examples_match_the_code(capsys, golden_file):
     assert f'"seed": 7, "word": "{json.loads(out)["word"]}"' in shown[0]
     out, shown = example("sftlearn experiment --experiment smb --format csv")
     assert out.splitlines() == shown
+
+
+def test_readme_python_examples_hold_their_comments():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    names = {}
+    for block in blocks:
+        exec(block, names)
+    quick = blocks[0]
+    assert "# 3 of them" in quick and len(names["grammars"]) == 3
+    chain = names["chain"]
+    assert "# 1.618..." in quick and chain.lam == pytest.approx(PHI, rel=1e-12)
+    assert "# equal to pressure" in quick and chain.entropy == pytest.approx(chain.pressure,
+                                                                             rel=1e-12)
+    outcome, golden = names["outcome"], names["golden"]
+    assert quick.count("# {golden}") == 2
+    assert outcome.ml_set == outcome.min_entropy_set == {golden}
 
 
 # SHA-256 of the stdout of ``sftlearn experiment --experiment X --seed S`` at

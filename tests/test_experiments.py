@@ -215,11 +215,17 @@ def test_monotonicity_scan_is_clean_at_theta_two():
     ("monotonicity", {"n_potentials": -3}, "n_potentials"),
     ("monotonicity", {"value_bound": -2.0}, "value_bound"),
     ("ml-misidentification", {"penalties": ()}, "penalties"),
+    ("ml-misidentification", {"sample_length": 0}, "sample_length"),
+    ("ml-misidentification", {"tie_tol": -1.0}, "tie_tol"),
+    ("language-change", {"tie_tol": -1.0}, "tie_tol"),
+    ("language-change", {"checkpoints": (5, 5)}, "checkpoints"),
+    ("ml-convergence", {"checkpoints": ()}, "checkpoints"),
 ])
 def test_bad_runner_fields_are_named_before_any_solve(monkeypatch, experiment, overrides, name):
     def no_solve(*args):
         raise AssertionError("solved before the config was checked")
     monkeypatch.setattr(experiments, "chain_stack", no_solve)
+    monkeypatch.setattr(experiments, "gibbs_chain", no_solve)
     monkeypatch.setattr(experiments, "_pressure_family", no_solve)
     with pytest.raises(ValidationError, match=name):
         run_experiment(small(default_config(experiment), **overrides))
@@ -236,7 +242,7 @@ def test_runners_take_zero_counts_and_ignore_fields_they_do_not_use():
     gaps = [row["mean_score_gap"] for row in report.curve]
     assert gaps == pytest.approx([gaps[0]] * 4, rel=1e-12)
     run_experiment(small(default_config("smb"), seeds=2, penalties=(), n_potentials=-3,
-                         value_bound=-1.0))
+                         value_bound=-1.0, tie_tol=-1.0))
 
 
 def test_monotonicity_scan_requires_theta():
@@ -252,6 +258,28 @@ def test_smb_estimates_concentrate():
             for e in report.details["final_estimates"]]
     assert max(devs) < 0.05
     assert report.thresholds["entropy"] == pytest.approx(math.log(PHI), abs=1e-9)
+
+
+@pytest.mark.parametrize("rows, table", [
+    ([[1, 1], [1, 0]], {}),
+    ([[1, 1], [1, 1]], {(0, 0, 0): 0.5, (0, 1, 1): -0.75, (1, 0, 1): 1.0, (1, 1, 0): 0.25,
+                        (1, 1, 1): -0.5}),
+], ids=["golden-zero", "full-range3"])
+def test_smb_mean_score_matches_the_stationary_closed_form(rows, table):
+    """A stationary chain has ``E[-log mu[w_1..w_n]] = H(pi) + (n - r + 1) h``,
+    with ``H(pi)`` the entropy of its law on ``(r-1)``-blocks and ``h`` its
+    entropy rate.  The seeds are fixed; the seeds' mean of ``-ll/n`` lies
+    within 4 standard errors of that value over n."""
+    g, n = Grammar.from_rows(rows), 1000
+    phi = Potential.from_table(g.lexicon, 3 if table else 2, table)
+    cfg = ExperimentConfig(experiment="smb", true_grammar=g, potential=phi, checkpoints=(n,),
+                           seeds=2000, base_seed=0)
+    estimates = np.array(run_experiment(cfg).details["final_estimates"])
+    chain = gibbs_chain(g, phi)
+    pi = chain.stationary
+    expected = (-(pi * np.log(pi)).sum() + (n - phi.range + 1) * chain.entropy) / n
+    error = estimates.std(ddof=1) / math.sqrt(len(estimates))
+    assert abs(estimates.mean() - expected) < 4 * error
 
 
 def test_reports_are_deterministic_and_serializable():

@@ -88,6 +88,15 @@ def test_potential_range_is_checked_not_truncated(lex2):
         assert p.range == 3 and type(p.range) is int
 
 
+def test_sample_length_and_seed_are_checked_not_coerced(golden, zero2):
+    chain = gibbs_chain(golden, zero2)
+    for n, seed, name in ((10.0, 1, "sample length"), (10, True, "seed"), (10, 1.0, "seed")):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer"):
+            sample(chain, n, seed)
+    drawn = sample(chain, np.int64(10), np.uint8(1))
+    assert drawn == sample(chain, 10, 1) and type(drawn.seed) is int
+
+
 def test_potential_scaling(lex2):
     p = Potential.from_table(lex2, 2, {(0, 1): 0.4})
     assert p.scaled(2.5).value((0, 1)) == pytest.approx(1.0)

@@ -39,6 +39,11 @@ def test_lexicon_rejects_non_integral_or_small_theta(bad):
         Lexicon(bad)
 
 
+def test_lexicon_stores_a_numpy_integer_theta_as_an_int():
+    lex = Lexicon(np.int64(3))
+    assert lex == Lexicon(3) and type(lex.theta) is int
+
+
 def test_lexicon_symbols_enumerate_the_alphabet():
     assert list(Lexicon(4).symbols) == [0, 1, 2, 3]
 
@@ -150,6 +155,17 @@ def test_is_primitive_rejects_malformed_matrices():
         is_primitive([[1]])
 
 
+@pytest.mark.parametrize("rows", [
+    ((1, 1.5), (1, 0)), ((1, 1.0), (1, 0)), ((True, 1), (1, 0)), ((1, "1"), (1, 0)),
+    np.array([[1, 1], [1, 0]], dtype=bool), np.array([[1, 1], [1, 0]], dtype=float),
+])
+def test_incidence_entries_are_checked_not_coerced(lex2, rows):
+    with pytest.raises(ValidationError, match="entry must be an integer"):
+        is_primitive(rows)
+    with pytest.raises(ValidationError, match="entry must be an integer"):
+        Grammar(lex2, rows)
+
+
 # ---------------------------------------------------------------------------
 # grammars
 # ---------------------------------------------------------------------------
@@ -174,7 +190,7 @@ def test_grammar_shape_must_match_lexicon(lex2):
 
 def test_grammar_equality_and_hash(golden):
     again = Grammar.from_rows(np.array([[1, 1], [1, 0]]))
-    assert again == golden
+    assert again == golden == Grammar.from_rows(np.array([[1, 1], [1, 0]], dtype=np.uint8))
     assert hash(again) == hash(golden)
 
 
