@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -148,6 +149,7 @@ def _cmd_experiment(args) -> str:
     return dumps(report.to_dict())
 
 
+@functools.cache   # parsing leaves a parser as it was, so one process builds it once
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sftlearn",
                      description="Gibbs chains over subshifts of finite type, and "

@@ -420,11 +420,12 @@ def _run_language_change(cfg: ExperimentConfig) -> ExperimentReport:
     _check_tie_tol(cfg.tie_tol)
     cps = validate_checkpoints(cfg.checkpoints)
     candidates = _resolve_candidates(cfg, cfg.lower.lexicon)
+    lower_idx = _index_of(cfg.lower, candidates, "lower")
     upper_idx = _index_of(cfg.upper, candidates, "upper")
     crossing = entropy_crossing(cfg.lower, cfg.upper, cfg.bisect_tol)
     reward = crossing + cfg.reward_margin if cfg.reward == "auto" else float(cfg.reward)
     phi = periodic_orbit_potential(cfg.lower, cfg.upper, reward)
-    chains, lower_idx, lls, (admissible, ml, me), word = _study(
+    chains, _, lls, (admissible, ml, me), word = _study(
         cfg, phi, candidates, cfg.lower, "lower", cps)
     flip = me[..., upper_idx] & ~me[..., lower_idx]
     ml_true = ml[..., lower_idx] & (ml.sum(axis=-1) == 1)

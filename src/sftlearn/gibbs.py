@@ -35,7 +35,9 @@ score is the same pairwise sum over the same terms as for its word alone,
 bit for bit.  :func:`_sample_counts` draws the words of many seeds at once,
 exactly those of :func:`sample`, and keeps only their counts at given
 prefix lengths.  It steps all seeds through one lookup table per block of
-uniforms, each block as wide as a fixed table-entry budget allows.
+uniforms, each block as wide as a fixed table-entry budget allows, and each
+seed draws its uniforms once per slab of whole blocks, a batch's slab within
+twice that budget (512 KB) or one block.
 """
 
 from __future__ import annotations
@@ -593,9 +595,10 @@ def sample(chain: GibbsChain, n: int, seed: int) -> Sample:
     return Sample(tuple(word), seed, chain.grammar, chain.potential)
 
 
-# The lockstep sampler draws up to this many seeds at a time, and per seed as
-# many uniforms at a time as make a step table of about this many entries (at
-# least 64), so its memory does not grow with seeds or length.
+# The lockstep sampler draws up to this many seeds at a time, steps them in
+# blocks whose step table holds about this many entries (at least 64 columns),
+# and draws their uniforms in slabs of at most twice as many (or one block),
+# so its memory does not grow with seeds or length.
 _SEED_BATCH = 256
 _TABLE_ENTRIES = 1 << 15
 
@@ -607,10 +610,13 @@ def _sample_counts(chain: GibbsChain, n: int, seeds, ends, word: list | None = N
     bincount of the range-word codes among its first ``ends[k]`` symbols
     (``ends`` ascend, and ``n == max(ends[-1], range-1)``).  The first
     seed's word is appended to ``word``, if given.  A batch of B seeds of a
-    d-state chain draws each seed's uniforms from its own generator,
-    continuing its stream exactly, in blocks of ``min(columns, max(64,
-    _TABLE_ENTRIES // (d * B)))`` columns, and a block's steps are one
-    ``take`` each in one table."""
+    d-state chain steps in blocks of ``width = min(columns, max(64,
+    _TABLE_ENTRIES // (d * B)))`` columns, each step one ``take`` in the
+    block's table.  Each seed draws its uniforms from its own generator,
+    continuing its stream exactly, once per slab of ``width * min(ceil(columns
+    / width), max(1, 2 * _TABLE_ENTRIES // (B * width)))`` columns, whole
+    blocks, so a batch's slab holds at most ``2 * _TABLE_ENTRIES`` doubles
+    (512 KB), or one block; a block reads a view of its slab."""
     _check_length(chain, n)
     t, r = chain.grammar.lexicon.theta, chain.potential.range
     blocks = np.flatnonzero(chain.index >= 0)
@@ -635,18 +641,24 @@ def _sample_counts(chain: GibbsChain, n: int, seeds, ends, word: list | None = N
         rngs = [np.random.default_rng(s) for s in seeds[lo:lo + _SEED_BATCH]]
         b = len(rngs)
         width = min(columns, max(64, _TABLE_ENTRIES // (d * b)))
-        u, less = np.empty((b, width)), np.empty((b, width), dtype=bool)
+        per = width * min(-(-columns // width), max(1, 2 * _TABLE_ENTRIES // (b * width)))
+        # zeros, not empty: a last block shorter than its view reads the slab's unused tail
+        slab, less = np.zeros((b, per)), np.empty((b, width), dtype=bool)
         # table[s, i, j] holds the state that seed i's column j reaches from s, as
         # the position its next column reads, next * size + base[i, j]; path[j + 1]
         # holds the position after column start + j, path[0] the state before
         size, base = b * width, np.arange(b)[:, None] * width + np.arange(1, width + 1) % width
         table = np.array(always)[:, None, None] * size + base
         path, flat = np.zeros((width + 1, b), dtype=np.intp), np.empty((width, b), dtype=np.intp)
+        rows, take = list(path), table.take
         counts = np.zeros((b, len(ends), t**r), dtype=np.int64)
+        offsets = np.arange(b) * (len(ends) * t**r)
         for start in range(0, columns, width):
-            span, skip = min(width, columns - start), int(start == 0)
-            for rng, row in zip(rngs, u):
-                rng.random(out=row[:span])
+            span, skip, at = min(width, columns - start), int(start == 0), start % per
+            if not at:   # each seed's next slab, or what is left of its columns
+                for rng, row in zip(rngs, slab[:, :columns - start]):
+                    rng.random(out=row)
+            u = slab[:, at:at + width]
             for s, runs in several:
                 nxt = table[s]
                 nxt.fill(always[s])
@@ -658,13 +670,13 @@ def _sample_counts(chain: GibbsChain, n: int, seeds, ends, word: list | None = N
                 path[0] = np.searchsorted(start_cum, np.maximum(u[:, 0], tiny) * start_cum[-1])
                 head = blocks[path[0]]
             path[skip] = path[0] * size + base[:, skip - 1]
-            for before, after in zip(path[skip:span], path[skip + 1:span + 1]):
-                table.take(before, out=after, mode="clip")
+            for before, after in zip(rows[skip:span], rows[skip + 1:span + 1]):
+                take(before, None, after, "clip")
             states = np.floor_divide(path[:span + 1], size, out=path[:span + 1])
             steps = np.multiply(states[skip:span], d, out=flat[skip:span])
             steps += states[skip + 1:]
             pairs.take(steps, out=steps)
-            steps += np.arange(b) * (len(ends) * t**r)
+            steps += offsets
             steps += np.searchsorted(inside, np.arange(start + skip, start + span))[:, None] * t**r
             counts += np.bincount(steps.ravel(), minlength=counts.size).reshape(counts.shape)
             if word is not None and lo == 0:   # states[1] is the first block if skip

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 from sftlearn import Grammar, enumerate_grammars, Lexicon, Potential, pressure_stack
 from sftlearn import experiments, gibbs
-from sftlearn.cli import main
+from sftlearn.cli import build_parser, main
 from sftlearn.serialize import grammar_from_dict, potential_from_dict
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -178,6 +180,31 @@ def test_help_lists_every_subcommand(capsys):
     for name in ("pressure", "entropy", "sample", "identify", "experiment",
                  "enumerate"):
         assert name in out
+
+
+def test_one_process_prints_what_a_fresh_process_prints_for_each_command(capsys, golden_file):
+    assert build_parser() is build_parser()   # one parser per process
+    sequence = [
+        ["experiment", "--experiment", "ml-convergence"],
+        ["experiment", "--experiment", "nope"],   # a bad command line: usage, exit 1
+        ["pressure", "--grammar", golden_file],
+        ["identify", "--sample", "0110"],
+        ["--version"],
+        ["experiment", "--experiment", "ml-convergence"],
+    ]
+    timing = re.compile(r"finished in \d+\.\d+s")
+    codes = []
+    for argv in sequence:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        alone = subprocess.run([sys.executable, "-m", "sftlearn.cli", *argv], capture_output=True)
+        assert (code, out.encode(), timing.sub("", err)) \
+            == (alone.returncode, alone.stdout, timing.sub("", alone.stderr.decode())), argv
+        codes.append(code)
+    assert codes == [0, 1, 0, 0, 0, 0]
 
 
 def test_experiment_subcommand_json_and_csv(capsys, tmp_path):

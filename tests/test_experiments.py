@@ -158,17 +158,18 @@ def test_entropy_crossing_matches_the_closed_form(golden, full2):
 
 def test_entropy_crossing_stops_where_no_float_lies_between_the_ends(golden, full2,
                                                                        monkeypatch):
-    real, calls = experiments.chain_stack, []
+    real, calls = experiments.gibbs_chain, []
 
-    def counted(grammars, phi):
+    def counted(grammar, phi):
         calls.append(phi)
         if len(calls) > 200:
             raise RuntimeError("the bisection does not stop")
-        return real(grammars, phi)
+        return real(grammar, phi)
 
-    monkeypatch.setattr(experiments, "chain_stack", counted)
+    monkeypatch.setattr(experiments, "gibbs_chain", counted)
     found = entropy_crossing(golden, full2, tol=1e-300)
     assert found == pytest.approx(_closed_form_crossing(), abs=1e-9)
+    assert calls   # the counter guards the bisection the search runs
 
 
 def test_entropy_crossing_requires_strict_order(golden, full2):
@@ -220,6 +221,9 @@ def test_monotonicity_scan_is_clean_at_theta_two():
     ("language-change", {"tie_tol": -1.0}, "tie_tol"),
     ("language-change", {"checkpoints": (5, 5)}, "checkpoints"),
     ("ml-convergence", {"checkpoints": ()}, "checkpoints"),
+    ("language-change", {"candidates": (Grammar.from_rows([[1, 1], [1, 1]]),
+                                        Grammar.from_rows([[0, 1], [1, 1]]))},
+     "lower grammar is not among the candidates"),
 ])
 def test_bad_runner_fields_are_named_before_any_solve(monkeypatch, experiment, overrides, name):
     def no_solve(*args):
@@ -227,6 +231,7 @@ def test_bad_runner_fields_are_named_before_any_solve(monkeypatch, experiment, o
     monkeypatch.setattr(experiments, "chain_stack", no_solve)
     monkeypatch.setattr(experiments, "gibbs_chain", no_solve)
     monkeypatch.setattr(experiments, "_pressure_family", no_solve)
+    monkeypatch.setattr(experiments, "entropy_crossing", no_solve)
     with pytest.raises(ValidationError, match=name):
         run_experiment(small(default_config(experiment), **overrides))
 

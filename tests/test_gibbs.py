@@ -9,6 +9,7 @@ golden ratio.
 import bisect
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -959,8 +960,10 @@ def test_lockstep_sampler_draws_the_words_of_sample(golden, full2, lex2, monkeyp
         drawn, first = _lockstep_words(chain, 60, range(200))
         assert drawn == [sample(chain, 60, seed).word for seed in range(200)]
         assert first == drawn[0]
-    # A batch of B seeds of a d-state chain draws its uniforms in blocks of
-    # min(columns, max(64, _TABLE_ENTRIES // (d * B))) columns.
+    # A batch of B seeds of a d-state chain steps in blocks of width
+    # min(columns, max(64, _TABLE_ENTRIES // (d * B))) columns, and each seed draws
+    # its uniforms once per slab of width * min(ceil(columns / width),
+    # max(1, 2 * _TABLE_ENTRIES // (B * width))) columns.
     full3 = Grammar(lex3, ((1, 1, 1), (1, 1, 1), (1, 1, 1)))
     words4 = list(all_words(lex3, 4))
     phi4 = Potential.from_table(lex3, 4, dict(zip(words4, rng.uniform(-1.0, 1.0, len(words4)))))
@@ -972,34 +975,104 @@ def test_lockstep_sampler_draws_the_words_of_sample(golden, full2, lex2, monkeyp
     assert 0 < flat.transition[0, 1] and np.diff(np.cumsum(flat.transition[0]))[0] == 0
     tail = range(50, 50 + gibbs._SEED_BATCH + 5)
     cases = [
-        (golden2, 3 * gibbs._TABLE_ENTRIES // 2, [9], [3]),   # one seed, in wide blocks
-        (range3, 150, tail, [3, 1]),   # one full batch of seeds and a tail
-        (d27, 70, tail, [2, 1]),
-        (golden2, 1, range(3), [1]),   # n = range - 1: the first block only
-        (d27, 3, range(3), [1]),
-        (flat, 400, range(20), [1]),
+        (golden2, 3 * gibbs._TABLE_ENTRIES // 2, [9], [3], [1]),   # one seed, in wide blocks
+        (golden2, 5 * gibbs._TABLE_ENTRIES, [9], [10], [3]),   # slabs of 4, 4 and 2 blocks
+        (range3, 150, tail, [3, 1], [1, 1]),   # one full batch of seeds and a tail
+        (d27, 70, tail, [2, 1], [1, 1]),
+        (d27, 259, range(gibbs._SEED_BATCH + 1), [5, 1], [2, 1]),   # slabs of 4 and 1 blocks
+        (golden2, 1, range(3), [1], [1]),   # n = range - 1: the first block only
+        (d27, 3, range(3), [1], [1]),
+        (flat, 400, range(20), [1], [1]),
     ]
-    for chain, n, seeds, blocks in cases:
-        _assert_lockstep_draws_sample(chain, n, seeds, blocks)
+    for chain, n, seeds, blocks, slabs in cases:
+        _assert_lockstep_draws_sample(chain, n, seeds, blocks, slabs)
     # with a small budget, every batch takes three blocks of 64 columns and a
-    # fourth of one column
+    # fourth of one column, each block a slab
     monkeypatch.setattr(gibbs, "_TABLE_ENTRIES", 1)
     for chain, seeds in ((golden2, tail), (range3, tail), (d27, range(4)), (flat, range(9))):
         n = 3 * 64 + chain.potential.range - 1
-        _assert_lockstep_draws_sample(chain, n, seeds, [4] * -(-len(seeds) // gibbs._SEED_BATCH))
+        batches = [4] * -(-len(seeds) // gibbs._SEED_BATCH)
+        _assert_lockstep_draws_sample(chain, n, seeds, batches, batches)
 
 
-def _assert_lockstep_draws_sample(chain, n, seeds, blocks):
-    """The lockstep sampler draws ``sample``'s words, and the width rule
-    gives each batch of seeds the expected number of blocks of uniforms."""
+def _assert_lockstep_draws_sample(chain, n, seeds, blocks, slabs):
+    """The lockstep sampler draws ``sample``'s words, and the width and slab
+    rules give each batch of seeds the expected number of blocks of columns
+    and each of its seeds the expected number of ``Generator.random`` calls,
+    which draw ``columns`` uniforms in all."""
     columns, d = n - chain.potential.range + 2, len(chain.states)
     batches = [len(seeds[lo:lo + gibbs._SEED_BATCH])
                for lo in range(0, len(seeds), gibbs._SEED_BATCH)]
     widths = [min(columns, max(64, gibbs._TABLE_ENTRIES // (d * b))) for b in batches]
     assert [-(-columns // w) for w in widths] == blocks
-    drawn, first = _lockstep_words(chain, n, seeds)
+    pers = [w * min(-(-columns // w), max(1, 2 * gibbs._TABLE_ENTRIES // (b * w)))
+            for b, w in zip(batches, widths)]
+    assert [-(-columns // p) for p in pers] == slabs
+    draws, real = {}, np.random.default_rng
+
+    class Counted:
+        """A seed's generator that records the size of each ``random`` call."""
+
+        def __init__(self, seed):
+            self.rng, self.sizes = real(seed), draws.setdefault(seed, [])
+
+        def random(self, *, out):
+            self.sizes.append(out.size)
+            return self.rng.random(out=out)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "default_rng", Counted)
+        drawn, first = _lockstep_words(chain, n, seeds)
+    assert [len(draws[s]) for s in seeds] == [k for b, k in zip(batches, slabs) for _ in range(b)]
+    assert all(sum(draws[s]) == columns for s in seeds)
     assert drawn == [sample(chain, n, seed).word for seed in seeds]
     assert first == drawn[0]
+
+
+# The lockstep sampler's buffers, largest first: the 27 x 256 x 64 step table of
+# a full batch at d = 27 (3.5 MB), the 512 KB slab of uniforms, and for one seed
+# at d = 2 the 16 385 row views of a 16 384-column block (2.4 MB).
+_SAMPLER_CEILING = 8 << 20
+
+
+def _sampler_peak(chain, n, seeds):
+    """The ``tracemalloc`` peak, in bytes, while draining the lockstep sampler."""
+    tracemalloc.start()
+    try:
+        for _ in gibbs._sample_counts(chain, n, seeds, (n // 4, n)):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lockstep_sampler_memory_does_not_grow_with_the_word(golden, lex2, monkeypatch):
+    lex3 = Lexicon(3)
+    words4 = list(all_words(lex3, 4))
+    values = np.random.default_rng(3).uniform(-1.0, 1.0, len(words4))
+    d27 = gibbs_chain(Grammar(lex3, ((1, 1, 1),) * 3),
+                      Potential.from_table(lex3, 4, dict(zip(words4, values))))
+    chains = (gibbs_chain(golden, Potential.zero(lex2)), d27)
+    _sampler_peak(chains[0], 100, range(3))   # numpy's lazy set-up, outside the peaks
+
+    def flat(chain, n, seeds):
+        """The peak at n, after asserting that 4n adds at most 16 KB: a few KB
+        come and go with interpreter caches, while a buffer growing with n
+        would add at least 3 * 1 024 * 8 bytes."""
+        peak = _sampler_peak(chain, n, seeds)
+        assert _sampler_peak(chain, 4 * n, seeds) <= peak + (16 << 10)
+        return peak
+
+    # A full batch fills its slab of 256 columns, so past that no buffer grows with n.
+    for chain in chains:
+        assert flat(chain, 512, range(256)) <= _SAMPLER_CEILING
+    # One seed fills its slab of 2^16 columns at d = 2, the largest one-seed buffers.
+    assert _sampler_peak(chains[0], 1 << 16, [5]) <= _SAMPLER_CEILING
+    # Under a 2^9-entry budget one seed's slab fills by the same rule at 1 024
+    # columns (4 blocks of 256 at d = 2, 16 blocks of 64 at d = 27).
+    monkeypatch.setattr(gibbs, "_TABLE_ENTRIES", 1 << 9)
+    for chain in chains:
+        assert flat(chain, 1024 + chain.potential.range - 2, [5]) <= _SAMPLER_CEILING
 
 
 # ---------------------------------------------------------------------------
