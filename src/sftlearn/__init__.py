@@ -6,14 +6,11 @@ from .symbolic import (
     Lexicon,
     OrderRelation,
     ValidationError,
-    admits,
-    all_words,
     compare,
     enumerate_grammars,
     format_word,
     is_primitive,
     parse_word,
-    transition_closure,
     validate_word,
     wielandt_exponent,
 )
@@ -39,7 +36,6 @@ from .identify import (
     CandidateScore,
     IdentificationOutcome,
     identify,
-    identify_curve,
     score_candidates,
 )
 from .experiments import (

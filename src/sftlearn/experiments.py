@@ -44,7 +44,6 @@ from .identify import (
     _check_tie_tol,
     _outcome,
     _scores,
-    validate_checkpoints,
 )
 from .serialize import (
     _finite,
@@ -64,6 +63,7 @@ from .symbolic import (
     Lexicon,
     OrderRelation,
     ValidationError,
+    _integer,
     compare,
     enumerate_grammars,
     format_word,
@@ -230,6 +230,18 @@ def _resolve_candidates(cfg: ExperimentConfig, lexicon: Lexicon) -> tuple[Gramma
     return tuple(enumerate_grammars(lexicon) if cfg.candidates is None else cfg.candidates)
 
 
+def validate_checkpoints(checkpoints) -> list[int]:
+    """Check that prefix lengths are nonempty, positive and strictly increasing."""
+    cps = [_integer(c, "checkpoint") for c in checkpoints]
+    if not cps:
+        raise ValidationError("checkpoints must list at least one prefix length")
+    if cps[0] < 1:
+        raise ValidationError("checkpoints must be at least 1 (the empty prefix is not scored)")
+    if any(b <= a for a, b in zip(cps, cps[1:])):
+        raise ValidationError("checkpoints must be strictly increasing")
+    return cps
+
+
 def _index_of(grammar: Grammar, candidates: tuple, role: str) -> int:
     if grammar not in candidates:
         raise ValidationError(f"{role} grammar is not among the candidates")
@@ -243,6 +255,16 @@ def _comparable_pairs(grammars) -> np.ndarray:
     le = (stack[:, None] <= stack[None, :]).all(axis=(2, 3))
     eq = (stack[:, None] == stack[None, :]).all(axis=(2, 3))
     return np.argwhere(le & ~eq)
+
+
+def _order_gaps(values: np.ndarray, pairs) -> tuple[list, list]:
+    """Per row of a ``(rows, K)`` array, over the ``(lower, upper)`` index
+    pairs of :func:`_comparable_pairs` (transposed): how many pairs have
+    ``values[upper] <= values[lower]``, and the least ``values[upper] -
+    values[lower]`` (inf with no pairs)."""
+    lower, upper = pairs
+    deltas = values[:, upper] - values[:, lower]
+    return (deltas <= 0).sum(axis=1).tolist(), deltas.min(axis=1, initial=math.inf).tolist()
 
 
 def _random_potentials(lexicon: Lexicon, count: int, ranges, bound: float,
@@ -363,17 +385,13 @@ def _run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _entropy_monotonicity_sweep(candidates, phi: Potential, scales) -> dict:
-    lower, upper = _comparable_pairs(candidates).T
-    rows, first_fail = [], None
-    for s in sorted(scales):
-        ents = np.array([c.entropy for c in chain_stack(candidates, phi.scaled(s))])
-        deltas = ents[upper] - ents[lower]
-        violations = int((deltas <= 0).sum())
-        rows.append({"scale": s, "violations": violations,
-                     "min_entropy_gap": float(deltas.min()) if len(deltas) else None})
-        if violations and first_fail is None:
-            first_fail = s
-    return {"pairs": len(lower), "scales": rows, "first_failing_scale": first_fail}
+    pairs, scales = _comparable_pairs(candidates).T, sorted(scales)
+    ents = np.array([[c.entropy for c in chain_stack(candidates, phi.scaled(s))] for s in scales])
+    violations, gaps = _order_gaps(ents, pairs)
+    rows = [{"scale": s, "violations": v, "min_entropy_gap": g if len(pairs[0]) else None}
+            for s, v, g in zip(scales, violations, gaps)]
+    return {"pairs": len(pairs[0]), "scales": rows,
+            "first_failing_scale": next((s for s, v in zip(scales, violations) if v), None)}
 
 
 def entropy_crossing(lower: Grammar, upper: Grammar, tol: float = 1e-6) -> float:
@@ -491,23 +509,21 @@ def _run_monotonicity_scan(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValidationError(f"value_bound must be nonnegative, got {cfg.value_bound}")
     lex = Lexicon(cfg.theta)
     grammars = enumerate_grammars(lex)
-    lower, upper = _comparable_pairs(grammars).T
+    pairs = _comparable_pairs(grammars).T
     potentials = [Potential.zero(lex)] + _random_potentials(
         lex, cfg.n_potentials, cfg.potential_ranges, cfg.value_bound, cfg.base_seed)
     values = _pressure_family(grammars, potentials)
-    deltas = values[:, upper] - values[:, lower]
-    violations = (deltas <= 0).sum(axis=1).tolist()
-    gaps = deltas.min(axis=1, initial=math.inf).tolist()
-    lams = np.array([math.exp(v) for v in values[0].tolist()])
-    curve = [{"n": k, "range": phi.range, "frequency": v / len(lower) if len(lower) else 0.0,
+    violations, gaps = _order_gaps(values, pairs)
+    lams = np.array([[math.exp(v) for v in values[0].tolist()]])
+    n_pairs = len(pairs[0])
+    curve = [{"n": k, "range": phi.range, "frequency": v / n_pairs if n_pairs else 0.0,
               "mean_score_gap": gap}
              for k, (phi, v, gap) in enumerate(zip(potentials, violations, gaps))]
     return _report(
         cfg, curve,
         thresholds={"min_pressure_gap": min(gaps),
-                    "min_lambda_gap_zero_potential":
-                        float((lams[upper] - lams[lower]).min(initial=math.inf)),
-                    "comparable_pairs": len(lower),
+                    "min_lambda_gap_zero_potential": _order_gaps(lams, pairs)[1][0],
+                    "comparable_pairs": n_pairs,
                     "grammars": len(grammars),
                     "violations": sum(violations)},
     )

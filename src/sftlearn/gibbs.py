@@ -114,7 +114,13 @@ class Potential:
         object.__setattr__(self, "range", r)
         seen: dict[tuple[int, ...], float] = {}
         for word, value in self.entries:
-            w = validate_word(word, self.lexicon)
+            try:
+                w = tuple(_integer(s, "symbol") for s in word)
+            except (TypeError, ValidationError) as exc:
+                raise ValidationError(f"table word {word!r}: {exc}") from None
+            if not all(0 <= s < self.lexicon.theta for s in w):
+                raise ValidationError(f"table word {w} has a symbol outside lexicon "
+                                      f"of size {self.lexicon.theta}")
             if len(w) != r:
                 raise ValidationError(f"table word {w} has length {len(w)}, expected {r}")
             v = float(value)
@@ -160,9 +166,6 @@ class Potential:
         if not math.isfinite(f):
             raise ValidationError(f"scale factor must be finite, got {factor!r}")
         return Potential(self.lexicon, self.range, tuple((w, v * f) for w, v in self.entries))
-
-    def sup_norm(self) -> float:
-        return max((abs(v) for _, v in self.entries), default=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -498,8 +501,8 @@ def cylinder_log_measure(chain: GibbsChain, word) -> float:
     w = validate_word(word, chain.grammar.lexicon)
     if not w:
         return 0.0
-    head, counts = _word_counts(chain.potential, w, [len(w)])
-    return float(_log_measures((chain,), [len(w)], [head], counts[None])[0, 0, 0])
+    head, counts = _word_counts(chain.potential, w)
+    return float(_log_measures((chain,), [len(w)], [head], counts[None, None])[0, 0, 0])
 
 
 # The scoring kernel forms at most about this many count-by-log products at once.
@@ -696,18 +699,17 @@ def _least_above(c: float, total: float) -> float:
     return x
 
 
-def _word_counts(potential: Potential, word, ends) -> tuple[int, np.ndarray]:
+def _word_counts(potential: Potential, word) -> tuple[int, np.ndarray]:
     """``(head, counts)`` of one word in the potential's lexicon and range,
-    as :func:`_sample_counts` yields them for the words it draws: the code
-    of its first ``range-1`` symbols (0-padded) and the bincounts of the
-    range-word codes among its first ``ends[k]`` symbols."""
+    as :func:`_sample_counts` yields them for a prefix it draws: the code of
+    its first ``range-1`` symbols (0-padded) and the bincount of its
+    range-word codes."""
     t, r = potential.lexicon.theta, potential.range
     w = np.array(word, dtype=np.int64)
     windows = (np.lib.stride_tricks.sliding_window_view(w, r) if len(w) >= r
                else np.zeros((0, r), dtype=np.int64))
-    codes = windows @ _powers(t, r)   # window i is w[i:i + r]
-    counts = [np.bincount(codes[:max(end - r + 1, 0)], minlength=t**r) for end in ends]
-    return int(w[:r - 1] @ _powers(t, r - 1)[:len(w)]), np.array(counts)
+    counts = np.bincount(windows @ _powers(t, r), minlength=t**r)   # window i is w[i:i + r]
+    return int(w[:r - 1] @ _powers(t, r - 1)[:len(w)]), counts
 
 
 def periodic_orbit_potential(lower: Grammar, upper: Grammar, reward: float) -> Potential:

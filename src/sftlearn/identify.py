@@ -15,16 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gibbs import (
-    GibbsChain,
-    Potential,
-    _log_measures,
-    _word_counts,
-    chain_stack,
-    cylinder_log_measure,
-    sample,
-)
-from .symbolic import Grammar, ValidationError, _integer, validate_word
+from .gibbs import Potential, chain_stack, cylinder_log_measure
+from .symbolic import Grammar, ValidationError, validate_word
 
 DEFAULT_TIE_TOL = 1e-9
 
@@ -65,23 +57,6 @@ class IdentificationOutcome:
         return frozenset(self.scores[i].grammar for i in self.min_entropy_indices)
 
 
-def _candidate_chains(potential: Potential, candidates, chains):
-    """The candidates and their chains as tuples, checked against each other
-    and the potential; the chains are built when ``chains`` is None."""
-    candidates = tuple(candidates)
-    if not candidates:
-        raise ValidationError("candidate class is empty")
-    for g in candidates:
-        if g.lexicon != potential.lexicon:
-            raise ValidationError("candidate lexicon does not match the potential")
-    if chains is None:
-        return candidates, chain_stack(candidates, potential)
-    chains = tuple(chains)
-    if len(chains) != len(candidates):
-        raise ValidationError("chains and candidates differ in length")
-    return candidates, chains
-
-
 def _scores(candidates, chains, lls) -> tuple[CandidateScore, ...]:
     return tuple(CandidateScore(g, ll, c.entropy if ll > -math.inf else None, ll > -math.inf)
                  for g, c, ll in zip(candidates, chains, lls))
@@ -95,7 +70,14 @@ def score_candidates(word, potential: Potential, candidates,
     ``candidates`` (they are rebuilt from the potential otherwise); sweeps
     that score many words against a fixed class should pass them in.
     """
-    candidates, chains = _candidate_chains(potential, candidates, chains)
+    candidates = tuple(candidates)
+    if not candidates:
+        raise ValidationError("candidate class is empty")
+    if any(g.lexicon != potential.lexicon for g in candidates):
+        raise ValidationError("candidate lexicon does not match the potential")
+    chains = chain_stack(candidates, potential) if chains is None else tuple(chains)
+    if len(chains) != len(candidates):
+        raise ValidationError("chains and candidates differ in length")
     w = validate_word(word, potential.lexicon)
     return _scores(candidates, chains, [cylinder_log_measure(c, w) for c in chains])
 
@@ -134,41 +116,3 @@ def identify(word, potential: Potential, candidates, tie_tol: float = DEFAULT_TI
     _check_tie_tol(tie_tol)
     scores = score_candidates(word, potential, candidates, chains=chains)
     return _outcome(len(tuple(word)), scores, tie_tol)
-
-
-def validate_checkpoints(checkpoints) -> list[int]:
-    """Check that prefix lengths are nonempty, positive and strictly increasing."""
-    cps = [_integer(c, "checkpoint") for c in checkpoints]
-    if not cps:
-        raise ValidationError("checkpoints must list at least one prefix length")
-    if cps[0] < 1:
-        raise ValidationError("checkpoints must be at least 1 (the empty prefix is not scored)")
-    if any(b <= a for a, b in zip(cps, cps[1:])):
-        raise ValidationError("checkpoints must be strictly increasing")
-    return cps
-
-
-def identify_curve(chain: GibbsChain, potential: Potential, candidates, checkpoints,
-                   seed: int, tie_tol: float = DEFAULT_TIE_TOL,
-                   candidate_chains=None) -> list[IdentificationOutcome]:
-    """Sample one word from ``chain`` and identify along its prefixes.
-
-    A single path of length ``max(checkpoints)`` is drawn with ``seed`` and
-    scored at each checkpoint, so the outcomes describe one trajectory of
-    the learner.  Checkpoints must pass ``validate_checkpoints``, and the
-    chain's symbols must belong to the potential's lexicon.  Each outcome
-    equals ``identify`` on the prefix, bit for bit: the prefix enters the
-    score only through its first block and its counts of range-words,
-    taken cumulatively along the word.
-    """
-    _check_tie_tol(tie_tol)
-    cps = validate_checkpoints(checkpoints)
-    if chain.grammar.lexicon.theta > potential.lexicon.theta:
-        raise ValidationError("chain lexicon is larger than the potential's")
-    candidates, chains = _candidate_chains(potential, candidates, candidate_chains)
-    n = max(cps[-1], potential.range - 1)
-    word = sample(chain, max(n, chain.potential.range - 1), seed).word[:n]
-    head, counts = _word_counts(potential, word, cps)
-    lls = _log_measures(chains, cps, [head], counts[None])[0]
-    return [_outcome(c, _scores(candidates, chains, row.tolist()), tie_tol)
-            for c, row in zip(cps, lls)]

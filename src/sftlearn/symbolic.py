@@ -11,7 +11,6 @@ command line.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -180,29 +179,6 @@ def compare(g: Grammar, h: Grammar) -> OrderRelation:
     return OrderRelation.INCOMPARABLE
 
 
-def admits(g: Grammar, word) -> bool:
-    """Whether every adjacent symbol pair of ``word`` is allowed by ``g``.
-
-    Words of length 0 or 1 are always admitted.
-    """
-    w = validate_word(word, g.lexicon)
-    if len(w) < 2:
-        return True
-    arr = np.asarray(w)
-    return bool(g.array[arr[:-1], arr[1:]].all())
-
-
-def transition_closure(word, lexicon: Lexicon) -> np.ndarray:
-    """Smallest incidence matrix admitting ``word`` (not necessarily primitive)."""
-    w = validate_word(word, lexicon)
-    if not w:
-        raise ValidationError("transition closure of the empty word is undefined")
-    m = np.zeros((lexicon.theta, lexicon.theta), dtype=np.int64)
-    for a, b in zip(w, w[1:]):
-        m[a, b] = 1
-    return m
-
-
 def enumerate_grammars(lexicon: Lexicon) -> list[Grammar]:
     """All primitive grammars over ``lexicon``, ascending by the row-major
     binary value of the matrix.
@@ -230,8 +206,3 @@ def enumerate_grammars(lexicon: Lexicon) -> list[Grammar]:
         vars(g).update(lexicon=lexicon, matrix=tuple(map(tuple, m)))
         out.append(g)
     return out
-
-
-def all_words(lexicon: Lexicon, length: int):
-    """Iterate every word of the given length, lexicographically."""
-    return itertools.product(lexicon.symbols, repeat=length)

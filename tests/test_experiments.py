@@ -111,6 +111,23 @@ def test_ml_convergence_recovers_the_truth():
     assert cfg.base_seed == report.details["first_seed"]["seed"]
 
 
+def test_ml_convergence_frequency_matches_the_exact_law_at_ten_symbols(golden, zero2, lex2):
+    # P(ML = {golden}) at n = 10, summed over all 2^10 words under the golden chain
+    candidates = tuple(enumerate_grammars(lex2))
+    truth, chains = candidates.index(golden), chain_stack(candidates, zero2)
+    mass = exact = 0.0
+    for word in itertools.product(lex2.symbols, repeat=10):
+        p = math.exp(cylinder_log_measure(chains[truth], word))
+        mass += p
+        if identify(word, zero2, candidates, chains=chains).ml_indices == (truth,):
+            exact += p
+    assert abs(mass - 1.0) <= 1e-12
+    assert f"{exact:.5f}" == "0.98823"
+    row = run_experiment(default_config("ml-convergence")).curve[0]
+    assert row["n"] == 10
+    assert abs(row["frequency"] - exact) <= 4 * math.sqrt(exact * (1 - exact) / 200)
+
+
 def test_entropy_convergence_and_scale_sweep():
     lex = Lexicon(2)
     # keep the reward on "11" far below the entropy crossing (~0.93), so the

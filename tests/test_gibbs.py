@@ -9,6 +9,7 @@ golden ratio.
 import bisect
 import itertools
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -22,8 +23,6 @@ from sftlearn import (
     Potential,
     TransferMatrix,
     ValidationError,
-    admits,
-    all_words,
     build_transfer,
     chain_stack,
     cylinder_log_measure,
@@ -39,6 +38,8 @@ from sftlearn import (
 )
 from sftlearn import gibbs
 from sftlearn.experiments import _comparable_pairs
+
+from helpers import admits, all_words
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -59,14 +60,12 @@ def test_zero_potential_has_empty_table(lex2, zero2):
     assert zero2.entries == ()
     assert zero2.range == 2
     assert zero2.value((0, 1)) == 0.0
-    assert zero2.sup_norm() == 0.0
 
 
 def test_potential_canonicalization_drops_zeros_and_sorts(lex2):
     p = Potential.from_table(lex2, 2, {(1, 0): -0.5, (0, 1): 0.25, (1, 1): 0.0})
     assert p.entries == (((0, 1), 0.25), ((1, 0), -0.5))
     assert p.value((1, 1)) == 0.0
-    assert p.sup_norm() == 0.5
 
 
 def test_potential_rejects_duplicates_wrong_length_and_non_finite(lex2):
@@ -78,6 +77,17 @@ def test_potential_rejects_duplicates_wrong_length_and_non_finite(lex2):
         Potential.from_table(lex2, 2, {(0, 1): math.inf})
     with pytest.raises(ValidationError):
         Potential(lex2, 1, ())
+
+
+def test_potential_table_words_are_checked_not_coerced(lex2):
+    for word in ((0, 1.9), (True, 0), (np.float64(0.0), 1)):
+        with pytest.raises(ValidationError, match=f"^table word {re.escape(repr(word))}: symbol"):
+            Potential(lex2, 2, ((word, 1.0),))
+    with pytest.raises(ValidationError, match="outside lexicon of size 2"):
+        Potential(lex2, 2, (((0, 2), 1.0),))
+    p = Potential(lex2, 2, (((np.int64(0), np.uint8(1)), 1.0),))
+    assert p.entries == (((0, 1), 1.0),)
+    assert [type(s) for s in p.entries[0][0]] == [int, int]
 
 
 def test_potential_range_is_checked_not_truncated(lex2):

@@ -11,19 +11,15 @@ from sftlearn import (
     Lexicon,
     Potential,
     ValidationError,
-    admits,
-    all_words,
-    chain_stack,
     cylinder_log_measure,
-    enumerate_grammars,
     gibbs_chain,
     identify,
-    identify_curve,
     sample,
     score_candidates,
-    transition_closure,
 )
-from sftlearn.identify import validate_checkpoints
+from sftlearn.experiments import validate_checkpoints
+
+from helpers import admits, all_words, transition_closure
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -209,77 +205,43 @@ def test_cylinder_domination_kicks_in_at_length_four(golden, full2, zero2, lex2)
 
 
 # ---------------------------------------------------------------------------
-# identification curves
+# identification along the prefixes of one sampled word
 # ---------------------------------------------------------------------------
-
-def test_curve_checkpoints_must_increase(golden, trio, zero2):
-    chain = gibbs_chain(golden, zero2)
-    with pytest.raises(ValidationError):
-        identify_curve(chain, zero2, trio, (10, 10), seed=0)
-    with pytest.raises(ValidationError):
-        identify_curve(chain, zero2, trio, (0, 5), seed=0)
-    with pytest.raises(ValidationError):
-        identify_curve(chain, zero2, trio, (), seed=0)
-
 
 def test_checkpoints_are_checked_not_truncated():
     for bad in ((10.9, 50.2), (10, 50.0), (True, 5), (np.float64(3.0),)):
         with pytest.raises(ValidationError, match="^checkpoint must be an integer"):
             validate_checkpoints(bad)
+    for bad, message in (((10, 10), "increasing"), ((0, 5), "at least 1"), ((), "at least one")):
+        with pytest.raises(ValidationError, match=message):
+            validate_checkpoints(bad)
     assert validate_checkpoints((np.int64(10), 50)) == [10, 50]
     assert validate_checkpoints(np.array([1, 5])) == [1, 5]
-
-
-def test_curve_agrees_with_direct_scoring_of_prefixes(golden, trio, zero2):
-    chain = gibbs_chain(golden, zero2)
-    checkpoints = (5, 18, 42)
-    outcomes = identify_curve(chain, zero2, trio, checkpoints, seed=3)
-    word = sample(chain, 42, seed=3).word
-    for cp, out in zip(checkpoints, outcomes):
-        direct = identify(word[:cp], zero2, trio)
-        assert out.n == cp
-        assert out.ml_indices == direct.ml_indices
-        assert out.min_entropy_indices == direct.min_entropy_indices
-        assert [s.log_likelihood for s in out.scores] \
-            == [s.log_likelihood for s in direct.scores]
-
-
-def test_curve_matches_identify_on_theta3_prefixes_shorter_and_longer_than_a_block():
-    lex = Lexicon(3)
-    words = list(all_words(lex, 3))
-    phi = Potential.from_table(lex, 3, {w: (i % 7 - 3) / 4 for i, w in enumerate(words)})
-    candidates = tuple(enumerate_grammars(lex)[::10])
-    chains = chain_stack(candidates, phi)
-    checkpoints = (1, 2, 3, 70, 200)
-    for seed in range(3):
-        outcomes = identify_curve(chains[-1], phi, candidates, checkpoints, seed=seed,
-                                  candidate_chains=chains)
-        word = sample(chains[-1], 200, seed=seed).word
-        for cp, out in zip(checkpoints, outcomes):
-            direct = identify(word[:cp], phi, candidates, chains=chains)
-            assert (out.n, out.scores, out.ml_indices, out.min_entropy_indices) == \
-                (direct.n, direct.scores, direct.ml_indices, direct.min_entropy_indices)
 
 
 def test_curve_stabilizes_on_the_truth(golden, trio, zero2):
     chain = gibbs_chain(golden, zero2)
     stabilized = 0
     for seed in range(100):
-        outcomes = identify_curve(chain, zero2, trio, (10, 100, 1000), seed=seed)
-        if all(out.ml_set == frozenset({golden}) for out in outcomes[1:]):
+        word = sample(chain, 1000, seed=seed).word
+        if all(identify(word[:c], zero2, trio).ml_set == frozenset({golden}) for c in (100, 1000)):
             stabilized += 1
     assert stabilized >= 95
 
 
 def test_curve_scores_under_the_candidates_potential(golden, trio, zero2, lex2):
-    # the word comes from a range-3 chain, the candidates score at range 2,
-    # and a chain over three symbols cannot feed a two-symbol class
+    # the word comes from a range-3 chain and the candidates score at range 2;
+    # a word over three symbols cannot feed a two-symbol class
     phi3 = Potential.from_table(lex2, 3, {(0, 1, 0): 1.0})
-    chain = gibbs_chain(golden, phi3)
-    word = sample(chain, 30, seed=4).word
-    for cp, out in zip((1, 2, 30), identify_curve(chain, zero2, trio, (1, 2, 30), seed=4)):
-        direct = identify(word[:cp], zero2, trio)
-        assert [s.log_likelihood for s in out.scores] == [s.log_likelihood for s in direct.scores]
+    word = sample(gibbs_chain(golden, phi3), 30, seed=4).word
+    chains = [gibbs_chain(g, zero2) for g in trio]
+    for c in (1, 2, 30):
+        out = identify(word[:c], zero2, trio)
+        assert out.n == c
+        assert [s.log_likelihood for s in out.scores] == \
+            [cylinder_log_measure(chain, word[:c]) for chain in chains]
     full3 = Grammar.from_rows([[1, 1, 1]] * 3)
-    with pytest.raises(ValidationError, match="larger"):
-        identify_curve(gibbs_chain(full3, Potential.zero(Lexicon(3))), zero2, trio, (5,), seed=0)
+    word3 = sample(gibbs_chain(full3, Potential.zero(Lexicon(3))), 30, seed=0).word
+    assert 2 in word3
+    with pytest.raises(ValidationError, match="outside lexicon"):
+        identify(word3, zero2, trio)

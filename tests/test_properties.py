@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 from sftlearn import (
     Lexicon,
     Potential,
-    all_words,
     chain_stack,
     cylinder_log_measure,
     enumerate_grammars,
     pressure_stack,
     sample,
 )
+
+from helpers import all_words
 
 LEX3 = Lexicon(3)
 GRAMMARS = enumerate_grammars(LEX3)
@@ -94,3 +95,30 @@ def test_extending_a_word_adds_the_log_transition_of_its_step(phi, k, extra, see
     step = chain.transition[chain.states.index(word[len(word) - block:]),
                             chain.states.index((word + (a,))[len(word) + 1 - block:])]
     assert abs(longer - cylinder_log_measure(chain, word) - math.log(step)) <= 1e-12
+
+
+@PROPERTY
+@given(potentials(), st.integers(0, 2**32 - 1))
+def test_cylinder_measures_satisfy_the_gibbs_identity(phi, seed):
+    # log mu[w] = S_n phi(w) - (n - r + 1) P + log nu[first block] + log h[last block]
+    # for the chain P(u, v) = M(u, v) h(v) / (lam h(u)) with nu @ h == 1
+    t, r = LEX3.theta, phi.range
+    places = t ** np.arange(r - 1, -1, -1)
+    table = np.array([phi.value(v) for v in all_words(LEX3, r)])
+    eps = np.finfo(float).eps
+    for chain in chain_stack(GRAMMARS, phi):
+        drawn = np.array(sample(chain, 400, seed).word)
+        for n in (r - 1, r, 7, 60, 400):
+            w = drawn[:n]
+            codes = (np.lib.stride_tricks.sliding_window_view(w, r) @ places
+                     if n >= r else np.zeros(0, dtype=np.int64))
+            first = chain.index[w[:r - 1] @ places[1:]]
+            last = chain.index[w[n - r + 1:] @ places[1:]]
+            steps = np.log(chain.transition[chain.index[codes // t],
+                                            chain.index[codes % t ** (r - 1)]])
+            phis = table[codes]
+            log_nu, log_h = math.log(chain.nu[first]), math.log(chain.h[last])
+            closed = phis.sum() - (n - r + 1) * chain.pressure + log_nu + log_h
+            bound = 16 * eps * (n + np.abs(phis).sum() + (n - r + 1) * abs(chain.pressure)
+                                + abs(log_nu) + abs(log_h) + np.abs(steps).sum())
+            assert abs(cylinder_log_measure(chain, tuple(w.tolist())) - closed) <= bound

@@ -12,8 +12,6 @@ from sftlearn import (
     OrderRelation,
     Potential,
     ValidationError,
-    admits,
-    all_words,
     compare,
     enumerate_grammars,
     format_word,
@@ -21,7 +19,6 @@ from sftlearn import (
     is_primitive,
     parse_word,
     sample,
-    transition_closure,
     validate_word,
     wielandt_exponent,
 )
@@ -207,22 +204,6 @@ def test_compare_requires_shared_lexicon(golden):
         compare(golden, other)
 
 
-def test_admits_checks_every_adjacent_pair(golden, full2):
-    assert admits(golden, (0, 1, 0, 1))
-    assert not admits(golden, (0, 1, 1))
-    assert admits(full2, (1, 1, 1, 1))
-    assert admits(golden, (1,))        # single symbols are always admissible
-    assert admits(golden, ())
-
-
-def test_transition_closure_collects_observed_pairs(lex2):
-    closure = transition_closure((0, 1, 1, 0), lex2)
-    assert closure.tolist() == [[0, 1], [1, 1]]
-    assert transition_closure((0,), lex2).tolist() == [[0, 0], [0, 0]]
-    with pytest.raises(ValidationError):
-        transition_closure((), lex2)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -272,8 +253,3 @@ def test_enumeration_is_row_major_ascending(lex2):
 def test_enumeration_cap():
     with pytest.raises(ClassTooLargeError):
         enumerate_grammars(Lexicon(5))
-
-
-def test_all_words_counts(lex2):
-    assert sum(1 for _ in all_words(lex2, 5)) == 32
-    assert list(all_words(lex2, 1)) == [(0,), (1,)]
