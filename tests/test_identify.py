@@ -208,12 +208,15 @@ def test_cylinder_domination_kicks_in_at_length_four(golden, full2, zero2, lex2)
 # identification along the prefixes of one sampled word
 # ---------------------------------------------------------------------------
 
+def test_curve_checkpoints_must_increase():
+    for bad, message in (((10, 10), "increasing"), ((0, 5), "at least 1"), ((), "at least one")):
+        with pytest.raises(ValidationError, match=message):
+            validate_checkpoints(bad)
+
+
 def test_checkpoints_are_checked_not_truncated():
     for bad in ((10.9, 50.2), (10, 50.0), (True, 5), (np.float64(3.0),)):
         with pytest.raises(ValidationError, match="^checkpoint must be an integer"):
-            validate_checkpoints(bad)
-    for bad, message in (((10, 10), "increasing"), ((0, 5), "at least 1"), ((), "at least one")):
-        with pytest.raises(ValidationError, match=message):
             validate_checkpoints(bad)
     assert validate_checkpoints((np.int64(10), 50)) == [10, 50]
     assert validate_checkpoints(np.array([1, 5])) == [1, 5]
