@@ -132,8 +132,7 @@ def _cmd_identify(args) -> str:
 
 
 def _cmd_enumerate(args) -> str:
-    grammars = enumerate_grammars(Lexicon(args.theta))
-    return dumps([grammar_to_dict(g) for g in grammars])
+    return dumps([grammar_to_dict(g) for g in enumerate_grammars(Lexicon(args.theta))])
 
 
 def _cmd_experiment(args) -> str:

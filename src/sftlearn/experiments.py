@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .gibbs import (
+    _KERNEL_TERMS,
     Potential,
     _log_measures,
     _pressure_family,
@@ -186,14 +187,7 @@ class ExperimentReport:
     wall_time_s: float = 0.0
 
     def to_dict(self) -> dict:
-        return encode_floats({
-            "experiment": self.experiment,
-            "config": self.config,
-            "curve": self.curve,
-            "thresholds": self.thresholds,
-            "candidate_table": self.candidate_table,
-            "details": self.details,
-        })
+        return encode_floats({k: v for k, v in vars(self).items() if k != "wall_time_s"})
 
     def csv_rows(self) -> list[tuple]:
         return [(row["n"], row["frequency"], row.get("mean_score_gap"))
@@ -248,23 +242,29 @@ def _index_of(grammar: Grammar, candidates: tuple, role: str) -> int:
     return candidates.index(grammar)
 
 
-def _comparable_pairs(grammars) -> np.ndarray:
-    """``(P, 2)`` array of the index pairs ``(i, j)`` with grammar ``i``
-    strictly below grammar ``j``; its columns index a whole class at once."""
-    stack = np.stack([g.array for g in grammars])
-    le = (stack[:, None] <= stack[None, :]).all(axis=(2, 3))
-    eq = (stack[:, None] == stack[None, :]).all(axis=(2, 3))
-    return np.argwhere(le & ~eq)
-
-
-def _order_gaps(values: np.ndarray, pairs) -> tuple[list, list]:
-    """Per row of a ``(rows, K)`` array, over the ``(lower, upper)`` index
-    pairs of :func:`_comparable_pairs` (transposed): how many pairs have
-    ``values[upper] <= values[lower]``, and the least ``values[upper] -
-    values[lower]`` (inf with no pairs)."""
-    lower, upper = pairs
-    deltas = values[:, upper] - values[:, lower]
-    return (deltas <= 0).sum(axis=1).tolist(), deltas.min(axis=1, initial=math.inf).tolist()
+def _order_gaps(values: np.ndarray, grammars) -> tuple[int, list, list]:
+    """The number of pairs of ``grammars`` with ``lower`` strictly below ``upper``, and per row
+    of a ``(rows, K)`` array how many of them have ``values[upper] <= values[lower]`` and the
+    least ``values[upper] - values[lower]`` (inf with no pairs).  The grammars of each edge
+    count are tested against those with more, ``lower & ~upper == 0`` on their incidence bits
+    packed in 64-bit words, about ``_KERNEL_TERMS`` word tests (and their pairs) at a time."""
+    bits = np.array([g.matrix for g in grammars], dtype=bool).reshape(len(grammars), -1)
+    edges = bits.sum(axis=1)
+    codes = np.packbits(np.pad(bits, ((0, 0), (0, -bits.shape[1] % 64))), axis=1,
+                        bitorder="little").view("<u8")
+    count, violations, gaps = 0, np.zeros(len(values), np.int64), np.full(len(values), math.inf)
+    for e in set(edges.tolist()):
+        lowers, uppers = np.flatnonzero(edges == e), np.flatnonzero(edges > e)
+        absent = ~codes[uppers]
+        step = max(1, _KERNEL_TERMS // max(1, absent.size))
+        for start in range(0, len(lowers), step):
+            chunk = lowers[start:start + step]
+            lo, up = np.nonzero(~(codes[chunk, None] & absent).any(axis=-1))
+            deltas = values[:, uppers[up]] - values[:, chunk[lo]]
+            count += len(lo)
+            violations += (deltas <= 0).sum(axis=1)
+            np.minimum(gaps, deltas.min(axis=1, initial=math.inf), out=gaps)
+    return count, violations.tolist(), gaps.tolist()
 
 
 def _random_potentials(lexicon: Lexicon, count: int, ranges, bound: float,
@@ -385,12 +385,12 @@ def _run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _entropy_monotonicity_sweep(candidates, phi: Potential, scales) -> dict:
-    pairs, scales = _comparable_pairs(candidates).T, sorted(scales)
+    scales = sorted(scales)
     ents = np.array([[c.entropy for c in chain_stack(candidates, phi.scaled(s))] for s in scales])
-    violations, gaps = _order_gaps(ents, pairs)
-    rows = [{"scale": s, "violations": v, "min_entropy_gap": g if len(pairs[0]) else None}
+    pairs, violations, gaps = _order_gaps(ents, candidates)
+    rows = [{"scale": s, "violations": v, "min_entropy_gap": g if pairs else None}
             for s, v, g in zip(scales, violations, gaps)]
-    return {"pairs": len(pairs[0]), "scales": rows,
+    return {"pairs": pairs, "scales": rows,
             "first_failing_scale": next((s for s, v in zip(scales, violations) if v), None)}
 
 
@@ -478,8 +478,7 @@ def _run_ml_misidentification(cfg: ExperimentConfig) -> ExperimentReport:
     lower_idx = _index_of(cfg.lower, candidates, "lower")
     extra = [(a, b) for a in lex.symbols for b in lex.symbols
              if cfg.upper.matrix[a][b] and not cfg.lower.matrix[a][b]]
-    curve = []
-    first = None
+    curve, first = [], None
     for penalty in cfg.penalties:
         phi = Potential.from_table(lex, 2, {pair: -float(penalty) for pair in extra})
         _, upper_idx, lls, (admissible, ml, _), word = _study(
@@ -509,23 +508,21 @@ def _run_monotonicity_scan(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValidationError(f"value_bound must be nonnegative, got {cfg.value_bound}")
     lex = Lexicon(cfg.theta)
     grammars = enumerate_grammars(lex)
-    pairs = _comparable_pairs(grammars).T
     potentials = [Potential.zero(lex)] + _random_potentials(
         lex, cfg.n_potentials, cfg.potential_ranges, cfg.value_bound, cfg.base_seed)
     values = _pressure_family(grammars, potentials)
-    violations, gaps = _order_gaps(values, pairs)
-    lams = np.array([[math.exp(v) for v in values[0].tolist()]])
-    n_pairs = len(pairs[0])
+    lams = [math.exp(v) for v in values[0].tolist()]   # the zero potential's Perron roots
+    n_pairs, violations, gaps = _order_gaps(np.vstack([values, lams]), grammars)
     curve = [{"n": k, "range": phi.range, "frequency": v / n_pairs if n_pairs else 0.0,
               "mean_score_gap": gap}
              for k, (phi, v, gap) in enumerate(zip(potentials, violations, gaps))]
     return _report(
         cfg, curve,
-        thresholds={"min_pressure_gap": min(gaps),
-                    "min_lambda_gap_zero_potential": _order_gaps(lams, pairs)[1][0],
+        thresholds={"min_pressure_gap": min(gaps[:-1]),
+                    "min_lambda_gap_zero_potential": gaps[-1],
                     "comparable_pairs": n_pairs,
                     "grammars": len(grammars),
-                    "violations": sum(violations)},
+                    "violations": sum(violations[:-1])},
     )
 
 

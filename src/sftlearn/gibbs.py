@@ -94,6 +94,14 @@ def _powers(theta: int, width: int) -> np.ndarray:
     return theta ** np.arange(width - 1, -1, -1)
 
 
+def _symbols(word, what: str) -> tuple[int, ...]:
+    """``word``'s symbols as ints; a float or bool symbol raises, naming the word."""
+    try:
+        return tuple(_integer(s, "symbol") for s in word)
+    except (TypeError, ValidationError) as exc:
+        raise ValidationError(f"{what} {word!r}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class Potential:
     """Real-valued table on length-``range`` words; unlisted words score 0.
@@ -114,10 +122,7 @@ class Potential:
         object.__setattr__(self, "range", r)
         seen: dict[tuple[int, ...], float] = {}
         for word, value in self.entries:
-            try:
-                w = tuple(_integer(s, "symbol") for s in word)
-            except (TypeError, ValidationError) as exc:
-                raise ValidationError(f"table word {word!r}: {exc}") from None
+            w = _symbols(word, "table word")
             if not all(0 <= s < self.lexicon.theta for s in w):
                 raise ValidationError(f"table word {w} has a symbol outside lexicon "
                                       f"of size {self.lexicon.theta}")
@@ -156,8 +161,9 @@ class Potential:
         return np.where(keys[pos] == codes, values[pos], 0.0)
 
     def value(self, word) -> float:
-        w = tuple(word)
-        if len(w) != self.range or not all(s in self.lexicon.symbols for s in w):
+        """0 off the table, at a symbol outside the lexicon or at another length."""
+        w = _symbols(word, "word")
+        if len(w) != self.range or not all(0 <= s < self.lexicon.theta for s in w):
             return 0.0
         return float(self._at(np.dot(w, _powers(self.lexicon.theta, self.range))))
 
@@ -505,7 +511,7 @@ def cylinder_log_measure(chain: GibbsChain, word) -> float:
     return float(_log_measures((chain,), [len(w)], [head], counts[None, None])[0, 0, 0])
 
 
-# The scoring kernel forms at most about this many count-by-log products at once.
+# About this many terms at once: count-by-log products in scoring, subset tests in order scans.
 _KERNEL_TERMS = 1 << 16
 
 
@@ -736,12 +742,9 @@ def periodic_orbit_potential(lower: Grammar, upper: Grammar, reward: float) -> P
         # Every extra edge of a strongly connected graph lies on a simple
         # cycle, so a period <= theta always exists.
         raise RuntimeError("no distinguishing periodic orbit found")
-    q = len(orbit)
-    table = {}
-    for i in range(q):
-        rot = orbit[i:] + orbit[:i]
-        table[rot + (rot[0],)] = float(reward)
-    return Potential.from_table(lower.lexicon, q + 1, table)
+    rotations = (orbit[i:] + orbit[:i] for i in range(len(orbit)))
+    return Potential.from_table(lower.lexicon, len(orbit) + 1,
+                                {rot + rot[:1]: float(reward) for rot in rotations})
 
 
 def entropy_via_pressure_derivative(grammar: Grammar, potential: Potential,

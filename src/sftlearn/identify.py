@@ -114,5 +114,6 @@ def identify(word, potential: Potential, candidates, tie_tol: float = DEFAULT_TI
              chains=None) -> IdentificationOutcome:
     """Score every candidate and form both answer sets."""
     _check_tie_tol(tie_tol)
+    word = tuple(word)   # an iterator would be spent by the scoring
     scores = score_candidates(word, potential, candidates, chains=chains)
-    return _outcome(len(tuple(word)), scores, tie_tol)
+    return _outcome(len(word), scores, tie_tol)

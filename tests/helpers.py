@@ -20,3 +20,10 @@ def transition_closure(word, lexicon) -> np.ndarray:
     """The 0/1 matrix of the adjacent pairs that ``word`` uses."""
     w, t = np.asarray(word, dtype=np.intp), lexicon.theta
     return (np.bincount(w[:-1] * t + w[1:], minlength=t * t) > 0).astype(np.int64).reshape(t, t)
+
+
+def comparable_pairs(grammars) -> list:
+    """Every index pair ``(i, j)`` with grammar ``i`` strictly below grammar
+    ``j``: entrywise ``<=`` and not equal, tested pair by pair."""
+    return [(i, j) for i, g in enumerate(grammars) for j, h in enumerate(grammars)
+            if (g.array <= h.array).all() and (g.array != h.array).any()]

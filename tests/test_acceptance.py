@@ -26,9 +26,10 @@ from sftlearn import (
     pressure,
     run_experiment,
 )
-from sftlearn.experiments import _comparable_pairs, _random_potentials, entropy_crossing
+from sftlearn.experiments import _random_potentials, entropy_crossing
 
 from conftest import primitive_by_graph
+from helpers import comparable_pairs
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -78,7 +79,7 @@ def test_03_pressure_strict_monotonicity():
     checked = 0
     for theta in (2, 3):
         _, grammars, potentials = _pressure_sweep(theta)
-        pairs = _comparable_pairs(grammars)
+        pairs = comparable_pairs(grammars)
         for phi in potentials:
             values = [pressure(g, phi) for g in grammars]
             gaps = [values[j] - values[i] for i, j in pairs]
@@ -130,7 +131,7 @@ def test_06_minimum_entropy_convergence_and_monotonicity():
     for theta in (2, 3):
         lex = Lexicon(theta)
         grammars = enumerate_grammars(lex)
-        pairs = _comparable_pairs(grammars)
+        pairs = comparable_pairs(grammars)
         potentials = [Potential.zero(lex)]
         for r in (2, 3, 2, 3, 2):
             words = list(itertools.product(lex.symbols, repeat=r))

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from sftlearn.serialize import (
     potential_to_dict,
 )
 from sftlearn.symbolic import format_word
+
+from helpers import comparable_pairs
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -270,6 +273,81 @@ def test_runners_take_zero_counts_and_ignore_fields_they_do_not_use():
 def test_monotonicity_scan_requires_theta():
     with pytest.raises(ValidationError):
         run_experiment(small(default_config("monotonicity"), theta=None))
+
+
+def _oracle_gaps(values, grammars):
+    """What ``_order_gaps`` returns, from the brute-force pair list."""
+    pairs = comparable_pairs(grammars)
+    deltas = [[row[j] - row[i] for i, j in pairs] for row in values.tolist()]
+    return (len(pairs), [sum(d <= 0 for d in row) for row in deltas],
+            [min(row, default=math.inf) for row in deltas])
+
+
+@pytest.mark.parametrize("one_row_chunks", [False, True])
+@pytest.mark.parametrize("theta", [2, 3])
+def test_order_gaps_match_the_pair_oracle(monkeypatch, theta, one_row_chunks):
+    if one_row_chunks:
+        monkeypatch.setattr(experiments, "_KERNEL_TERMS", 1)
+    rng = np.random.default_rng(theta)
+    grammars = enumerate_grammars(Lexicon(theta))
+    # shuffled, and with a duplicate, which is not below its copy
+    grammars = [grammars[i] for i in rng.permutation(len(grammars))] + grammars[:1]
+    k = len(grammars)
+    edges = np.array([g.array.sum() for g in grammars], dtype=float)
+    values = np.stack([
+        rng.normal(size=k),                          # violations, no ties
+        rng.integers(0, 3, size=k).astype(float),    # exact ties, each a violation
+        edges,                                       # strictly monotone, least gap 1
+        np.zeros(k),                                 # every pair tied
+    ])
+    assert experiments._order_gaps(values, grammars) == _oracle_gaps(values, grammars)
+
+
+def test_order_gaps_read_every_word_of_a_wide_lexicon(monkeypatch):
+    monkeypatch.setattr(experiments, "_KERNEL_TERMS", 1)
+    lex = Lexicon(9)   # 81 incidence bits: two 64-bit words
+
+    def without(*cells):
+        m = np.ones((9, 9), dtype=int)
+        for cell in cells:
+            m[cell] = 0
+        return Grammar(lex, m.tolist())
+
+    # early lacks bits 0 and 1 (first word) and late bit 80 (second word), so
+    # early is below late in the first word alone, but not in both
+    early, late = without((0, 0), (0, 1)), without((8, 8))
+    values = np.array([[1.0, 2.0]])
+    assert experiments._order_gaps(values, (early, late)) == (0, [0], [math.inf])
+    grammars = (early, late, without((0, 0), (0, 1), (8, 8)), without())
+    values = np.random.default_rng(9).normal(size=(3, 4))
+    result = experiments._order_gaps(values, grammars)
+    assert result == _oracle_gaps(values, grammars) and result[0] == 5
+
+
+def test_order_gaps_count_theta_four_pairs_by_a_zeta_sum_in_bounded_memory():
+    grammars = enumerate_grammars(Lexicon(4))
+    bits = np.array([g.array.ravel() for g in grammars])
+    codes = bits @ (1 << np.arange(16))
+    # superset (zeta) sum over the 2^16 codes: above[c] counts the class's codes that hold c
+    above = np.zeros(1 << 16, dtype=np.int64)
+    above[codes] = 1
+    for k in range(16):
+        halves = above.reshape(-1, 2, 1 << k)
+        halves[:, 0] += halves[:, 1]
+    pairs = int((above[codes] - 1).sum())
+    edges = bits.sum(axis=1).astype(float)
+    values = np.stack([edges, -edges])
+    tracemalloc.start()
+    try:
+        result = experiments._order_gaps(values, grammars)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # every grammar lies below the full one, so the widest edge gap is 16 - fewest edges
+    assert result == (pairs, [0, pairs], [1.0, edges.min() - 16])
+    assert pairs == 4_419_770
+    # ceiling fixed before the first run; a 25 575^2 pair matrix alone is 654 MB of bools
+    assert peak < 8 * 2**20
 
 
 def test_smb_estimates_concentrate():

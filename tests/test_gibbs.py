@@ -37,9 +37,8 @@ from sftlearn import (
     sample,
 )
 from sftlearn import gibbs
-from sftlearn.experiments import _comparable_pairs
 
-from helpers import admits, all_words
+from helpers import admits, all_words, comparable_pairs
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -88,6 +87,18 @@ def test_potential_table_words_are_checked_not_coerced(lex2):
     p = Potential(lex2, 2, (((np.int64(0), np.uint8(1)), 1.0),))
     assert p.entries == (((0, 1), 1.0),)
     assert [type(s) for s in p.entries[0][0]] == [int, int]
+
+
+def test_potential_value_checks_symbols_like_construction(lex2):
+    phi = Potential.from_table(lex2, 2, {(0, 1): 0.5, (1, 0): -1.0})
+    for word in ((0.0, 1), (True, 0), (0, 1.9), (np.float64(1.0), 0)):
+        with pytest.raises(ValidationError, match=f"^word {re.escape(repr(word))}: symbol"):
+            phi.value(word)
+    assert phi.value((np.int64(0), np.uint8(1))) == 0.5
+    assert phi.value([1, 0]) == -1.0
+    # an integer outside the lexicon, or a word of another length, reads 0
+    for word in ((0, 2), (-1, 1), (0, 1, 0), ()):
+        assert phi.value(word) == 0.0
 
 
 def test_potential_range_is_checked_not_truncated(lex2):
@@ -1154,7 +1165,7 @@ def test_orbit_potential_matches_the_least_rotation_rule_on_every_pair():
     checked = 0
     for theta in (2, 3):
         grammars = enumerate_grammars(Lexicon(theta))
-        for i, j in _comparable_pairs(grammars):
+        for i, j in comparable_pairs(grammars):
             lower, upper = grammars[i], grammars[j]
             assert periodic_orbit_potential(lower, upper, 1.5) \
                 == _reference_orbit_potential(lower, upper, 1.5)

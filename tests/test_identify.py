@@ -53,6 +53,13 @@ def test_single_candidate_class(golden, zero2):
     assert rejected.none_admissible
 
 
+def test_identify_counts_a_word_given_as_an_iterator(trio, zero2):
+    out = identify(iter((0, 1, 0)), zero2, trio)
+    ref = identify((0, 1, 0), zero2, trio)
+    assert out.n == ref.n == 3
+    assert out.scores == ref.scores
+
+
 def test_no_admissible_candidate_sets_flag_instead_of_raising(golden, swapped, zero2):
     # "11" rules out golden-mean, "00" rules out its mirror
     out = identify((1, 1, 0, 0), zero2, (golden, swapped))
