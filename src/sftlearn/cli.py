@@ -40,7 +40,7 @@ from .serialize import (
     potential_from_dict,
     sample_to_dict,
 )
-from .symbolic import Grammar, Lexicon, ValidationError, enumerate_grammars, parse_word
+from .symbolic import Grammar, Lexicon, ValidationError, _integers, enumerate_grammars, parse_word
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,11 +80,10 @@ def _load_potential(path: str | None, lexicon: Lexicon) -> Potential:
 def _load_word(args) -> tuple[int, ...]:
     if args.sample_file is not None:
         data = _load_json(args.sample_file)
-        if not isinstance(data, list) or not all(
-                isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in data):
+        word = _integers(data, f"{args.sample_file}: word symbol") if isinstance(data, list) else ()
+        if not isinstance(data, list) or min(word, default=0) < 0:
             raise ValidationError(
                 f"{args.sample_file}: a word file must hold a JSON array of nonnegative integers")
-        word = tuple(data)
     else:
         word = parse_word(args.sample)
     if not word:

@@ -29,46 +29,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .gibbs import (
-    _KERNEL_TERMS,
-    Potential,
-    _log_measures,
-    _pressure_family,
-    _sample_counts,
-    chain_stack,
-    gibbs_chain,
-    periodic_orbit_potential,
-)
-from .identify import (
-    DEFAULT_TIE_TOL,
-    _answer_sets,
-    _check_tie_tol,
-    _outcome,
-    _scores,
-)
-from .serialize import (
-    _finite,
-    _int,
-    _read,
-    _strict,
-    _tuple_of,
-    encode_floats,
-    grammar_from_dict,
-    grammar_to_dict,
-    outcome_to_dict,
-    potential_from_dict,
-    potential_to_dict,
-)
-from .symbolic import (
-    Grammar,
-    Lexicon,
-    OrderRelation,
-    ValidationError,
-    _integer,
-    compare,
-    enumerate_grammars,
-    format_word,
-)
+from .gibbs import (_KERNEL_TERMS, Potential, _log_measures, _pressure_family, _sample_counts,
+                    chain_stack, gibbs_chain, periodic_orbit_potential)
+from .identify import DEFAULT_TIE_TOL, _answer_sets, _check_tie_tol, _outcome, _scores
+from .serialize import (_int, _number, _read, _strict, _tuple_of, encode_floats, grammar_from_dict,
+                        grammar_to_dict, outcome_to_dict, potential_from_dict, potential_to_dict)
+from .symbolic import (Grammar, Lexicon, OrderRelation, ValidationError, _integer, _integers, _real,
+                       compare, enumerate_grammars, format_word)
 
 DEFAULT_CHECKPOINTS = (10, 50, 200, 2000)
 
@@ -140,8 +107,8 @@ class ExperimentConfig:
 _CONVERTERS = {
     str: _strict(str, str, "a string"),
     int: _int,
-    float: _finite,
-    float | str: lambda v: v if v == "auto" else _finite(v),
+    float: _number,
+    float | str: lambda v: v if v == "auto" else _number(v),
     Grammar: grammar_from_dict,
     Potential: potential_from_dict,
 }
@@ -226,7 +193,7 @@ def _resolve_candidates(cfg: ExperimentConfig, lexicon: Lexicon) -> tuple[Gramma
 
 def validate_checkpoints(checkpoints) -> list[int]:
     """Check that prefix lengths are nonempty, positive and strictly increasing."""
-    cps = [_integer(c, "checkpoint") for c in checkpoints]
+    cps = list(_integers(checkpoints, "checkpoint"))
     if not cps:
         raise ValidationError("checkpoints must list at least one prefix length")
     if cps[0] < 1:
@@ -280,17 +247,21 @@ def _random_potentials(lexicon: Lexicon, count: int, ranges, bound: float,
     return out
 
 
-def _mean(values: list) -> float | None:
-    """Mean of Python numbers, summed in order as Python floats so that its
-    bits do not depend on numpy's summation order; None if there are none."""
-    return sum(values) / len(values) if values else None
+def _mean(values) -> float | None:
+    """Mean of numbers or bools added left to right from 0 by a cumulative sum, as Python 3.11's
+    ``sum`` adds them (3.12's compensates), so that printed means do not depend on the Python
+    version; None if there are none."""
+    if not len(values):
+        return None
+    with np.errstate(all="ignore"):   # inf - inf reads nan, as in Python
+        return float(np.cumsum(values)[-1] + 0.0) / len(values)   # from 0: -0.0 reads 0.0
 
 
 def _means(values: np.ndarray, where=True) -> list:
     """:func:`_mean` over seeds (axis 0) of the entries ``where`` holds, at
     each checkpoint (axis 1) of an ``(S, P)`` array."""
     where = np.broadcast_to(where, values.shape)
-    return [_mean(v[w].tolist()) for v, w in zip(values.T, where.T)]
+    return [_mean(v[w]) for v, w in zip(values.T, where.T)]
 
 
 def _gap(values: np.ndarray) -> np.ndarray:
@@ -342,8 +313,7 @@ def _study_report(cfg, candidates, chains, lls, word, details: dict,
     checkpoint and the first seed's word and outcome."""
     final = lls[:, -1]
     table = [{"grammar": grammar_to_dict(g), "entropy": chain.entropy,
-              "admit_frequency": _mean((ll > -np.inf).tolist()),
-              "mean_log_likelihood": _mean(ll.tolist())}
+              "admit_frequency": _mean(ll > -np.inf), "mean_log_likelihood": _mean(ll)}
              for g, chain, ll in zip(candidates, chains, final.T)]
     outcome = _outcome(int(cfg.checkpoints[-1]), _scores(candidates, chains, final[0].tolist()),
                        cfg.tie_tol)
@@ -405,13 +375,14 @@ def entropy_crossing(lower: Grammar, upper: Grammar, tol: float = 1e-6) -> float
     """
     if compare(lower, upper) is not OrderRelation.LESS:
         raise ValidationError("entropy_crossing needs lower strictly below upper")
-    if not tol > 0:
+    if not _real(tol, "bisect_tol") > 0:
         raise ValidationError(f"bisect_tol must be > 0, got {tol!r}")
 
-    baseline = gibbs_chain(lower, periodic_orbit_potential(lower, upper, 0.0)).entropy
+    orbit = periodic_orbit_potential(lower, upper, 1.0)   # scaled(r) rewards r: 1.0 * r == r
+    baseline = gibbs_chain(lower, orbit.scaled(0.0)).entropy
 
     def gap(reward: float) -> float:
-        return gibbs_chain(upper, periodic_orbit_potential(lower, upper, reward)).entropy - baseline
+        return gibbs_chain(upper, orbit.scaled(reward)).entropy - baseline
 
     lo, hi = 0.0, 1.0
     if gap(lo) <= 0:
@@ -440,8 +411,11 @@ def _run_language_change(cfg: ExperimentConfig) -> ExperimentReport:
     candidates = _resolve_candidates(cfg, cfg.lower.lexicon)
     lower_idx = _index_of(cfg.lower, candidates, "lower")
     upper_idx = _index_of(cfg.upper, candidates, "upper")
+    auto = cfg.reward == "auto"   # the reward is then the crossing plus reward_margin
+    reward = _real(cfg.reward_margin if auto else cfg.reward, "reward_margin" if auto else "reward")
     crossing = entropy_crossing(cfg.lower, cfg.upper, cfg.bisect_tol)
-    reward = crossing + cfg.reward_margin if cfg.reward == "auto" else float(cfg.reward)
+    if auto:
+        reward += crossing
     phi = periodic_orbit_potential(cfg.lower, cfg.upper, reward)
     chains, _, lls, (admissible, ml, me), word = _study(
         cfg, phi, candidates, cfg.lower, "lower", cps)
@@ -469,8 +443,9 @@ def _run_ml_misidentification(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValidationError("ml-misidentification needs lower strictly below upper")
     if not cfg.penalties:
         raise ValidationError("penalties must list at least one penalty")
+    penalties = [_real(penalty, "penalty") for penalty in cfg.penalties]
     _check_tie_tol(cfg.tie_tol)
-    n = cfg.sample_length
+    n = _integer(cfg.sample_length, "sample_length")
     if n < 1:   # the penalty potential has range 2, so its blocks are single symbols
         raise ValidationError(f"sample_length {n} is shorter than the block size 1")
     lex = cfg.lower.lexicon
@@ -479,8 +454,8 @@ def _run_ml_misidentification(cfg: ExperimentConfig) -> ExperimentReport:
     extra = [(a, b) for a in lex.symbols for b in lex.symbols
              if cfg.upper.matrix[a][b] and not cfg.lower.matrix[a][b]]
     curve, first = [], None
-    for penalty in cfg.penalties:
-        phi = Potential.from_table(lex, 2, {pair: -float(penalty) for pair in extra})
+    for penalty, value in zip(cfg.penalties, penalties):
+        phi = Potential.from_table(lex, 2, {pair: -value for pair in extra})
         _, upper_idx, lls, (admissible, ml, _), word = _study(
             cfg, phi, candidates, cfg.upper, "upper", (n,))
         avoided = admissible[:, 0, lower_idx]
@@ -489,8 +464,8 @@ def _run_ml_misidentification(cfg: ExperimentConfig) -> ExperimentReport:
         if first is None:
             first = {"seed": cfg.base_seed, "penalty": penalty, "word": format_word(word)}
         curve.append({"n": n, "penalty": penalty,
-                      "frequency": _mean(hits.tolist()), "mean_score_gap": _mean(gaps.tolist()),
-                      "avoid_frequency": _mean(avoided.tolist())})
+                      "frequency": _mean(hits), "mean_score_gap": _mean(gaps),
+                      "avoid_frequency": _mean(avoided)})
     return _report(cfg, curve, thresholds={"penalized_transitions": [list(p) for p in extra]},
                    details={"first_seed": first, "lower_index": lower_idx, "upper_index": upper_idx})
 
@@ -500,11 +475,11 @@ def _run_monotonicity_scan(cfg: ExperimentConfig) -> ExperimentReport:
     lexicon, swept across the zero potential and random finite-range tables."""
     if cfg.theta is None:
         raise ValidationError("monotonicity scan needs a theta")
-    if cfg.n_potentials < 0:
+    if _integer(cfg.n_potentials, "n_potentials") < 0:
         raise ValidationError(f"n_potentials must be nonnegative, got {cfg.n_potentials}")
     if cfg.n_potentials > 0 and not cfg.potential_ranges:
         raise ValidationError("potential_ranges must list at least one range when n_potentials > 0")
-    if cfg.n_potentials > 0 and cfg.value_bound < 0:
+    if cfg.n_potentials > 0 and _real(cfg.value_bound, "value_bound") < 0:
         raise ValidationError(f"value_bound must be nonnegative, got {cfg.value_bound}")
     lex = Lexicon(cfg.theta)
     grammars = enumerate_grammars(lex)
@@ -532,12 +507,13 @@ def _run_smb(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.true_grammar is None:
         raise ValidationError("smb needs a true_grammar")
     cps = validate_checkpoints(cfg.checkpoints)
+    tolerance = _real(cfg.tolerance, "tolerance")
     phi = cfg.potential if cfg.potential is not None else Potential.zero(cfg.true_grammar.lexicon)
     [chain], _, lls, _, _ = _study(cfg, phi, (cfg.true_grammar,), cfg.true_grammar, "true", cps)
     estimates = -lls[..., 0] / cps
     devs = np.abs(estimates - chain.entropy)
     curve = [{"n": cp, "frequency": f, "mean_score_gap": g}
-             for cp, f, g in zip(cps, _means(devs <= cfg.tolerance), _means(devs))]
+             for cp, f, g in zip(cps, _means(devs <= tolerance), _means(devs))]
     return _report(cfg, curve, thresholds={"tolerance": cfg.tolerance, "entropy": chain.entropy},
                    details={"final_estimates": estimates[:, -1].tolist()})
 
@@ -558,9 +534,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.experiment not in _RUNNERS:
         raise ValidationError(
             f"unknown experiment id {config.experiment!r}; expected one of {EXPERIMENT_IDS}")
-    if config.seeds < 1:
+    if _integer(config.seeds, "seeds") < 1:
         raise ValidationError("seeds must be a positive count of runs")
-    if config.base_seed < 0:
+    if _integer(config.base_seed, "base_seed") < 0:
         raise ValidationError(f"base_seed must be nonnegative, got {config.base_seed}")
     started = time.perf_counter()
     report = _RUNNERS[config.experiment](config)

@@ -57,6 +57,8 @@ from .symbolic import (
     OrderRelation,
     ValidationError,
     _integer,
+    _integers,
+    _real,
     compare,
     validate_word,
 )
@@ -94,14 +96,6 @@ def _powers(theta: int, width: int) -> np.ndarray:
     return theta ** np.arange(width - 1, -1, -1)
 
 
-def _symbols(word, what: str) -> tuple[int, ...]:
-    """``word``'s symbols as ints; a float or bool symbol raises, naming the word."""
-    try:
-        return tuple(_integer(s, "symbol") for s in word)
-    except (TypeError, ValidationError) as exc:
-        raise ValidationError(f"{what} {word!r}: {exc}") from None
-
-
 @dataclass(frozen=True)
 class Potential:
     """Real-valued table on length-``range`` words; unlisted words score 0.
@@ -122,15 +116,15 @@ class Potential:
         object.__setattr__(self, "range", r)
         seen: dict[tuple[int, ...], float] = {}
         for word, value in self.entries:
-            w = _symbols(word, "table word")
+            try:
+                w, v = _integers(word, "symbol"), _real(value, "value")
+            except ValidationError as exc:
+                raise ValidationError(f"table word {word!r}: {exc}") from None
             if not all(0 <= s < self.lexicon.theta for s in w):
                 raise ValidationError(f"table word {w} has a symbol outside lexicon "
                                       f"of size {self.lexicon.theta}")
             if len(w) != r:
                 raise ValidationError(f"table word {w} has length {len(w)}, expected {r}")
-            v = float(value)
-            if not math.isfinite(v):
-                raise ValidationError(f"potential value for {w} is not finite: {value!r}")
             if w in seen:
                 raise ValidationError(f"duplicate table entry for word {w}")
             seen[w] = v
@@ -162,15 +156,13 @@ class Potential:
 
     def value(self, word) -> float:
         """0 off the table, at a symbol outside the lexicon or at another length."""
-        w = _symbols(word, "word")
+        w = _integers(word, f"word {word!r}: symbol")
         if len(w) != self.range or not all(0 <= s < self.lexicon.theta for s in w):
             return 0.0
         return float(self._at(np.dot(w, _powers(self.lexicon.theta, self.range))))
 
     def scaled(self, factor: float) -> "Potential":
-        f = float(factor)
-        if not math.isfinite(f):
-            raise ValidationError(f"scale factor must be finite, got {factor!r}")
+        f = _real(factor, "scale factor")
         return Potential(self.lexicon, self.range, tuple((w, v * f) for w, v in self.entries))
 
 
@@ -729,6 +721,7 @@ def periodic_orbit_potential(lower: Grammar, upper: Grammar, reward: float) -> P
     symbol closes the cycle.  The result vanishes on every word admissible
     under ``lower``.
     """
+    reward = _real(reward, "reward")
     if compare(lower, upper) is not OrderRelation.LESS:
         raise ValidationError("periodic_orbit_potential needs lower strictly below upper")
     up, low = upper.array, lower.array
@@ -744,7 +737,7 @@ def periodic_orbit_potential(lower: Grammar, upper: Grammar, reward: float) -> P
         raise RuntimeError("no distinguishing periodic orbit found")
     rotations = (orbit[i:] + orbit[:i] for i in range(len(orbit)))
     return Potential.from_table(lower.lexicon, len(orbit) + 1,
-                                {rot + rot[:1]: float(reward) for rot in rotations})
+                                {rot + rot[:1]: reward for rot in rotations})
 
 
 def entropy_via_pressure_derivative(grammar: Grammar, potential: Potential,
@@ -752,8 +745,10 @@ def entropy_via_pressure_derivative(grammar: Grammar, potential: Potential,
     """Entropy as pressure minus its derivative along potential scaling.
 
     Uses the thermodynamic identity h = P(phi) - dP(beta * phi)/dbeta at
-    beta = 1, with the derivative taken by central finite difference.
+    beta = 1, with the derivative taken by central finite difference of ``step > 0``.
     """
+    if not _real(step, "step") > 0:
+        raise ValidationError(f"step must be > 0, got {step!r}")
     scaled = (potential, potential.scaled(1.0 + step), potential.scaled(1.0 - step))
     p0, p_plus, p_minus = _pressure_family((grammar,), scaled)[:, 0].tolist()
     return p0 - (p_plus - p_minus) / (2.0 * step)

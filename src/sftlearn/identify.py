@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gibbs import Potential, chain_stack, cylinder_log_measure
-from .symbolic import Grammar, ValidationError, validate_word
+from .symbolic import Grammar, ValidationError, _real, validate_word
 
 DEFAULT_TIE_TOL = 1e-9
 
@@ -106,8 +106,8 @@ def _outcome(n: int, scores, tie_tol: float) -> IdentificationOutcome:
 def _check_tie_tol(tie_tol: float) -> None:
     """A NaN tolerance would empty both answer sets, and an infinite one
     would put forbidden candidates in the maximum-likelihood set."""
-    if not 0 <= tie_tol < math.inf:
-        raise ValidationError(f"tie tolerance tie_tol must be finite and >= 0, got {tie_tol!r}")
+    if _real(tie_tol, "tie tolerance tie_tol") < 0:
+        raise ValidationError(f"tie tolerance tie_tol must be >= 0, got {tie_tol!r}")
 
 
 def identify(word, potential: Potential, candidates, tie_tol: float = DEFAULT_TIE_TOL,

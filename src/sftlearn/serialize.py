@@ -11,13 +11,14 @@ layout) so identical inputs always produce identical bytes.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 
 from .gibbs import Potential, Sample
 from .identify import IdentificationOutcome
-from .symbolic import Grammar, Lexicon, ValidationError, format_word, parse_word
+from .symbolic import Grammar, Lexicon, ValidationError, _integer, _real, format_word, parse_word
 
 
 def grammar_to_dict(g: Grammar) -> dict:
@@ -25,27 +26,17 @@ def grammar_to_dict(g: Grammar) -> dict:
 
 
 def _strict(kinds, convert, what: str):
-    """Converter that takes only values of ``kinds``, and never a bool."""
+    """Converter that takes only values of ``kinds``."""
     def converted(value):
-        if isinstance(value, bool) or not isinstance(value, kinds):
+        if not isinstance(value, kinds):
             raise TypeError(f"expected {what}, got {value!r}")
         return convert(value)
     return converted
 
 
-_int = _strict(int, int, "an integer")
-_float = _strict((int, float), float, "a number")
-
-
-def _finite(value) -> float:
-    """:func:`_float` of a value that must also be finite."""
-    try:
-        v = _float(value)
-    except OverflowError:   # an integer past the float range
-        v = math.inf
-    if not math.isfinite(v):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return v
+# A JSON number's converters; ``_read`` names the field around their messages.
+_int = functools.partial(_integer, what="value")
+_number = functools.partial(_real, what="value")
 
 
 def _tuple_of(convert):
@@ -88,7 +79,7 @@ def potential_from_dict(data) -> Potential:
             raise ValidationError(f"potential entry needs 'word' and 'value', got {item!r}")
         entries.append((_read(item, "potential entry", "word",
                               parse_word if isinstance(item["word"], str) else _tuple_of(_int)),
-                        _read(item, "potential entry", "value", _finite)))
+                        _read(item, "potential entry", "value", _number)))
     return Potential(Lexicon(_read(data, "potential", "theta", _int)),
                      _read(data, "potential", "range", _int), tuple(entries))
 

@@ -7,10 +7,16 @@ mixing subshift of finite type and carries a unique chain of maximal
 entropy.  Words are plain tuples of integer symbols; ``parse_word`` and
 ``format_word`` convert to and from the digit-string form used on the
 command line.
+
+Caller input is checked here, never coerced, by one rule per kind:
+:func:`_integer` for an integer, :func:`_real` for a finite real and
+:func:`_integers` for a sequence of integers.  ``validate_word`` still
+coerces its symbols with ``int``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -35,6 +41,29 @@ def _integer(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, what: str) -> float:
+    """``value``, a finite Python or numpy int or float (not a bool), as a float."""
+    if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
+        try:
+            if math.isfinite(number := float(value)):
+                return number
+        except OverflowError:   # an integer past the float range
+            pass
+    raise ValidationError(f"{what} must be a finite real number, got {value!r}")
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values``, Python or numpy integers (not floats or bools), as a tuple of ints.  Python
+    ints pass on one read of their types; any other values go through :func:`_integer`."""
+    try:
+        values = tuple(values)   # an iterator is read once
+    except TypeError:
+        raise ValidationError(f"{what}s must come in a sequence, got {values!r}") from None
+    if set(map(type, values)) <= {int}:
+        return values
+    return tuple(_integer(value, what) for value in values)
 
 
 @dataclass(frozen=True)
@@ -75,17 +104,14 @@ def validate_word(word, lexicon: Lexicon) -> tuple[int, ...]:
 
 def parse_word(text: str) -> tuple[int, ...]:
     """Parse a digit string like ``"0110"`` into a word (one digit per symbol)."""
-    if not isinstance(text, str) or not all(c.isdigit() for c in text):
+    if not isinstance(text, str) or not text.isascii() or not all(c.isdigit() for c in text):
         raise ValidationError(f"word text must be decimal digits, got {text!r}")
     return tuple(int(c) for c in text)
 
 
 def format_word(word) -> str:
     """Render a word of integer symbols (not floats or bools) as a digit string; theta <= 10."""
-    kinds = {word.dtype.type} if isinstance(word, np.ndarray) and word.size else set(map(type, word))
-    if not all(issubclass(k, (int, np.integer)) and k is not bool for k in kinds):
-        raise ValidationError("word symbols must be integers, not floats or bools")
-    w = np.asarray(word, dtype=np.int64)
+    w = np.array(_integers(word, "word symbol"), dtype=np.int64)
     if w.size and (w.min() < 0 or w.max() > 9):
         raise ValidationError("digit rendering needs symbols in 0..9; use a JSON integer array instead")
     return (w + ord("0")).astype(np.uint8).tobytes().decode()
@@ -93,17 +119,16 @@ def format_word(word) -> str:
 
 def _as_incidence(matrix) -> np.ndarray:
     """``matrix`` as a square int64 array of at least two symbols whose
-    entries are :func:`_integer` 0s and 1s."""
+    entries are :func:`_integers` 0s and 1s."""
     entries = np.array(matrix, dtype=object)   # ragged rows make a 1-D array of rows
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise ValidationError(f"incidence matrix must be square, got shape {entries.shape}")
     if entries.shape[0] < 2:
         raise ValidationError("incidence matrix needs at least two symbols")
-    arr = np.array([_integer(x, "incidence matrix entry") for x in entries.flat],
-                   dtype=np.int64).reshape(entries.shape)
-    if arr.min() < 0 or arr.max() > 1:
+    flat = _integers(entries.ravel(), "incidence matrix entry")
+    if not set(flat) <= {0, 1}:   # before int64, which an entry like 2**70 would overflow
         raise ValidationError("incidence matrix entries must be 0 or 1")
-    return arr
+    return np.array(flat, dtype=np.int64).reshape(entries.shape)
 
 
 def wielandt_exponent(theta: int) -> int:

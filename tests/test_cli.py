@@ -94,13 +94,13 @@ def test_identify_accepts_word_files_and_explicit_sets(capsys, tmp_path, zero_fi
     bad_word.write_text('["a", "b"]')
     code, _, err = run(capsys, "identify", "--sample-file", str(bad_word))
     assert code == 1
-    assert "array of nonnegative integers" in err
+    assert "word symbol must be an integer, got 'a'" in err
 
 
 def test_a_bad_grammar_set_is_named_by_its_path(capsys, tmp_path):
     path = tmp_path / "set.json"
     for data, message in (([{"theta": 2, "matrix": [[1, 1.5], [1, 0]]}],
-                           "grammar field 'matrix': expected an integer, got 1.5"),
+                           "grammar field 'matrix': value must be an integer, got 1.5"),
                           ([], "grammar set must be a nonempty JSON array")):
         path.write_text(json.dumps(data))
         code, out, err = run(capsys, "identify", "--sample", "0101", "--grammar-set", str(path))

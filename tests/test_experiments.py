@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from sftlearn import (
     chain_stack,
     cylinder_log_measure,
     default_config,
+    entropy_via_pressure_derivative,
     enumerate_grammars,
     gibbs_chain,
     identify,
@@ -197,6 +199,76 @@ def test_entropy_crossing_requires_strict_order(golden, full2):
         entropy_crossing(full2, golden)
 
 
+def test_entropy_crossing_builds_its_orbit_once(golden, full2, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return periodic_orbit_potential(*args)
+
+    monkeypatch.setattr(experiments, "periodic_orbit_potential", counted)
+    assert entropy_crossing(golden, full2, tol=1e-6) == pytest.approx(_closed_form_crossing(),
+                                                                      abs=1e-6)
+    assert calls == [(golden, full2, 1.0)]
+    # scaling the unit orbit rewards r exactly, so the bisection sees the potentials it built before
+    orbit = periodic_orbit_potential(golden, full2, 1.0)
+    for reward in (0.0, 1e-7, 0.5, 1.7, 3.141592653589793, 1e6):
+        assert orbit.scaled(reward) == periodic_orbit_potential(golden, full2, reward)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda g, f: Potential(g.lexicon, 2, (((0, 1), "1.5"),)),
+                 "table word (0, 1): value must be a finite real number, got '1.5'",
+                 id="potential-value-string"),
+    pytest.param(lambda g, f: Potential(g.lexicon, 2, (((0, 1), True),)),
+                 "table word (0, 1): value must be a finite real number, got True",
+                 id="potential-value-bool"),
+    pytest.param(lambda g, f: Potential.from_table(g.lexicon, 2, {(0, 1): 0.5}).scaled("2"),
+                 "scale factor must be a finite real number, got '2'", id="scale-string"),
+    pytest.param(lambda g, f: periodic_orbit_potential(g, f, "3"),
+                 "reward must be a finite real number, got '3'", id="reward-string"),
+    pytest.param(lambda g, f: identify((0, 1, 0), Potential.zero(g.lexicon), (g, f), tie_tol=True),
+                 "tie tolerance tie_tol must be a finite real number, got True", id="tie-tol-bool"),
+    pytest.param(lambda g, f: entropy_crossing(g, f, tol="1e-6"),
+                 "bisect_tol must be a finite real number, got '1e-6'", id="tol-string"),
+    pytest.param(lambda g, f: entropy_crossing(g, f, tol=True),
+                 "bisect_tol must be a finite real number, got True", id="tol-bool"),
+    *(pytest.param(lambda g, f, step=step: entropy_via_pressure_derivative(
+                       g, Potential.zero(g.lexicon), step), message, id=f"step-{step}")
+      for step, message in ((0, "step must be > 0, got 0"), (-1e-5, "step must be > 0, got -1e-05"),
+                            (math.nan, "step must be a finite real number, got nan"))),
+])
+def test_numbers_from_callers_are_checked_not_coerced(golden, full2, call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call(golden, full2)
+
+
+def test_python_and_numpy_numbers_keep_their_values(golden, full2, lex2):
+    for value in (1.5, np.float64(1.5), np.float32(1.5)):
+        assert Potential(lex2, 2, (((0, 1), value),)).entries == (((0, 1), 1.5),)
+    assert Potential(lex2, 2, (((0, 1), np.int64(-3)),)).entries == (((0, 1), -3.0),)
+    phi = Potential.from_table(lex2, 2, {(0, 1): 0.5})
+    assert phi.scaled(np.int64(2)) == phi.scaled(2) == Potential.from_table(lex2, 2, {(0, 1): 1.0})
+    assert periodic_orbit_potential(golden, full2, np.float32(3.0)) == \
+        periodic_orbit_potential(golden, full2, 3)
+    outcome = identify((0, 1, 0), Potential.zero(lex2), (golden, full2), tie_tol=0)
+    assert outcome.tie_tolerance == 0 and outcome.ml_indices == (0,)
+    assert entropy_crossing(golden, full2, tol=np.float64(1e-3)) == \
+        entropy_crossing(golden, full2, tol=1e-3)
+    assert entropy_via_pressure_derivative(golden, phi, np.float64(1e-5)) == \
+        entropy_via_pressure_derivative(golden, phi, 1e-5)
+
+
+def test_study_means_add_left_to_right_whatever_the_python_version():
+    # sum([0.1] * 10) is 0.9999999999999999 in order (Python 3.11) and 1.0 compensated
+    # (3.12 on); the means keep the in-order bits, which the recorded digests hold
+    assert experiments._mean([0.1] * 10) == 0.9999999999999999 / 10 != 0.1
+    assert experiments._mean(np.full(10, 0.1)) == 0.9999999999999999 / 10
+    assert math.copysign(1.0, experiments._mean([-0.0])) == 1.0   # 0 + -0.0 is 0.0
+    assert experiments._mean(np.array([True, False, True])) == 2 / 3
+    assert experiments._mean([]) is None
+
+
 def test_language_change_flips_min_entropy_but_not_ml():
     report = run_experiment(small(default_config("language-change"),
                                   seeds=30, checkpoints=(10, 200)))
@@ -244,6 +316,16 @@ def test_monotonicity_scan_is_clean_at_theta_two():
     ("language-change", {"candidates": (Grammar.from_rows([[1, 1], [1, 1]]),
                                         Grammar.from_rows([[0, 1], [1, 1]]))},
      "lower grammar is not among the candidates"),
+    # a bool, a string or a float does not stand in for a number of another kind
+    ("monotonicity", {"n_potentials": True}, "n_potentials"),
+    ("monotonicity", {"value_bound": "2"}, "value_bound"),
+    ("ml-misidentification", {"penalties": (10.0, True)}, "penalty"),
+    ("ml-misidentification", {"sample_length": 50.0}, "sample_length"),
+    ("language-change", {"reward": "3"}, "reward"),
+    ("language-change", {"reward_margin": True}, "reward_margin"),
+    ("smb", {"tolerance": True}, "tolerance"),
+    ("smb", {"seeds": 2.0}, "seeds"),
+    ("smb", {"base_seed": True}, "base_seed"),
 ])
 def test_bad_runner_fields_are_named_before_any_solve(monkeypatch, experiment, overrides, name):
     def no_solve(*args):

@@ -79,7 +79,7 @@ def test_potential_rejects_duplicates_wrong_length_and_non_finite(lex2):
 
 
 def test_potential_table_words_are_checked_not_coerced(lex2):
-    for word in ((0, 1.9), (True, 0), (np.float64(0.0), 1)):
+    for word in ((0, 1.9), (True, 0), (np.float64(0.0), 1), 5):
         with pytest.raises(ValidationError, match=f"^table word {re.escape(repr(word))}: symbol"):
             Potential(lex2, 2, ((word, 1.0),))
     with pytest.raises(ValidationError, match="outside lexicon of size 2"):
@@ -91,7 +91,7 @@ def test_potential_table_words_are_checked_not_coerced(lex2):
 
 def test_potential_value_checks_symbols_like_construction(lex2):
     phi = Potential.from_table(lex2, 2, {(0, 1): 0.5, (1, 0): -1.0})
-    for word in ((0.0, 1), (True, 0), (0, 1.9), (np.float64(1.0), 0)):
+    for word in ((0.0, 1), (True, 0), (0, 1.9), (np.float64(1.0), 0), 5):
         with pytest.raises(ValidationError, match=f"^word {re.escape(repr(word))}: symbol"):
             phi.value(word)
     assert phi.value((np.int64(0), np.uint8(1))) == 0.5

@@ -39,8 +39,8 @@ PROPERTY = settings(derandomize=True, max_examples=15, deadline=None, database=N
 
 
 @st.composite
-def potentials(draw):
-    r = draw(st.sampled_from((2, 3)))
+def potentials(draw, ranges=(2, 3)):
+    r = draw(st.sampled_from(ranges))
     words = list(all_words(LEX3, r))
     values = draw(st.lists(VALUES, min_size=len(words), max_size=len(words)))
     return Potential.from_table(LEX3, r, dict(zip(words, values)))
@@ -98,10 +98,11 @@ def test_extending_a_word_adds_the_log_transition_of_its_step(phi, k, extra, see
 
 
 @PROPERTY
-@given(potentials(), st.integers(0, 2**32 - 1))
+@given(potentials((2, 3, 4)), st.integers(0, 2**32 - 1))
 def test_cylinder_measures_satisfy_the_gibbs_identity(phi, seed):
     # log mu[w] = S_n phi(w) - (n - r + 1) P + log nu[first block] + log h[last block]
-    # for the chain P(u, v) = M(u, v) h(v) / (lam h(u)) with nu @ h == 1
+    # for the chain P(u, v) = M(u, v) h(v) / (lam h(u)) with nu @ h == 1, at ranges 2-4
+    # (up to 27 blocks at range 4)
     t, r = LEX3.theta, phi.range
     places = t ** np.arange(r - 1, -1, -1)
     table = np.array([phi.value(v) for v in all_words(LEX3, r)])

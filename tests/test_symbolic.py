@@ -68,6 +68,10 @@ def test_parse_word_rejects_non_digits():
         parse_word("01a0")
     with pytest.raises(ValidationError):
         parse_word("-12")
+    # str.isdigit also takes other scripts' digits and superscripts, which int() reads or rejects
+    for text in ("0\u0663", "01\u00b2"):
+        with pytest.raises(ValidationError, match=f"^word text must be decimal digits, got {text!r}$"):
+            parse_word(text)
 
 
 def test_format_word_rejects_symbols_beyond_digits():
@@ -96,7 +100,7 @@ def test_format_word_writes_one_digit_per_symbol():
 def test_format_word_rejects_floats_and_bools_instead_of_truncating():
     for bad in ((0, 1.9), [True, 0], (0.0,), [False], [0, np.True_], np.array([1.0, 2.0]),
                 np.array([True, False]), (0, "1")):
-        with pytest.raises(ValidationError, match="^word symbols must be integers"):
+        with pytest.raises(ValidationError, match="^word symbol must be an integer, got "):
             format_word(bad)
     for word, text in (((), ""), ([], ""), (np.array([], dtype=np.int64), ""),
                        ([2, 0, 1], "201"), ((2, 0, 1), "201"), (np.array([2, 0, 1]), "201"),
@@ -148,6 +152,9 @@ def test_is_primitive_rejects_malformed_matrices():
         is_primitive([[1, 1], [1]])
     with pytest.raises(ValidationError):
         is_primitive([[1, 2], [1, 0]])
+    # checked before the int64 array, which such an entry would overflow
+    with pytest.raises(ValidationError, match="^incidence matrix entries must be 0 or 1$"):
+        is_primitive([[1, 2**70], [1, 0]])
     with pytest.raises(ValidationError):
         is_primitive([[1]])
 
