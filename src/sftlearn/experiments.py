@@ -25,7 +25,7 @@ import itertools
 import math
 import time
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .identify import DEFAULT_TIE_TOL, _answer_sets, _check_tie_tol, _outcome, _
 from .serialize import (_int, _number, _read, _strict, _tuple_of, encode_floats, grammar_from_dict,
                         grammar_to_dict, outcome_to_dict, potential_from_dict, potential_to_dict)
 from .symbolic import (Grammar, Lexicon, OrderRelation, ValidationError, _integer, _integers, _real,
-                       compare, enumerate_grammars, format_word)
+                       _sequence, compare, enumerate_grammars, format_word)
 
 DEFAULT_CHECKPOINTS = (10, 50, 200, 2000)
 
@@ -538,6 +538,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         raise ValidationError("seeds must be a positive count of runs")
     if _integer(config.base_seed, "base_seed") < 0:
         raise ValidationError(f"base_seed must be nonnegative, got {config.base_seed}")
+    # fields that from_dict converts, checked here for configs built in code
+    for name, kind in (("true_grammar", Grammar), ("lower", Grammar), ("upper", Grammar),
+                       ("potential", Potential)):
+        if not isinstance(value := getattr(config, name), (kind, type(None))):
+            raise ValidationError(f"{name} must be a {kind.__name__} or None, got {value!r}")
+    candidates = None if config.candidates is None else _sequence(config.candidates, "candidate")
+    for g in candidates or ():
+        if not isinstance(g, Grammar):
+            raise ValidationError(f"candidate must be a Grammar, got {g!r}")
+    scales = _sequence(config.scales, "scale")
+    for scale in scales:
+        _real(scale, "scale")
+    # the runner reads the sequences that were checked, so an iterator is read once
+    config = replace(config, candidates=candidates, scales=scales,
+                     potential_ranges=_integers(config.potential_ranges, "potential range"))
     started = time.perf_counter()
     report = _RUNNERS[config.experiment](config)
     report.wall_time_s = time.perf_counter() - started

@@ -19,13 +19,13 @@ the midpoint of ``phi`` over admissible words, and the pressure adds ``c``
 back (``P(phi - c) = P(phi) - c``), so the values may span up to about 1416
 before a weight leaves the normal floats; a zero potential has ``c = 0``.
 
-Every pressure, entropy and cylinder likelihood goes through a dense eigen-solve of a
-stack ``(M_1..M_K, M_1^T..M_K^T)`` of one block count, certified as :func:`perron`
-describes, of at most ``_EIG_ENTRIES`` entries.  :func:`_pressure_family` solves a class
-under many potentials, with blocks grown once per range; :func:`pressure_stack`,
-:func:`chain_stack` (array arithmetic per stack, ``nu`` by ``matmul`` for its bits) and
-the one-grammar functions are its smaller cases, bit for bit.  Dense eig costs O(d^3):
-about 2.4 s at d = 1024 on one core of a 2-vCPU Xeon.
+Every pressure, entropy and cylinder likelihood goes through a dense eigen-solve of a stack
+of one block count and at most ``_EIG_ENTRIES`` entries (:func:`_certified`): of ``(M_1..M_K,
+M_1^T..M_K^T)`` for chains, which need ``nu`` (:func:`chain_stack`: array arithmetic per
+stack, ``nu`` by ``matmul`` for its bits), and of ``(M_1..M_K)``, certified by ``h``, for the
+pressures of :func:`_pressure_family`, a class under many potentials, blocks grown once per
+range.  Smaller stacks and one-grammar calls have the same bits, and ``lam`` is the same on
+both paths.  Dense eig costs O(d^3): about 2.4 s at d = 1024 on one core of a 2-vCPU Xeon.
 
 A word enters a likelihood only through the code of its first block and its
 counts of range-``r`` words, the sufficient statistic of a Markov chain.
@@ -72,9 +72,9 @@ _LOG_MAX = math.log(np.finfo(float).max)
 class PerronConvergenceError(RuntimeError):
     """The eigen-solve failed its Perron certificate.
 
-    ``lower`` and ``upper`` are the Collatz-Wielandt bracket over both
-    eigenvectors (NaN or infinite when an entry is not positive), and
-    ``min_entry`` is the smallest entry of either eigenvector.
+    ``lower`` and ``upper`` are the Collatz-Wielandt bracket over the solved eigenvectors,
+    ``h`` and ``nu`` for a chain or ``h`` alone for a pressure (NaN or infinite when an entry
+    is not positive), and ``min_entry`` is the smallest entry of those eigenvectors.
     """
 
     def __init__(self, dim: int, lam: float, lower: float, upper: float, min_entry: float):
@@ -279,14 +279,14 @@ def _transfer_stack(blocks, potentials):
             yield keys[j:j + per, of].ravel().tolist(), shifts[j:j + per, of].ravel(), stack
 
 
-def _perron_stack(groups):
-    """Each ``(members, shifts, stack)`` group of :func:`_transfer_stack` with ``(lam,
-    pair)`` appended: the Perron root of ``stack[i]`` and, in ``pair[i]``, the absolute
-    values of its right and left eigenvectors.  A group where a matrix fails is not
-    yielded, and the error, raised after the last group, names the least failing member."""
+def _perron_stack(groups, left: bool):
+    """Each ``(members, shifts, stack)`` group of :func:`_transfer_stack` with ``(lam, pair)``
+    appended: the Perron root of ``stack[i]`` and the absolute values of its right and, if
+    ``left``, left eigenvectors in ``pair[i]``.  A group where a matrix fails is not yielded,
+    and the error, raised after the last group, names the least failing member."""
     failures = []
     for members, shifts, stack in groups:
-        lam, pair, failure = _certified(members, stack)
+        lam, pair, failure = _certified(members, stack, left)
         if failure:
             failures.append(failure)
         else:
@@ -295,28 +295,27 @@ def _perron_stack(groups):
         raise min(failures, key=lambda f: f[0])[1]
 
 
-def _certified(members, stack):
-    """``(lam, pair, failure)`` of a ``(k, d, d)`` stack from one dense eigen-solve of
-    ``(M_1..M_k, M_1^T..M_k^T)``, each matrix solved apart by LAPACK's ``geev``, so as
-    in a stack of one; ``failure`` is None, or ``(member, error)`` for the first that
-    fails :func:`perron`'s certificate, or whose ``geev`` does not converge."""
+def _certified(members, stack, left: bool):
+    """``(lam, pair, failure)`` of a ``(k, d, d)`` stack from one dense eigen-solve of ``(M_1..M_k,
+    M_1^T..M_k^T)`` if ``left``, else of ``(M_1..M_k)``, each matrix apart by LAPACK's ``geev``
+    (so ``lam`` has the bits of a stack of one), certified as :func:`perron` says by the sides
+    solved: ``h > 0`` and its Collatz-Wielandt bracket alone certify ``lam``.  ``failure`` is
+    None, or ``(member, error)`` for the first that fails, or whose ``geev`` does not converge."""
     k, d = stack.shape[:2]
-    both = np.concatenate((stack, stack.transpose(0, 2, 1)))
+    solved = np.concatenate((stack, stack.transpose(0, 2, 1))) if left else stack
     try:
-        values, vectors = np.linalg.eig(both)
+        values, vectors = np.linalg.eig(solved)
     except np.linalg.LinAlgError as exc:   # then each matrix alone, to find the first that fails
         error = RuntimeError(f"eigen-solve of a {d}x{d} matrix failed: {exc}")
-        alone = (_certified(members[i:i + 1], stack[i:i + 1])[2] for i in range(k)) if k > 1 else ()
+        alone = (_certified([m], one, left)[2] for m, one in zip(members, stack[:, None]) if k > 1)
         return None, None, next(filter(None, alone), (members[0], error))
-    top = values.real.argmax(axis=1)
-    every = np.arange(2 * k)
-    lam = values.real[every[:k], top[:k]]
-    vecs = np.abs(vectors[every, :, top].real)
+    top, lam = values.real.argmax(axis=1), values.real.max(axis=1)[:k]
+    vecs = np.abs(vectors[np.arange(len(solved)), :, top].real)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratios = ((both @ vecs[:, :, None])[:, :, 0] / vecs).reshape(2, k, d)
-    # matrix i's bounds run over its own ratios and those of its transpose
+        ratios = ((solved @ vecs[:, :, None])[:, :, 0] / vecs).reshape(-1, k, d)
+    # matrix i's bounds run over its own ratios, and those of its transpose if solved
     lower, upper = ratios.min(axis=(0, 2)), ratios.max(axis=(0, 2))
-    pair = vecs.reshape(2, k, d).swapaxes(0, 1)
+    pair = vecs.reshape(-1, k, d).swapaxes(0, 1)
     least = pair.min(axis=(1, 2))
     width = np.maximum(upper, lam) - np.minimum(lower, lam)
     ok = (least > 0) & (width <= CERTIFICATE_RTOL * lam)
@@ -357,7 +356,7 @@ def perron(transfer: TransferMatrix) -> tuple[float, np.ndarray, np.ndarray]:
     positive and the Collatz-Wielandt bracket, widened to contain ``lam``,
     is narrower than ``CERTIFICATE_RTOL * lam``.
     """
-    [(*_, lam, pair)] = _perron_stack([((0,), None, np.asarray(transfer.entries, float)[None])])
+    [(*_, lam, pair)] = _perron_stack([((0,), None, np.array([transfer.entries], float))], left=True)
     h, nu = _normalized(pair)
     return float(lam[0]), h[0], nu[0]
 
@@ -430,7 +429,8 @@ def chain_stack(grammars, potential: Potential) -> tuple[GibbsChain, ...]:
     grammars = tuple(grammars)
     blocks = _class_blocks(grammars, potential)
     chains = [None] * len(grammars)
-    for members, shifts, stack, lam, pair in _perron_stack(_transfer_stack(blocks, [potential])):
+    groups = _transfer_stack(blocks, [potential])
+    for members, shifts, stack, lam, pair in _perron_stack(groups, left=True):
         h, nu = _normalized(pair)
         stationary = nu * h
         stationary /= stationary.sum(axis=1, keepdims=True)
@@ -476,7 +476,7 @@ def _pressure_family(grammars, potentials) -> np.ndarray:
         for ps in map(np.array, ranges.values()):
             blocks = _class_blocks(grammars, potentials[ps[0]])
             groups = _transfer_stack(blocks, [potentials[p] for p in ps])
-            for members, shifts, _, lam, _ in _perron_stack(groups):
+            for members, shifts, _, lam, _ in _perron_stack(groups, left=False):
                 j, k = np.divmod(members, len(grammars))
                 # math.log, not np.log, which differs in the last bit: it keeps the
                 # printed pressures (README's among them) as they were

@@ -338,6 +338,34 @@ def test_bad_runner_fields_are_named_before_any_solve(monkeypatch, experiment, o
         run_experiment(small(default_config(experiment), **overrides))
 
 
+def test_object_and_tuple_fields_of_a_config_built_in_code_are_checked(monkeypatch):
+    # from_dict converts these fields; a config built in code used to fail deep in a
+    # runner with an AttributeError or a TypeError that named no field
+    def no_solve(*args):
+        raise AssertionError("solved before the config was checked")
+    monkeypatch.setattr(experiments, "chain_stack", no_solve)
+    golden = Grammar.from_rows([[1, 1], [1, 0]])
+    for overrides, message in [
+        ({"true_grammar": ((1, 1), (1, 0))}, r"^true_grammar must be a Grammar or None, got \("),
+        ({"potential": {"theta": 2}}, r"^potential must be a Potential or None, got \{"),
+        ({"scales": ("a", 1.0)}, r"^scale must be a finite real number, got 'a'$"),
+        ({"scales": 5}, r"^scales must come in a sequence, got 5$"),
+        ({"candidates": (golden, ((1, 1), (1, 1)))}, r"^candidate must be a Grammar, got \(\("),
+        ({"candidates": 5}, r"^candidates must come in a sequence, got 5$"),
+        ({"potential_ranges": (2, "a")}, r"^potential range must be an integer, got 'a'$"),
+    ]:
+        config = small(default_config("entropy-convergence"), **overrides)
+        with pytest.raises(ValidationError, match=message):
+            run_experiment(config)
+    monkeypatch.undo()
+    # iterators are read once, and the runner reads what was checked
+    report = run_experiment(small(default_config("entropy-convergence"), seeds=2,
+                                  candidates=iter([golden, Grammar.from_rows([[1, 1], [1, 1]])]),
+                                  scales=iter([2.0, 1.0])))
+    assert len(report.candidate_table) == 2
+    assert [row["scale"] for row in report.details["monotonicity"]["scales"]] == [1.0, 2.0]
+
+
 def test_runners_take_zero_counts_and_ignore_fields_they_do_not_use():
     # no random potentials: the bound goes unused, and only the zero potential is scanned
     report = run_experiment(small(default_config("monotonicity"), n_potentials=0,

@@ -270,13 +270,18 @@ def _class_potentials(lex):
 def _bounded_eig(monkeypatch, budget):
     """Patch ``np.linalg.eig`` to fail on a stack of more than ``budget``
     matrix entries (sum of d^2 over the matrices, not their transposes)
-    unless it holds one matrix; returns the list of solved stack sizes."""
+    unless it holds one matrix.  Returns a list that gets, per solved stack,
+    its number of matrices k and whether it also holds their transposes: a
+    chain solve's stack is ``(M_1..M_k, M_1^T..M_k^T)``, a pressure solve's
+    ``(M_1..M_k)``."""
     real, sizes = np.linalg.eig, []
 
     def eig(a):
-        k, d = a.shape[0] // 2, a.shape[-1]
+        n, d = a.shape[0], a.shape[-1]
+        both = n % 2 == 0 and bool((a[n // 2:] == a[:n // 2].transpose(0, 2, 1)).all())
+        k = n // 2 if both else n
         assert k * d * d <= max(budget, d * d)
-        sizes.append(k)
+        sizes.append((k, both))
         return real(a)
 
     monkeypatch.setattr(np.linalg, "eig", eig)
@@ -302,9 +307,12 @@ def test_class_solves_equal_the_single_solves_exactly(theta, monkeypatch):
         sizes = _bounded_eig(monkeypatch, budget)
         family = gibbs._pressure_family(grammars, potentials)
         if budget == 1:
-            assert set(sizes) == {1}
+            assert {k for k, _ in sizes} == {1}
         if budget == 1 << 30:   # one stack per range and block count
             assert len(sizes) == len(groups)
+            # K x P matrices in all, and no transpose: pressures need no left vector
+            assert sum(k for k, _ in sizes) == len(grammars) * len(potentials)
+            assert not any(both for _, both in sizes)
         for phi, row, single in zip(potentials, family, singles):
             expected = [p for *_, p in single]
             assert row.tolist() == pressure_stack(grammars, phi).tolist() == expected
@@ -328,11 +336,12 @@ def _first_failures(grammars, phi):
     return a, b, dims
 
 
-def _uncertifiable(monkeypatch, failing, block_codes=None, sign=1.0):
+def _uncertifiable(monkeypatch, failing, block_codes=None, sign=1.0, matrix=None):
     """Patch ``_transfer_stack`` so that each grammar ``k`` in ``failing``
     gets ``sign * (k + 1) I``, which fails the certificate (no primitive
-    grammar yields an uncertifiable matrix), under every potential, or only
-    under those whose blocks have ``block_codes`` codes, theta^(range - 1)."""
+    grammar yields an uncertifiable matrix), or ``matrix`` if given, under
+    every potential, or only under those whose blocks have ``block_codes``
+    codes, theta^(range - 1)."""
     real = gibbs._transfer_stack
 
     def broken(grown, potentials):
@@ -341,7 +350,8 @@ def _uncertifiable(monkeypatch, failing, block_codes=None, sign=1.0):
             stack = stack.copy()
             for i, m in enumerate(members):
                 if m % k in failing and block_codes in (None, codes):
-                    stack[i] = np.eye(stack.shape[-1]) * sign * (m % k + 1)
+                    stack[i] = (np.eye(stack.shape[-1]) * sign * (m % k + 1) if matrix is None
+                                else matrix)
             yield members, shifts, stack
 
     monkeypatch.setattr(gibbs, "_transfer_stack", broken)
@@ -361,6 +371,32 @@ def test_class_solves_raise_the_first_failing_grammar_in_input_order(monkeypatch
     with pytest.raises(PerronConvergenceError) as single:
         perron(TransferMatrix(grammars[a], phi, (), np.eye(dims[a]) * (a + 1)))
     assert str(err.value) == str(single.value)
+
+
+def test_pressures_are_certified_by_h_alone_and_chains_by_both_vectors(monkeypatch):
+    """``[[2, 0], [1, 1]]`` has ``h = (1, 1)``, whose Collatz-Wielandt bracket is
+    exactly [2, 2], but ``nu = (1, 0)``: its pressure is certified, its chain is not.
+    Its transpose has ``h = (1, 0)`` and fails on every path."""
+    lex2 = Lexicon(2)
+    grammars = enumerate_grammars(lex2)
+    phi = _class_potentials(lex2)[1]   # range 2: every grammar has d = 2
+    shift = build_transfer(grammars[0], phi).shift
+    assert shift
+    family = [Potential.zero(lex2), phi]
+    for planted, h_positive in (([[2.0, 0.0], [1.0, 1.0]], True),
+                                ([[2.0, 1.0], [0.0, 1.0]], False)):
+        monkeypatch.undo()
+        _uncertifiable(monkeypatch, (0,), matrix=np.array(planted))
+        pressures = [lambda: pressure_stack(grammars, phi)[0], lambda: pressure(grammars[0], phi),
+                     lambda: gibbs._pressure_family(grammars, family)[1, 0]]
+        chains = [lambda: chain_stack(grammars, phi), lambda: gibbs_chain(grammars[0], phi),
+                  lambda: perron(TransferMatrix(grammars[0], phi, (), np.array(planted)))]
+        if h_positive:
+            assert [solve() for solve in pressures] == [math.log(2.0) + shift] * 3
+        for solve in chains if h_positive else chains + pressures:
+            with pytest.raises(PerronConvergenceError) as err:
+                solve()
+            assert (err.value.dim, err.value.lam, err.value.min_entry) == (2, 2.0, 0.0)
 
 
 def _unconvergent(monkeypatch, failing):
@@ -530,7 +566,7 @@ def _oracle_chains(grammars, phi):
     blocks = gibbs._class_blocks(grammars, phi)
     out = [None] * len(grammars)
     for members, shifts, stack, lams, pair in gibbs._perron_stack(
-            gibbs._transfer_stack(blocks, [phi])):
+            gibbs._transfer_stack(blocks, [phi]), left=True):
         for i, k in enumerate(members):
             lam, shift = float(lams[i]), float(shifts[i])
             h = pair[i][0] / pair[i][0].sum()
@@ -557,12 +593,14 @@ def _bits(fields):
 @pytest.mark.parametrize("theta", [2, 3, 4])
 def test_class_chains_have_the_bits_of_the_per_chain_arithmetic(theta):
     """``chain_stack`` computes a block count's chains together; every field
-    has the bits of the same formulas applied to one chain alone."""
+    has the bits of the same formulas applied to one chain alone, and the
+    pressures those of ``pressure_stack``, which solves no transposes."""
     lex = Lexicon(theta)
     grammars = enumerate_grammars(lex)
     potentials = _class_potentials(lex) if theta < 4 else [_random_potential(lex, 2, 4)]
     for phi in potentials:
         chains = chain_stack(grammars, phi)
+        assert _bits([pressure_stack(grammars, phi)]) == _bits([[c.pressure for c in chains]])
         for chain, want in zip(chains, _oracle_chains(grammars, phi), strict=True):
             arrays = (chain.h, chain.nu, chain.stationary, chain.transition)
             got = (chain.lam, chain.pressure, chain.entropy, *arrays, *chain._logs)
