@@ -211,16 +211,16 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         text = args.func(args)
-    except ValueError as exc:  # ValidationError included
+        if args.output is not None:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+    except (ValueError, OSError) as exc:  # ValidationError, and an --output that cannot be written
         print(f"sftlearn: error: {exc}", file=sys.stderr)
         return 1
     except (RuntimeError, OverflowError, FloatingPointError) as exc:
         print(f"sftlearn: numerical failure: {exc}", file=sys.stderr)
         return 2
-    if args.output is not None:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+    if args.output is None:
         sys.stdout.write(text)
         sys.stdout.flush()
     print(f"sftlearn: {args.command} finished in {time.perf_counter() - started:.3f}s",

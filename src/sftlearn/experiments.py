@@ -21,11 +21,12 @@ Run ``i`` of an experiment uses seed ``base_seed + i``, and a report is a
 pure function of its config, so repeated runs are bit-identical.
 """
 
+import functools
 import itertools
 import math
 import time
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,8 +35,8 @@ from .gibbs import (_KERNEL_TERMS, Potential, _log_measures, _pressure_family, _
 from .identify import DEFAULT_TIE_TOL, _answer_sets, _check_tie_tol, _outcome, _scores
 from .serialize import (_int, _number, _read, _strict, _tuple_of, encode_floats, grammar_from_dict,
                         grammar_to_dict, outcome_to_dict, potential_from_dict, potential_to_dict)
-from .symbolic import (Grammar, Lexicon, OrderRelation, ValidationError, _integer, _integers, _real,
-                       _sequence, compare, enumerate_grammars, format_word)
+from .symbolic import (Grammar, Lexicon, OrderRelation, ValidationError, _integers, _real, compare,
+                       enumerate_grammars, format_word)
 
 DEFAULT_CHECKPOINTS = (10, 50, 200, 2000)
 
@@ -45,7 +46,9 @@ _FULL_ROWS = ((1, 1), (1, 1))
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a runner needs; unused fields are simply ignored.
+    """Everything a runner needs.  Every field's type is checked when the config
+    is built, and the field holds its value converted by :func:`_converter`;
+    ranges are checked only by the runners that read them.
 
     ``candidates=None`` means "enumerate every primitive grammar over the
     relevant lexicon".  Seeds for run ``i`` are ``base_seed + i``.
@@ -78,6 +81,11 @@ class ExperimentConfig:
     # smb
     tolerance: float = 0.05
 
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name,
+                               _read(vars(self), "experiment config", f.name, _converter(f.type)))
+
     def to_dict(self) -> dict:
         out = {f.name: _field_to_json(getattr(self, f.name)) for f in fields(self)}
         if self.candidates is None:
@@ -86,37 +94,37 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data) -> "ExperimentConfig":
-        """Build a config from a flat JSON object, each field converted by
-        its annotation (:func:`_converter`; this module does not postpone
-        annotations, so they are types).  Omitted fields, and
+        """Build a config from a flat JSON object.  Omitted fields, and
         ``"candidates": "auto"``, take the default; any bad value raises a
         ``ValidationError`` naming its field."""
         if not isinstance(data, dict):
             raise ValidationError("experiment config must be a JSON object")
         if "experiment" not in data:
             raise ValidationError("experiment config is missing the 'experiment' field")
-        types = {f.name: f.type for f in fields(cls)}
+        names = {f.name for f in fields(cls)}
         for key in data:
-            if key not in types:
+            if key not in names:
                 raise ValidationError(f"unknown experiment config field: {key!r}")
-        return cls(**{key: _read(data, "experiment config", key, _converter(types[key]))
-                      for key in data if not (key == "candidates" and data[key] == "auto")})
+        return cls(**{key: value for key, value in data.items()
+                      if not (key == "candidates" and value == "auto")})
 
 
-# JSON value -> field value, by a config field's type.
+# field value, or its JSON form -> field value, by a config field's type.
 _CONVERTERS = {
     str: _strict(str, str, "a string"),
     int: _int,
     float: _number,
     float | str: lambda v: v if v == "auto" else _number(v),
-    Grammar: grammar_from_dict,
-    Potential: potential_from_dict,
+    Grammar: lambda v: v if isinstance(v, Grammar) else grammar_from_dict(v),
+    Potential: lambda v: v if isinstance(v, Potential) else potential_from_dict(v),
 }
 
 
+@functools.cache
 def _converter(hint):
-    """The converter of a field annotated ``hint``: a ``_CONVERTERS`` type,
-    ``tuple[X, ...]`` of one, or ``X | None`` (``null`` reads ``None``)."""
+    """The converter of a field annotated ``hint`` (a type: this module does not
+    postpone annotations): a ``_CONVERTERS`` type, ``tuple[X, ...]`` of one, or
+    ``X | None`` (``null`` reads ``None``).  Each takes its own output back unchanged."""
     args = typing.get_args(hint)
     if type(None) in args:
         (inner,) = set(args) - {type(None)}
@@ -412,7 +420,7 @@ def _run_language_change(cfg: ExperimentConfig) -> ExperimentReport:
     lower_idx = _index_of(cfg.lower, candidates, "lower")
     upper_idx = _index_of(cfg.upper, candidates, "upper")
     auto = cfg.reward == "auto"   # the reward is then the crossing plus reward_margin
-    reward = _real(cfg.reward_margin if auto else cfg.reward, "reward_margin" if auto else "reward")
+    reward = cfg.reward_margin if auto else cfg.reward
     crossing = entropy_crossing(cfg.lower, cfg.upper, cfg.bisect_tol)
     if auto:
         reward += crossing
@@ -443,9 +451,8 @@ def _run_ml_misidentification(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValidationError("ml-misidentification needs lower strictly below upper")
     if not cfg.penalties:
         raise ValidationError("penalties must list at least one penalty")
-    penalties = [_real(penalty, "penalty") for penalty in cfg.penalties]
     _check_tie_tol(cfg.tie_tol)
-    n = _integer(cfg.sample_length, "sample_length")
+    n = cfg.sample_length
     if n < 1:   # the penalty potential has range 2, so its blocks are single symbols
         raise ValidationError(f"sample_length {n} is shorter than the block size 1")
     lex = cfg.lower.lexicon
@@ -454,8 +461,8 @@ def _run_ml_misidentification(cfg: ExperimentConfig) -> ExperimentReport:
     extra = [(a, b) for a in lex.symbols for b in lex.symbols
              if cfg.upper.matrix[a][b] and not cfg.lower.matrix[a][b]]
     curve, first = [], None
-    for penalty, value in zip(cfg.penalties, penalties):
-        phi = Potential.from_table(lex, 2, {pair: -value for pair in extra})
+    for penalty in cfg.penalties:
+        phi = Potential.from_table(lex, 2, {pair: -penalty for pair in extra})
         _, upper_idx, lls, (admissible, ml, _), word = _study(
             cfg, phi, candidates, cfg.upper, "upper", (n,))
         avoided = admissible[:, 0, lower_idx]
@@ -475,11 +482,11 @@ def _run_monotonicity_scan(cfg: ExperimentConfig) -> ExperimentReport:
     lexicon, swept across the zero potential and random finite-range tables."""
     if cfg.theta is None:
         raise ValidationError("monotonicity scan needs a theta")
-    if _integer(cfg.n_potentials, "n_potentials") < 0:
+    if cfg.n_potentials < 0:
         raise ValidationError(f"n_potentials must be nonnegative, got {cfg.n_potentials}")
     if cfg.n_potentials > 0 and not cfg.potential_ranges:
         raise ValidationError("potential_ranges must list at least one range when n_potentials > 0")
-    if cfg.n_potentials > 0 and _real(cfg.value_bound, "value_bound") < 0:
+    if cfg.n_potentials > 0 and cfg.value_bound < 0:
         raise ValidationError(f"value_bound must be nonnegative, got {cfg.value_bound}")
     lex = Lexicon(cfg.theta)
     grammars = enumerate_grammars(lex)
@@ -507,13 +514,12 @@ def _run_smb(cfg: ExperimentConfig) -> ExperimentReport:
     if cfg.true_grammar is None:
         raise ValidationError("smb needs a true_grammar")
     cps = validate_checkpoints(cfg.checkpoints)
-    tolerance = _real(cfg.tolerance, "tolerance")
     phi = cfg.potential if cfg.potential is not None else Potential.zero(cfg.true_grammar.lexicon)
     [chain], _, lls, _, _ = _study(cfg, phi, (cfg.true_grammar,), cfg.true_grammar, "true", cps)
     estimates = -lls[..., 0] / cps
     devs = np.abs(estimates - chain.entropy)
     curve = [{"n": cp, "frequency": f, "mean_score_gap": g}
-             for cp, f, g in zip(cps, _means(devs <= tolerance), _means(devs))]
+             for cp, f, g in zip(cps, _means(devs <= cfg.tolerance), _means(devs))]
     return _report(cfg, curve, thresholds={"tolerance": cfg.tolerance, "entropy": chain.entropy},
                    details={"final_estimates": estimates[:, -1].tolist()})
 
@@ -534,25 +540,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     if config.experiment not in _RUNNERS:
         raise ValidationError(
             f"unknown experiment id {config.experiment!r}; expected one of {EXPERIMENT_IDS}")
-    if _integer(config.seeds, "seeds") < 1:
+    if config.seeds < 1:
         raise ValidationError("seeds must be a positive count of runs")
-    if _integer(config.base_seed, "base_seed") < 0:
+    if config.base_seed < 0:
         raise ValidationError(f"base_seed must be nonnegative, got {config.base_seed}")
-    # fields that from_dict converts, checked here for configs built in code
-    for name, kind in (("true_grammar", Grammar), ("lower", Grammar), ("upper", Grammar),
-                       ("potential", Potential)):
-        if not isinstance(value := getattr(config, name), (kind, type(None))):
-            raise ValidationError(f"{name} must be a {kind.__name__} or None, got {value!r}")
-    candidates = None if config.candidates is None else _sequence(config.candidates, "candidate")
-    for g in candidates or ():
-        if not isinstance(g, Grammar):
-            raise ValidationError(f"candidate must be a Grammar, got {g!r}")
-    scales = _sequence(config.scales, "scale")
-    for scale in scales:
-        _real(scale, "scale")
-    # the runner reads the sequences that were checked, so an iterator is read once
-    config = replace(config, candidates=candidates, scales=scales,
-                     potential_ranges=_integers(config.potential_ranges, "potential range"))
     started = time.perf_counter()
     report = _RUNNERS[config.experiment](config)
     report.wall_time_s = time.perf_counter() - started

@@ -18,6 +18,9 @@ call grows its blocks anew.  Transfer weights are ``exp(phi - c)`` with ``c``
 the midpoint of ``phi`` over admissible words, and the pressure adds ``c``
 back (``P(phi - c) = P(phi) - c``), so the values may span up to about 1416
 before a weight leaves the normal floats; a zero potential has ``c = 0``.
+The certificate fails far sooner when a Perron entry is too small for ``geev``: measured at
+span 60 (theta=3), and in the theta=3 ``monotonicity`` scan at ``value_bound`` 5.0,
+``base_seed`` 7 (README "Numerical notes", ROADMAP "Known defects").
 
 Every pressure, entropy and cylinder likelihood goes through a dense eigen-solve of a stack
 of one block count and at most ``_EIG_ENTRIES`` entries (:func:`_certified`): of ``(M_1..M_K,

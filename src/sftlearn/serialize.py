@@ -15,6 +15,7 @@ import functools
 import io
 import json
 import math
+from collections.abc import Iterable
 
 from .gibbs import Potential, Sample
 from .identify import IdentificationOutcome
@@ -40,7 +41,12 @@ _number = functools.partial(_real, what="value")
 
 
 def _tuple_of(convert):
-    return _strict((list, tuple), lambda values: tuple(map(convert, values)), "a list")
+    """Converter of a list, a tuple or another iterable, read once, but not a string or a dict."""
+    def converted(values):
+        if isinstance(values, (str, dict)) or not isinstance(values, Iterable):
+            raise TypeError(f"expected a list, got {values!r}")
+        return tuple(map(convert, values))
+    return converted
 
 
 def _read(data: dict, kind: str, name: str, convert):

@@ -54,18 +54,13 @@ def _real(value, what: str) -> float:
     raise ValidationError(f"{what} must be a finite real number, got {value!r}")
 
 
-def _sequence(values, what: str) -> tuple:
-    """``values`` as a tuple, an iterator read once; a non-sequence raises naming ``what``s."""
-    try:
-        return tuple(values)
-    except TypeError:
-        raise ValidationError(f"{what}s must come in a sequence, got {values!r}") from None
-
-
 def _integers(values, what: str) -> tuple[int, ...]:
     """``values``, Python or numpy integers (not floats or bools), as a tuple of ints.  Python
     ints pass on one read of their types; any other values go through :func:`_integer`."""
-    values = _sequence(values, what)
+    try:
+        values = tuple(values)   # an iterator is read once
+    except TypeError:
+        raise ValidationError(f"{what}s must come in a sequence, got {values!r}") from None
     if set(map(type, values)) <= {int}:
         return values
     return tuple(_integer(value, what) for value in values)

@@ -132,6 +132,23 @@ def test_output_flag_writes_the_file_instead_of_stdout(capsys, tmp_path, golden_
         math.log(PHI), abs=1e-9)
 
 
+@pytest.mark.parametrize("where", ["missing directory", "a directory"])
+def test_an_output_that_cannot_be_written_exits_1_and_names_the_path(capsys, tmp_path, where):
+    target = tmp_path / "no-such-dir" / "x.json" if where == "missing directory" else tmp_path
+    code, out, err = run(capsys, "enumerate", "--theta", "2", "--output", str(target))
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("sftlearn: error:") and str(target) in lines[0]
+
+
+def test_importing_the_cli_does_not_import_numpy_random():
+    # the CLI's start-up time counts on numpy.random being imported only when a
+    # word is drawn
+    probe = "import sys, sftlearn.cli; print('numpy.random' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True).stdout == "False\n"
+
+
 @pytest.mark.parametrize("tie_tol", ["nan", "inf", "-1e-9"])
 def test_identify_rejects_a_tie_tolerance_that_is_not_finite_and_nonnegative(capsys, tie_tol):
     code, out, err = run(capsys, "identify", "--sample", "0101101", f"--tie-tol={tie_tol}")
