@@ -428,7 +428,9 @@ def gibbs_chain(grammar: Grammar, potential: Potential) -> GibbsChain:
 def chain_stack(grammars, potential: Potential) -> tuple[GibbsChain, ...]:
     """:func:`gibbs_chain` of each grammar of a class, in order, from one certified
     eigen-solve per stack of a block count, whose chains are computed as arrays
-    together; each chain's arrays are read-only views of its stack's."""
+    together; each chain's arrays are read-only views of its stack's.  Input
+    errors come before any solve: the first grammar whose weights underflow
+    raises, and only then the first whose matrix fails the certificate."""
     grammars = tuple(grammars)
     blocks = _class_blocks(grammars, potential)
     chains = [None] * len(grammars)
@@ -470,7 +472,8 @@ def _pressure_family(grammars, potentials) -> np.ndarray:
     """:func:`pressure_stack` under each of P potentials, as a ``(P, K)``
     array, from blocks grown once per lexicon and range.  A family that
     fails is solved again one potential at a time, to raise what a loop
-    over the potentials raises."""
+    over the potentials raises; within one potential, input errors come
+    before any solve, then the first grammar whose certificate fails."""
     grammars = tuple(grammars)
     out, ranges = np.empty((len(potentials), len(grammars))), {}
     for p, phi in enumerate(potentials):

@@ -90,21 +90,11 @@ def potential_from_dict(data) -> Potential:
                      _read(data, "potential", "range", _int), tuple(entries))
 
 
-def _encode_float(x: float):
-    """JSON has no infinities; ship them as strings."""
-    if x is None or math.isfinite(x):
-        return x
-    if math.isnan(x):
-        return "nan"
-    return "inf" if x > 0 else "-inf"
-
-
 def encode_floats(obj):
-    """Recursively apply :func:`_encode_float` through dicts and lists."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return _encode_float(obj)
+    """``obj`` with every non-finite float, through dicts, lists and tuples, as the
+    string ``"inf"``, ``"-inf"`` or ``"nan"``, since JSON has no such numbers."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
     if isinstance(obj, dict):
         return {k: encode_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -115,7 +105,7 @@ def encode_floats(obj):
 def score_to_dict(score) -> dict:
     return {
         "grammar": grammar_to_dict(score.grammar),
-        "log_likelihood": _encode_float(score.log_likelihood),
+        "log_likelihood": encode_floats(score.log_likelihood),
         "entropy": score.entropy,
     }
 
@@ -141,7 +131,7 @@ def sample_to_dict(s: Sample) -> dict:
 
 
 def chain_summary(chain) -> dict:
-    return {"pressure": chain.pressure, "entropy": chain.entropy, "lambda": _encode_float(chain.lam)}
+    return {"pressure": chain.pressure, "entropy": chain.entropy, "lambda": encode_floats(chain.lam)}
 
 
 def dumps(obj) -> str:

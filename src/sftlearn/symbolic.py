@@ -10,8 +10,7 @@ command line.
 
 Caller input is checked here, never coerced, by one rule per kind:
 :func:`_integer` for an integer, :func:`_real` for a finite real and
-:func:`_integers` for a sequence of integers.  ``validate_word`` still
-coerces its symbols with ``int``.
+:func:`_integers` for a sequence of integers, words included.
 """
 
 from __future__ import annotations
@@ -91,14 +90,13 @@ class OrderRelation(Enum):
 
 
 def validate_word(word, lexicon: Lexicon) -> tuple[int, ...]:
-    """Coerce ``word`` to a tuple of symbols and check it fits the lexicon."""
-    try:
-        w = tuple(int(s) for s in word)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"word must be a sequence of integers, got {word!r}") from exc
-    for s in w:
-        if not 0 <= s < lexicon.theta:
-            raise ValidationError(f"symbol {s} outside lexicon of size {lexicon.theta}")
+    """``word``, a sequence or iterator of Python or numpy integer symbols (not floats,
+    bools or strings: a digit string goes through :func:`parse_word`), as a tuple of
+    ints, each checked to lie in the lexicon."""
+    w = _integers(word, "word symbol")
+    if w and not 0 <= min(w) <= max(w) < lexicon.theta:
+        s = next(s for s in w if not 0 <= s < lexicon.theta)
+        raise ValidationError(f"symbol {s} outside lexicon of size {lexicon.theta}")
     return w
 
 

@@ -31,8 +31,8 @@ from sftlearn import (
 from sftlearn import experiments
 from sftlearn.experiments import EXPERIMENT_IDS, ExperimentReport, entropy_crossing
 from sftlearn.serialize import (
-    _encode_float,
     dumps,
+    encode_floats,
     grammar_to_dict,
     outcome_to_dict,
     potential_to_dict,
@@ -532,6 +532,15 @@ def test_infinite_gaps_survive_serialization(golden, full2):
     assert json.loads(text)   # no NaN/Infinity literals sneak through
 
 
+def test_encode_floats_spells_non_finite_floats_through_containers():
+    for value, encoded in ((math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan"),
+                           (np.float64(-math.inf), "-inf"), (None, None), (True, True),
+                           (1.5, 1.5), (0, 0), ("inf", "inf")):
+        assert encode_floats(value) == encoded and type(encode_floats(value)) is type(encoded)
+    nested = {"a": [1.5, math.inf, (math.nan, {"b": -math.inf})], "c": (None, False)}
+    assert encode_floats(nested) == {"a": [1.5, "inf", ["nan", {"b": "-inf"}]], "c": [None, False]}
+
+
 @pytest.mark.parametrize("name, overrides, message", [
     ("ml-misidentification", {"sample_length": 0}, "shorter than the block size"),
     ("ml-convergence", {"tie_tol": -1e-9}, "tie tolerance"),
@@ -579,7 +588,7 @@ def _old_report(cfg, curve, outcomes=None, word=None, candidates=(), chains=(), 
         report["candidate_table"] = [
             {"grammar": grammar_to_dict(g), "entropy": chain.entropy,
              "admit_frequency": _old_mean([oc.scores[j].admissible for oc in finals]),
-             "mean_log_likelihood": _encode_float(
+             "mean_log_likelihood": encode_floats(
                  _old_mean([oc.scores[j].log_likelihood for oc in finals]))}
             for j, (g, chain) in enumerate(zip(candidates, chains))]
         report["details"]["first_seed"] = {"seed": cfg.base_seed, "word": format_word(word),

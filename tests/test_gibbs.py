@@ -456,6 +456,30 @@ def test_a_family_raises_the_error_of_its_first_failing_potential(monkeypatch, l
     assert type(err.value) is type(want) and str(err.value) == str(want)
 
 
+def test_within_one_potential_bad_input_comes_before_any_solve():
+    """A loop over the class fails first at grammar 44's certificate.  The
+    class solves check every grammar's weights before they solve, so the
+    span of 1500 at ``(0, 0)``, which only later grammars admit, wins."""
+    lex3 = Lexicon(3)
+    grammars = enumerate_grammars(lex3)
+    phi = Potential.from_table(lex3, 2, {(0, 1): 60.0, (1, 0): 28.0, (0, 0): -1500.0})
+    assert grammars[44].matrix == ((0, 1, 1), (1, 0, 0), (0, 1, 0))
+    assert np.isfinite(pressure_stack(grammars[:44], phi)).all()
+    first_span = next(k for k, g in enumerate(grammars) if g.matrix[0][0])
+    assert first_span > 44
+    with pytest.raises(ValidationError) as span:
+        pressure(grammars[first_span], phi)
+    for solve, alone in ((pressure_stack, pressure), (chain_stack, gibbs_chain)):
+        with pytest.raises(PerronConvergenceError) as cert:
+            alone(grammars[44], phi)
+        with pytest.raises(PerronConvergenceError) as err:
+            solve(grammars[:first_span], phi)
+        assert str(err.value) == str(cert.value)
+        with pytest.raises(ValidationError) as err:
+            solve(grammars, phi)
+        assert str(err.value) == str(span.value)
+
+
 def test_class_solves_reject_underflow_with_the_message_of_pressure():
     lex3 = Lexicon(3)
     grammars = enumerate_grammars(lex3)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -255,3 +256,16 @@ def test_curve_scores_under_the_candidates_potential(golden, trio, zero2, lex2):
     assert 2 in word3
     with pytest.raises(ValidationError, match="outside lexicon"):
         identify(word3, zero2, trio)
+
+
+@pytest.mark.parametrize("word, bad", [
+    ((0, 1.9), 1.9), ((True, 0), True), (("0", "1"), "0"), ((np.float64(0.0), 1), np.float64(0.0)),
+], ids=["float", "bool", "str", "numpy-float"])
+def test_scoring_rejects_non_integer_symbols_instead_of_rounding_them(trio, zero2, word, bad):
+    chain = gibbs_chain(trio[0], zero2)
+    message = f"^word symbol must be an integer, got {re.escape(repr(bad))}$"
+    for score in (identify, score_candidates):
+        with pytest.raises(ValidationError, match=message):
+            score(word, zero2, trio)
+    with pytest.raises(ValidationError, match=message):
+        cylinder_log_measure(chain, word)

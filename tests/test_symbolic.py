@@ -1,6 +1,7 @@
 """Lexicons, words, incidence matrices, and the primitive-grammar catalogue."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -48,13 +49,33 @@ def test_lexicon_symbols_enumerate_the_alphabet():
 def test_validate_word_normalizes_to_tuple(lex2):
     assert validate_word([0, 1, 1], lex2) == (0, 1, 1)
     assert validate_word((), lex2) == ()
+    w = validate_word((np.int64(1), np.uint8(0)), lex2)
+    assert w == (1, 0) and [type(s) for s in w] == [int, int]
+    symbols = iter((1, 1, 0))
+    assert validate_word(symbols, lex2) == (1, 1, 0)
+    assert next(symbols, None) is None   # read once, to the end
+
+
+@pytest.mark.parametrize("word, message", [
+    ((0, 1.9), "word symbol must be an integer, got 1.9"),
+    ((True, 0), "word symbol must be an integer, got True"),
+    (("0", "1"), "word symbol must be an integer, got '0'"),
+    ((np.float64(0.0), 1), f"word symbol must be an integer, got {np.float64(0.0)!r}"),
+    (5, "word symbols must come in a sequence, got 5"),
+], ids=["float", "bool", "str", "numpy-float", "not-a-sequence"])
+def test_validate_word_checks_symbols_instead_of_coercing_them(lex2, word, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        validate_word(word, lex2)
 
 
 def test_validate_word_rejects_out_of_range_symbols(lex2):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^symbol 2 outside lexicon of size 2$"):
         validate_word((0, 2), lex2)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="^symbol -1 outside lexicon of size 2$"):
         validate_word((0, -1), lex2)
+    # the first bad symbol is named, not the least or the greatest
+    with pytest.raises(ValidationError, match="^symbol 3 outside lexicon of size 2$"):
+        validate_word((1, 3, -1, 7), lex2)
 
 
 def test_parse_and_format_word_round_trip():
