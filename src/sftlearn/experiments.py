@@ -31,12 +31,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .gibbs import (_KERNEL_TERMS, Potential, _log_measures, _pressure_family, _sample_counts,
-                    chain_stack, gibbs_chain, periodic_orbit_potential)
+                    chain_stack, gibbs_chain, periodic_orbit_potential, sample)
 from .identify import DEFAULT_TIE_TOL, _answer_sets, _check_tie_tol, _outcome, _scores
-from .serialize import (_int, _number, _read, _strict, _tuple_of, encode_floats, grammar_from_dict,
-                        grammar_to_dict, outcome_to_dict, potential_from_dict, potential_to_dict)
+from .serialize import (CSV_HEADER, _int, _number, _read, _strict, _tuple_of, encode_floats,
+                        grammar_from_dict, grammar_to_dict, outcome_to_dict, potential_from_dict,
+                        potential_to_dict, word_to_json)
 from .symbolic import (Grammar, Lexicon, OrderRelation, ValidationError, _integers, _real, compare,
-                       enumerate_grammars, format_word)
+                       enumerate_grammars)
 
 DEFAULT_CHECKPOINTS = (10, 50, 200, 2000)
 
@@ -165,8 +166,7 @@ class ExperimentReport:
         return encode_floats({k: v for k, v in vars(self).items() if k != "wall_time_s"})
 
     def csv_rows(self) -> list[tuple]:
-        return [(row["n"], row["frequency"], row.get("mean_score_gap"))
-                for row in self.curve]
+        return [tuple(row.get(column) for column in CSV_HEADER) for row in self.curve]
 
 
 def default_config(experiment: str) -> ExperimentConfig:
@@ -298,34 +298,38 @@ def _study(cfg: ExperimentConfig, phi: Potential, candidates, truth: Grammar, ro
     """The one study path: solve the candidates' chains under ``phi``, draw
     the config's seeds' words from the chain of ``truth`` (the ``role``
     grammar, one of the candidates), of ``ends[-1]`` symbols or one block,
-    and score their prefixes of ``ends`` symbols under every chain.  Returns
-    the chains, the truth's index, the ``(S, P, K)`` log likelihoods, their
-    answer-set masks ``(admissible, ml, min_entropy)``, and the first seed's
-    word."""
+    as counts, and score their prefixes of ``ends`` symbols under every chain.
+    Returns the chains, the truth's index, the ``(S, P, K)`` log likelihoods
+    and their answer-set masks ``(admissible, ml, min_entropy)``."""
     index = _index_of(truth, candidates, role)
     chains = chain_stack(candidates, phi)
-    word = []
-    draws = _sample_counts(chains[index], max(ends[-1], phi.range - 1), _seeds(cfg), ends, word)
+    draws = _sample_counts(chains[index], max(ends[-1], phi.range - 1), _seeds(cfg), ends)
     lls = np.concatenate([_log_measures(chains, ends, heads, counts) for heads, counts in draws])
-    return (chains, index, lls, _answer_sets(lls, [c.entropy for c in chains], cfg.tie_tol),
-            word)
+    return chains, index, lls, _answer_sets(lls, [c.entropy for c in chains], cfg.tie_tol)
+
+
+def _first_word(cfg: ExperimentConfig, chain, n: int):
+    """The JSON form of the first seed's word of a :func:`_study` of ``n`` symbols from ``chain``."""
+    word = sample(chain, max(n, chain.potential.range - 1), cfg.base_seed).word
+    return word_to_json(word, chain.grammar.lexicon)
 
 
 def _report(cfg: ExperimentConfig, curve, **fields) -> ExperimentReport:
     return ExperimentReport(cfg.experiment, cfg.to_dict(), curve, **fields)
 
 
-def _study_report(cfg, candidates, chains, lls, word, details: dict,
+def _study_report(cfg, candidates, chains, index, lls, details: dict,
                   **report) -> ExperimentReport:
     """A study's report, with the candidate table of the scores at the last
-    checkpoint and the first seed's word and outcome."""
+    checkpoint and the first seed's word (from ``chains[index]``) and outcome."""
     final = lls[:, -1]
     table = [{"grammar": grammar_to_dict(g), "entropy": chain.entropy,
               "admit_frequency": _mean(ll > -np.inf), "mean_log_likelihood": _mean(ll)}
              for g, chain, ll in zip(candidates, chains, final.T)]
     outcome = _outcome(int(cfg.checkpoints[-1]), _scores(candidates, chains, final[0].tolist()),
                        cfg.tie_tol)
-    details["first_seed"] = {"seed": cfg.base_seed, "word": format_word(word),
+    details["first_seed"] = {"seed": cfg.base_seed,
+                             "word": _first_word(cfg, chains[index], cfg.checkpoints[-1]),
                              "final_outcome": outcome_to_dict(outcome)}
     return _report(cfg, candidate_table=table, details=details, **report)
 
@@ -346,7 +350,7 @@ def _run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     lex = cfg.true_grammar.lexicon
     phi = cfg.potential if cfg.potential is not None else Potential.zero(lex)
     candidates = _resolve_candidates(cfg, lex)
-    chains, truth_idx, lls, (admissible, ml, me), word = _study(
+    chains, truth_idx, lls, (admissible, ml, me) = _study(
         cfg, phi, candidates, cfg.true_grammar, "true", cps)
     if procedure == "ml":
         defined = admissible.any(axis=-1) & (len(chains) > 1)   # a finite best, and a second
@@ -359,7 +363,7 @@ def _run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     details = {"true_index": truth_idx}
     if procedure == "entropy" and cfg.scales:
         details["monotonicity"] = _entropy_monotonicity_sweep(candidates, phi, cfg.scales)
-    return _study_report(cfg, candidates, chains, lls, word, details, curve=curve)
+    return _study_report(cfg, candidates, chains, truth_idx, lls, details, curve=curve)
 
 
 def _entropy_monotonicity_sweep(candidates, phi: Potential, scales) -> dict:
@@ -425,15 +429,14 @@ def _run_language_change(cfg: ExperimentConfig) -> ExperimentReport:
     if auto:
         reward += crossing
     phi = periodic_orbit_potential(cfg.lower, cfg.upper, reward)
-    chains, _, lls, (admissible, ml, me), word = _study(
-        cfg, phi, candidates, cfg.lower, "lower", cps)
+    chains, _, lls, (admissible, ml, me) = _study(cfg, phi, candidates, cfg.lower, "lower", cps)
     flip = me[..., upper_idx] & ~me[..., lower_idx]
     ml_true = ml[..., lower_idx] & (ml.sum(axis=-1) == 1)
     curve = [{"n": cp, "frequency": f, "mean_score_gap": g, "ml_frequency": m}
              for cp, f, g, m in zip(cps, _means(flip), _means(*_entropy_gaps(admissible, chains)),
                                     _means(ml_true))]
     return _study_report(
-        cfg, candidates, chains, lls, word,
+        cfg, candidates, chains, lower_idx, lls,
         {"lower_index": lower_idx, "upper_index": upper_idx,
          "orbit_potential": potential_to_dict(phi)},
         curve=curve,
@@ -463,13 +466,14 @@ def _run_ml_misidentification(cfg: ExperimentConfig) -> ExperimentReport:
     curve, first = [], None
     for penalty in cfg.penalties:
         phi = Potential.from_table(lex, 2, {pair: -penalty for pair in extra})
-        _, upper_idx, lls, (admissible, ml, _), word = _study(
+        chains, upper_idx, lls, (admissible, ml, _) = _study(
             cfg, phi, candidates, cfg.upper, "upper", (n,))
         avoided = admissible[:, 0, lower_idx]
         hits = avoided & ml[:, 0, lower_idx] & ~ml[:, 0, upper_idx]
         gaps = lls[avoided, 0, lower_idx] - lls[avoided, 0, upper_idx]
         if first is None:
-            first = {"seed": cfg.base_seed, "penalty": penalty, "word": format_word(word)}
+            first = {"seed": cfg.base_seed, "penalty": penalty,
+                     "word": _first_word(cfg, chains[upper_idx], n)}
         curve.append({"n": n, "penalty": penalty,
                       "frequency": _mean(hits), "mean_score_gap": _mean(gaps),
                       "avoid_frequency": _mean(avoided)})
@@ -515,7 +519,7 @@ def _run_smb(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValidationError("smb needs a true_grammar")
     cps = validate_checkpoints(cfg.checkpoints)
     phi = cfg.potential if cfg.potential is not None else Potential.zero(cfg.true_grammar.lexicon)
-    [chain], _, lls, _, _ = _study(cfg, phi, (cfg.true_grammar,), cfg.true_grammar, "true", cps)
+    [chain], _, lls, _ = _study(cfg, phi, (cfg.true_grammar,), cfg.true_grammar, "true", cps)
     estimates = -lls[..., 0] / cps
     devs = np.abs(estimates - chain.entropy)
     curve = [{"n": cp, "frequency": f, "mean_score_gap": g}

@@ -610,14 +610,14 @@ _SEED_BATCH = 256
 _TABLE_ENTRIES = 1 << 15
 
 
-def _sample_counts(chain: GibbsChain, n: int, seeds, ends, word: list | None = None):
+def _sample_counts(chain: GibbsChain, n: int, seeds, ends):
     """What :func:`sample` draws for each of a sequence of seeds, as block
     counts: yields, per batch of seeds, ``(heads, counts)``: ``heads[b]``
     codes the first block of seed b's word and ``counts[b, k]`` is the
     bincount of the range-word codes among its first ``ends[k]`` symbols
-    (``ends`` ascend, and ``n == max(ends[-1], range-1)``).  The first
-    seed's word is appended to ``word``, if given.  A batch of B seeds of a
-    d-state chain steps in blocks of ``width = min(columns, max(64,
+    (``ends`` ascend, and ``n == max(ends[-1], range-1)``).  Only counts are
+    kept; a seed's word is what :func:`sample` draws.  A batch of B seeds of
+    a d-state chain steps in blocks of ``width = min(columns, max(64,
     _TABLE_ENTRIES // (d * B)))`` columns, each step one ``take`` in the
     block's table.  Each seed draws its uniforms from its own generator,
     continuing its stream exactly, once per slab of ``width * min(ceil(columns
@@ -686,9 +686,6 @@ def _sample_counts(chain: GibbsChain, n: int, seeds, ends, word: list | None = N
             steps += offsets
             steps += np.searchsorted(inside, np.arange(start + skip, start + span))[:, None] * t**r
             counts += np.bincount(steps.ravel(), minlength=counts.size).reshape(counts.shape)
-            if word is not None and lo == 0:   # states[1] is the first block if skip
-                word.extend(chain.states[states[1, 0]][:-1] if skip else ())
-                word.extend(lasts[states[1:, 0]].tolist())
             path[0] = states[span]
         np.cumsum(counts, axis=1, out=counts)
         yield head, counts

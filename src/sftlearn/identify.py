@@ -62,23 +62,13 @@ def _scores(candidates, chains, lls) -> tuple[CandidateScore, ...]:
                  for g, c, ll in zip(candidates, chains, lls))
 
 
-def score_candidates(word, potential: Potential, candidates,
-                     chains=None) -> tuple[CandidateScore, ...]:
-    """Log likelihood and entropy of ``word`` under each candidate's chain.
-
-    ``chains`` may carry prebuilt :class:`GibbsChain` objects aligned with
-    ``candidates`` (they are rebuilt from the potential otherwise); sweeps
-    that score many words against a fixed class should pass them in.
-    """
-    candidates = tuple(candidates)
-    if not candidates:
-        raise ValidationError("candidate class is empty")
-    if any(g.lexicon != potential.lexicon for g in candidates):
-        raise ValidationError("candidate lexicon does not match the potential")
-    chains = chain_stack(candidates, potential) if chains is None else tuple(chains)
-    if len(chains) != len(candidates):
-        raise ValidationError("chains and candidates differ in length")
+def score_candidates(word, potential: Potential, candidates) -> tuple[CandidateScore, ...]:
+    """Log likelihood and entropy of ``word`` under each candidate's chain.  The
+    word is checked before the class is solved (:func:`chain_stack`, which
+    checks the class), so bad input raises before any solve."""
     w = validate_word(word, potential.lexicon)
+    candidates = tuple(candidates)
+    chains = chain_stack(candidates, potential)
     return _scores(candidates, chains, [cylinder_log_measure(c, w) for c in chains])
 
 
@@ -110,10 +100,10 @@ def _check_tie_tol(tie_tol: float) -> None:
         raise ValidationError(f"tie tolerance tie_tol must be >= 0, got {tie_tol!r}")
 
 
-def identify(word, potential: Potential, candidates, tie_tol: float = DEFAULT_TIE_TOL,
-             chains=None) -> IdentificationOutcome:
-    """Score every candidate and form both answer sets."""
+def identify(word, potential: Potential, candidates,
+             tie_tol: float = DEFAULT_TIE_TOL) -> IdentificationOutcome:
+    """Score every candidate (:func:`score_candidates`) and form both answer sets."""
     _check_tie_tol(tie_tol)
     word = tuple(word)   # an iterator would be spent by the scoring
-    scores = score_candidates(word, potential, candidates, chains=chains)
+    scores = score_candidates(word, potential, candidates)
     return _outcome(len(word), scores, tie_tol)

@@ -2,7 +2,8 @@
 
 Grammars travel as ``{"theta": int, "matrix": [[0/1, ...], ...]}`` and
 potentials as ``{"theta": int, "range": int, "entries": [{"word": "110",
-"value": 2.5}, ...]}`` with unlisted words reading 0.  Log likelihoods of
+"value": 2.5}, ...]}`` with unlisted words reading 0; over more than ten
+symbols a word is an integer array, not a digit string.  Log likelihoods of
 forbidden words serialize as the string ``"-inf"`` and undefined entropies
 as ``null``.  ``dumps`` renders deterministically (sorted keys, fixed
 layout) so identical inputs always produce identical bytes.
@@ -20,6 +21,11 @@ from collections.abc import Iterable
 from .gibbs import Potential, Sample
 from .identify import IdentificationOutcome
 from .symbolic import Grammar, Lexicon, ValidationError, _integer, _real, format_word, parse_word
+
+
+def word_to_json(word, lexicon: Lexicon):
+    """A word's JSON form: a digit string over at most ten symbols, else a list of ints."""
+    return format_word(word) if lexicon.theta <= 10 else list(word)
 
 
 def grammar_to_dict(g: Grammar) -> dict:
@@ -69,7 +75,7 @@ def potential_to_dict(p: Potential) -> dict:
     return {
         "theta": p.lexicon.theta,
         "range": p.range,
-        "entries": [{"word": format_word(w), "value": v} for w, v in p.entries],
+        "entries": [{"word": word_to_json(w, p.lexicon), "value": v} for w, v in p.entries],
     }
 
 
@@ -122,7 +128,7 @@ def outcome_to_dict(outcome: IdentificationOutcome) -> dict:
 
 def sample_to_dict(s: Sample) -> dict:
     return {
-        "word": format_word(s.word),
+        "word": word_to_json(s.word, s.grammar.lexicon),
         "length": len(s.word),
         "seed": s.seed,
         "grammar": grammar_to_dict(s.grammar),
@@ -142,11 +148,11 @@ def dumps(obj) -> str:
 CSV_HEADER = ("n", "frequency", "mean_score_gap")
 
 
-def csv_text(rows, header=CSV_HEADER) -> str:
-    """Render curve rows as RFC-4180 CSV with a newline terminator."""
+def csv_text(rows) -> str:
+    """Render curve rows, in ``CSV_HEADER``'s columns, as RFC-4180 CSV with a newline terminator."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(CSV_HEADER)
     for row in rows:
         writer.writerow(["" if x is None else x for x in row])
     return buf.getvalue()

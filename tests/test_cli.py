@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sftlearn import Grammar, enumerate_grammars, Lexicon, Potential, pressure_stack
+from sftlearn import (Grammar, enumerate_grammars, gibbs_chain, Lexicon, Potential,
+                      pressure_stack, sample)
 from sftlearn import experiments, gibbs
 from sftlearn.cli import build_parser, main
-from sftlearn.serialize import grammar_from_dict, potential_from_dict
+from sftlearn.serialize import dumps, grammar_from_dict, potential_from_dict, potential_to_dict
 
 PHI = (1 + math.sqrt(5)) / 2
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -120,6 +121,30 @@ def test_sample_output_reparses_round_trip(capsys, golden_file):
     payload = json.loads(out)
     assert grammar_from_dict(payload["grammar"]) == Grammar.from_rows([[1, 1], [1, 0]])
     assert potential_from_dict(payload["potential"]).entries == ()
+
+
+def test_words_over_more_than_ten_symbols_are_written_as_integer_arrays(capsys, tmp_path):
+    full = {"theta": 11, "matrix": [[1] * 11] * 11}
+    chain = gibbs_chain(grammar_from_dict(full), Potential.zero(Lexicon(11)))
+    grammar = tmp_path / "full11.json"
+    grammar.write_text(json.dumps(full))
+    code, out, _ = run(capsys, "sample", "--grammar", str(grammar), "--length", "30")
+    assert code == 0
+    assert json.loads(out)["word"] == list(sample(chain, 30, 0).word)
+    assert max(json.loads(out)["word"]) >= 10
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps({"experiment": "ml-convergence", "true_grammar": full,
+                                  "candidates": [full], "seeds": 3, "checkpoints": [5, 20]}))
+    code, out, _ = run(capsys, "experiment", "--config", str(config))
+    assert code == 0
+    assert json.loads(out)["details"]["first_seed"]["word"] == list(sample(chain, 20, 0).word)
+
+
+def test_a_potential_over_eleven_symbols_round_trips():
+    phi = Potential.from_table(Lexicon(11), 2, {(10, 3): 0.5, (0, 1): -1.0})
+    data = json.loads(dumps(potential_to_dict(phi)))
+    assert [e["word"] for e in data["entries"]] == [[0, 1], [10, 3]]
+    assert potential_from_dict(data) == phi
 
 
 def test_output_flag_writes_the_file_instead_of_stdout(capsys, tmp_path, golden_file):
@@ -298,6 +323,21 @@ def test_underflow_exits_1_and_a_failed_certificate_exits_2(capsys, tmp_path,
     code, out, err = run(capsys, "pressure", "--grammar", str(full))
     assert (code, out) == (2, "")
     assert "failed its certificate" in err
+
+
+def test_a_bad_word_exits_1_before_its_class_fails_a_certificate(capsys, tmp_path):
+    # this grammar's certificate fails under this potential (README "Numerical
+    # notes"), but the word is bad input, which is checked before any solve
+    grammars = tmp_path / "one.json"
+    grammars.write_text(json.dumps([{"theta": 3, "matrix": [[0, 1, 1], [1, 0, 0], [0, 1, 0]]}]))
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"theta": 3, "range": 2, "entries": [
+        {"word": w, "value": v} for w, v in (("01", 60), ("10", 28), ("22", -120))]}))
+    args = ("--grammar-set", str(grammars), "--potential", str(phi))
+    assert run(capsys, "identify", "--sample", "015", *args) == (
+        1, "", "sftlearn: error: symbol 5 outside lexicon of size 3\n")
+    code, _, err = run(capsys, "identify", "--sample", "012", *args)
+    assert code == 2 and "certificate" in err
 
 
 def test_an_eig_that_does_not_converge_exits_2_naming_the_matrix(capsys, golden_file,

@@ -1,6 +1,8 @@
 """Experiment runners: protocols, determinism, and report structure."""
 
 import dataclasses
+import functools
+import importlib
 import itertools
 import json
 import math
@@ -116,7 +118,16 @@ def test_ml_convergence_recovers_the_truth():
     assert cfg.base_seed == report.details["first_seed"]["seed"]
 
 
-def test_ml_convergence_frequency_matches_the_exact_law_at_ten_symbols(golden, zero2, lex2):
+@pytest.fixture
+def solve_once(monkeypatch):
+    """Memoize ``identify``'s class solve, for oracles that identify many words
+    against one class under one potential."""
+    monkeypatch.setattr(importlib.import_module("sftlearn.identify"), "chain_stack",
+                        functools.cache(chain_stack))
+
+
+def test_ml_convergence_frequency_matches_the_exact_law_at_ten_symbols(golden, zero2, lex2,
+                                                                       solve_once):
     # P(ML = {golden}) at n = 10, summed over all 2^10 words under the golden chain
     candidates = tuple(enumerate_grammars(lex2))
     truth, chains = candidates.index(golden), chain_stack(candidates, zero2)
@@ -124,7 +135,7 @@ def test_ml_convergence_frequency_matches_the_exact_law_at_ten_symbols(golden, z
     for word in itertools.product(lex2.symbols, repeat=10):
         p = math.exp(cylinder_log_measure(chains[truth], word))
         mass += p
-        if identify(word, zero2, candidates, chains=chains).ml_indices == (truth,):
+        if identify(word, zero2, candidates).ml_indices == (truth,):
             exact += p
     assert abs(mass - 1.0) <= 1e-12
     assert f"{exact:.5f}" == "0.98823"
@@ -289,6 +300,24 @@ def test_misidentification_needs_the_penalty():
     assert with_penalty["frequency"] >= 0.9
     assert without["frequency"] <= 0.1
     assert report.thresholds["penalized_transitions"] == [[1, 1]]
+
+
+def test_misidentification_avoid_frequency_matches_its_exact_law():
+    # The truth's word of n symbols uses only lower's transitions with probability
+    # pi^T (P o 1_lower)^(n - 1) 1, a masked matrix power (Kemeny & Snell's absorbing
+    # chains).  Config and allowance were fixed before the first run: the default
+    # grammars, 500 seeds and base seed, penalties 2 and 3, 4 binomial standard errors.
+    cfg = small(default_config("ml-misidentification"), penalties=(2.0, 3.0))
+    assert (cfg.seeds, cfg.base_seed) == (500, 0)
+    report = run_experiment(cfg)
+    lex, n = cfg.lower.lexicon, cfg.sample_length
+    for row, penalty in zip(report.curve, cfg.penalties, strict=True):
+        truth = gibbs_chain(cfg.upper, Potential.from_table(lex, 2, {(1, 1): -penalty}))
+        assert truth.states == ((0,), (1,))   # range 2: a state is its symbol
+        masked = truth.transition * np.array(cfg.lower.matrix)
+        exact = truth.stationary @ np.linalg.matrix_power(masked, n - 1) @ np.ones(2)
+        assert 0.3 < exact < 0.7
+        assert abs(row["avoid_frequency"] - exact) <= 4 * math.sqrt(exact * (1 - exact) / 500)
 
 
 def test_monotonicity_scan_is_clean_at_theta_two():
@@ -578,8 +607,8 @@ def _old_study(cfg, candidates, chains, truth, phi, ends):
     each prefix; returns the first seed's word and every seed's outcomes."""
     n = max(ends[-1], phi.range - 1)
     words = [sample(chains[truth], n, seed).word for seed in experiments._seeds(cfg)]
-    return words[0], [[identify(w[:c], phi, candidates, cfg.tie_tol, chains=chains)
-                       for c in ends] for w in words]
+    return words[0], [[identify(w[:c], phi, candidates, cfg.tie_tol) for c in ends]
+                      for w in words]
 
 
 def _old_report(cfg, curve, outcomes=None, word=None, candidates=(), chains=(), **report):
@@ -727,6 +756,6 @@ def _theta3_range3():
                    id=f"{name}-repeated-candidate")
       for name in ("ml-convergence", "entropy-convergence", "language-change")),
 ])
-def test_study_reports_match_the_word_by_word_oracle(name, overrides):
+def test_study_reports_match_the_word_by_word_oracle(name, overrides, solve_once):
     cfg = small(default_config(name), **overrides)
     assert dumps(run_experiment(cfg).to_dict()) == _OLD_RUNNERS[name](cfg)

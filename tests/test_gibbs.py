@@ -1017,17 +1017,16 @@ def test_least_above_is_the_least_float_whose_product_passes():
 def _lockstep_words(chain, n, seeds):
     """The words the lockstep sampler draws, rebuilt from the counts of
     every prefix: growing the prefix by one symbol adds exactly one
-    range-word, which ends in that symbol.  Also returns the first seed's
-    word as the sampler itself records it."""
+    range-word, which ends in that symbol."""
     t, r = chain.grammar.lexicon.theta, chain.potential.range
-    first, words = [], []
-    for heads, batch in gibbs._sample_counts(chain, n, seeds, range(1, n + 1), first):
+    words = []
+    for heads, batch in gibbs._sample_counts(chain, n, seeds, range(1, n + 1)):
         for head, counts in zip(heads.tolist(), batch):
             added = np.diff(counts, axis=0)[r - 2:]
             assert (added.sum(axis=1) == 1).all()
             codes = added.argmax(axis=1)
             words.append(chain.states[chain.index[head]] + tuple((codes % t).tolist()))
-    return words, tuple(first)
+    return words
 
 
 def test_lockstep_sampler_draws_the_words_of_sample(golden, full2, lex2, monkeypatch):
@@ -1040,9 +1039,8 @@ def test_lockstep_sampler_draws_the_words_of_sample(golden, full2, lex2, monkeyp
     chains += [gibbs_chain(g, phi3) for g in enumerate_grammars(lex3)[::10]]
     assert len(chains) == 17
     for chain in chains:
-        drawn, first = _lockstep_words(chain, 60, range(200))
+        drawn = _lockstep_words(chain, 60, range(200))
         assert drawn == [sample(chain, 60, seed).word for seed in range(200)]
-        assert first == drawn[0]
     # A batch of B seeds of a d-state chain steps in blocks of width
     # min(columns, max(64, _TABLE_ENTRIES // (d * B))) columns, and each seed draws
     # its uniforms once per slab of width * min(ceil(columns / width),
@@ -1105,11 +1103,10 @@ def _assert_lockstep_draws_sample(chain, n, seeds, blocks, slabs):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.random, "default_rng", Counted)
-        drawn, first = _lockstep_words(chain, n, seeds)
+        drawn = _lockstep_words(chain, n, seeds)
     assert [len(draws[s]) for s in seeds] == [k for b, k in zip(batches, slabs) for _ in range(b)]
     assert all(sum(draws[s]) == columns for s in seeds)
     assert drawn == [sample(chain, n, seed).word for seed in seeds]
-    assert first == drawn[0]
 
 
 # The lockstep sampler's buffers, largest first: the 27 x 256 x 64 step table of

@@ -1,5 +1,6 @@
 """Maximum-likelihood and minimum-entropy identification behavior."""
 
+import importlib
 import itertools
 import math
 import re
@@ -13,6 +14,7 @@ from sftlearn import (
     Potential,
     ValidationError,
     cylinder_log_measure,
+    enumerate_grammars,
     gibbs_chain,
     identify,
     sample,
@@ -99,13 +101,14 @@ def test_validation_errors(golden, zero2):
         identify((0, 3), zero2, (golden,))
 
 
-def test_score_candidates_accepts_prebuilt_chains(trio, zero2):
-    chains = tuple(gibbs_chain(g, zero2) for g in trio)
-    word = (0, 1, 1, 0)
-    with_chains = score_candidates(word, zero2, trio, chains=chains)
-    without = score_candidates(word, zero2, trio)
-    assert [s.log_likelihood for s in with_chains] \
-        == [s.log_likelihood for s in without]
+def test_the_word_is_checked_before_the_class_is_solved(monkeypatch):
+    def solve(grammars, potential):
+        raise AssertionError("the class was solved before the word was checked")
+
+    monkeypatch.setattr(importlib.import_module("sftlearn.identify"), "chain_stack", solve)
+    lex4 = Lexicon(4)
+    with pytest.raises(ValidationError, match="^symbol 7 outside lexicon of size 4$"):
+        identify((0, 7), Potential.zero(lex4), enumerate_grammars(lex4))
 
 
 # ---------------------------------------------------------------------------
