@@ -50,7 +50,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -611,19 +611,18 @@ _TABLE_ENTRIES = 1 << 15
 
 
 def _sample_counts(chain: GibbsChain, n: int, seeds, ends):
-    """What :func:`sample` draws for each of a sequence of seeds, as block
-    counts: yields, per batch of seeds, ``(heads, counts)``: ``heads[b]``
-    codes the first block of seed b's word and ``counts[b, k]`` is the
-    bincount of the range-word codes among its first ``ends[k]`` symbols
-    (``ends`` ascend, and ``n == max(ends[-1], range-1)``).  Only counts are
-    kept; a seed's word is what :func:`sample` draws.  A batch of B seeds of
-    a d-state chain steps in blocks of ``width = min(columns, max(64,
-    _TABLE_ENTRIES // (d * B)))`` columns, each step one ``take`` in the
-    block's table.  Each seed draws its uniforms from its own generator,
-    continuing its stream exactly, once per slab of ``width * min(ceil(columns
-    / width), max(1, 2 * _TABLE_ENTRIES // (B * width)))`` columns, whole
-    blocks, so a batch's slab holds at most ``2 * _TABLE_ENTRIES`` doubles
-    (512 KB), or one block; a block reads a view of its slab."""
+    """What :func:`sample` draws for each of a sequence of seeds, as block counts: yields, per
+    batch of seeds, ``(heads, counts)``: ``heads[b]`` codes the first block of seed b's word and
+    ``counts[b, k]`` is the bincount of the range-word codes among its first ``ends[k]`` symbols
+    (``ends`` ascend, and ``n == max(ends[-1], range-1)``).  Only counts are kept; a seed's word
+    is what :func:`sample` draws.  A batch of B seeds of a d-state chain steps in blocks of
+    ``width = min(columns, max(64, _TABLE_ENTRIES // (d * B)))`` columns, each step one ``take``
+    in the block's table.  Each seed draws the stream of ``default_rng(seed)`` (seeded by
+    :func:`_generators`, a batch below 2^128 at once, so words follow numpy's ``SeedSequence``
+    and ``PCG64``, pinned to 2.4.6 in CI), continuing it exactly, once per slab of ``width *
+    min(ceil(columns / width), max(1, 2 * _TABLE_ENTRIES // (B * width)))`` columns, whole
+    blocks, so a batch's slab holds at most ``2 * _TABLE_ENTRIES`` doubles (512 KB), or one
+    block; a block reads a view of its slab."""
     _check_length(chain, n)
     t, r = chain.grammar.lexicon.theta, chain.potential.range
     blocks = np.flatnonzero(chain.index >= 0)
@@ -645,7 +644,7 @@ def _sample_counts(chain: GibbsChain, n: int, seeds, ends):
     # counted in the first prefix holding it, and a cumulative sum over k does the rest
     inside = np.maximum(np.asarray(ends) - r + 1, 0)
     for lo in range(0, len(seeds), _SEED_BATCH):
-        rngs = [np.random.default_rng(s) for s in seeds[lo:lo + _SEED_BATCH]]
+        rngs = _generators(seeds[lo:lo + _SEED_BATCH])
         b = len(rngs)
         width = min(columns, max(64, _TABLE_ENTRIES // (d * b)))
         per = width * min(-(-columns // width), max(1, 2 * _TABLE_ENTRIES // (b * width)))
@@ -698,6 +697,51 @@ def _least_above(c: float, total: float) -> float:
     while x * total <= c:
         x = math.nextafter(x, math.inf)
     return x
+
+
+# numpy's SeedSequence (O'Neill's seed_seq_fe): call k of a hash xors in constant k of its run
+# and multiplies by constant k + 1; the pool takes 16 calls, PCG64's 8 seed words another run
+_POOL_HASH, _STATE_HASH = (np.array(list(itertools.accumulate(
+    range(n), lambda c, _: c * m & 0xFFFFFFFF, initial=a)), np.uint32)[:, None]
+    for a, m, n in ((0x43B0D7E5, 0x931E8875, 16), (0x8B51F9DD, 0x58F38DED, 8)))
+
+
+def _generators(seeds) -> list:
+    """``[np.random.default_rng(s) for s in seeds]``, with the pools and PCG64 seed words of all
+    seeds computed as uint32 arrays, one column per seed.  A batch with a seed outside [0,
+    2^128) goes to ``default_rng`` instead, which raises on a negative seed."""
+    def hashmix(v, hashes, k):   # row i of v as call k + i
+        v = (v ^ hashes[k:k + len(v)]) * hashes[k + 1:k + 1 + len(v)]
+        return v ^ v >> 16
+
+    if not all(0 <= s < 1 << 128 for s in seeds):
+        return [np.random.default_rng(s) for s in seeds]
+    words = np.frombuffer(b"".join(s.to_bytes(16, "little") for s in seeds), "<u4")
+    with np.errstate(over="ignore"):
+        pool = hashmix(words.reshape(-1, 4).T, _POOL_HASH, 0)
+        for i in range(4):   # mix pool word i into every other
+            rest = [j for j in range(4) if j != i]
+            x = 0xCA01F9DD * pool[rest] - 0x4973F715 * hashmix(pool[[i] * 3], _POOL_HASH, 4 + 3 * i)
+            pool[rest] = x ^ x >> 16
+        state = hashmix(pool[[0, 1, 2, 3] * 2], _STATE_HASH, 0).T.astype("<u4", order="C")
+    return [np.random.Generator(np.random.PCG64(_held_words()(row)))
+            for row in state.view("<u8").astype(np.uint64)]
+
+
+@cache   # defined on first use: importing ISeedSequence imports numpy.random
+def _held_words() -> type:
+    from numpy.random.bit_generator import ISeedSequence
+
+    class HeldWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, np.dtype(dtype)) != (4, np.uint64):   # all that PCG64 asks
+                raise ValueError(f"holds 4 uint64 words, asked for {n_words} {np.dtype(dtype)}")
+            return self.words
+
+    return HeldWords
 
 
 def _word_counts(potential: Potential, word) -> tuple[int, np.ndarray]:

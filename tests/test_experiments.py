@@ -747,6 +747,9 @@ def _theta3_range3():
                           "checkpoints": (1, 9, 70, 1300 if name == "smb" else 130),
                           "sample_length": 70, "penalties": (0.5, 10.0)},
                    id=f"{name}-257-seeds") for name in _OLD_RUNNERS),
+    # seeds on both sides of 2^128, where the batch seeding hands over to default_rng
+    *(pytest.param(name, {"seeds": 6, "base_seed": 2**128 - 3}, id=f"{name}-seeds-past-2^128")
+      for name in _OLD_RUNNERS),
     *(pytest.param(name, _theta3_range3(), id=f"{name}-theta3-range3")
       for name in ("ml-convergence", "entropy-convergence", "smb")),
     # a repeated candidate ties every score and entropy with its twin

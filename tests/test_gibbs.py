@@ -15,6 +15,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sftlearn import (
     Grammar,
@@ -1089,24 +1091,70 @@ def _assert_lockstep_draws_sample(chain, n, seeds, blocks, slabs):
     pers = [w * min(-(-columns // w), max(1, 2 * gibbs._TABLE_ENTRIES // (b * w)))
             for b, w in zip(batches, widths)]
     assert [-(-columns // p) for p in pers] == slabs
-    draws, real = {}, np.random.default_rng
+    draws, real = {}, gibbs._generators
 
     class Counted:
         """A seed's generator that records the size of each ``random`` call."""
 
-        def __init__(self, seed):
-            self.rng, self.sizes = real(seed), draws.setdefault(seed, [])
+        def __init__(self, rng, sizes):
+            self.rng, self.sizes = rng, sizes
 
         def random(self, *, out):
             self.sizes.append(out.size)
             return self.rng.random(out=out)
 
+    def counted(batch):
+        return [Counted(rng, draws.setdefault(s, [])) for s, rng in zip(batch, real(batch))]
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np.random, "default_rng", Counted)
+        patch.setattr(gibbs, "_generators", counted)
         drawn = _lockstep_words(chain, n, seeds)
     assert [len(draws[s]) for s in seeds] == [k for b, k in zip(batches, slabs) for _ in range(b)]
     assert all(sum(draws[s]) == columns for s in seeds)
     assert drawn == [sample(chain, n, seed).word for seed in seeds]
+
+
+def _assert_seeded_as_default_rng(seeds, rngs):
+    """Each generator has the seed words and the first 50 uniforms of ``default_rng``."""
+    assert len(rngs) == len(seeds)
+    for seed, rng in zip(seeds, rngs):
+        words = rng.bit_generator.seed_seq.generate_state(4, np.uint64)
+        assert words.dtype == np.uint64
+        assert words.tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+        assert rng.random(50).tolist() == np.random.default_rng(seed).random(50).tolist()
+
+
+def test_batch_seeding_reproduces_default_rng_without_calling_it(monkeypatch):
+    # and seeds on either side of the word boundaries of a 128-bit seed
+    seeds = [*range(3000), 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 2**127, 2**128 - 1]
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", None)   # below 2^128 the batch never calls it
+        rngs = gibbs._generators(seeds)
+    _assert_seeded_as_default_rng(seeds, rngs)
+    # PCG64 asks its seed sequence for 4 uint64 words; any other request is an error,
+    # so a numpy that seeds PCG64 otherwise cannot draw another stream unnoticed
+    for request in ((8, np.uint32), (4, np.uint32), (2, np.uint64)):
+        with pytest.raises(ValueError, match="holds 4 uint64 words"):
+            rngs[0].bit_generator.seed_seq.generate_state(*request)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=12))
+def test_batch_seeding_reproduces_default_rng_on_drawn_seeds(seeds):
+    _assert_seeded_as_default_rng(seeds, gibbs._generators(seeds))
+
+
+def test_batch_seeding_falls_back_to_default_rng_outside_128_bits():
+    seeds = range(2**128 - 3, 2**128 + 3)
+    rngs = gibbs._generators(seeds)
+    assert all(type(rng.bit_generator.seed_seq) is np.random.SeedSequence for rng in rngs)
+    _assert_seeded_as_default_rng(seeds, rngs)
+    # a negative seed raises as in default_rng, never drawing a two's-complement stream
+    with pytest.raises(ValueError) as expected:
+        np.random.default_rng(-1)
+    for seeds in ([-1], range(-2, 3), [5, -(2**64)]):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            gibbs._generators(seeds)
 
 
 # The lockstep sampler's buffers, largest first: the 27 x 256 x 64 step table of
