@@ -143,7 +143,7 @@ def _cmd_experiment(args) -> str:
         config = dataclasses.replace(config, base_seed=args.seed)
     report = run_experiment(config)
     if args.format == "csv":
-        return csv_text(report.csv_rows())
+        return csv_text(report.curve)
     return dumps(report.to_dict())
 
 

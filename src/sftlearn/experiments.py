@@ -33,9 +33,9 @@ import numpy as np
 from .gibbs import (_KERNEL_TERMS, Potential, _log_measures, _pressure_family, _sample_counts,
                     chain_stack, gibbs_chain, periodic_orbit_potential, sample)
 from .identify import DEFAULT_TIE_TOL, _answer_sets, _check_tie_tol, _outcome, _scores
-from .serialize import (CSV_HEADER, _int, _number, _read, _strict, _tuple_of, encode_floats,
-                        grammar_from_dict, grammar_to_dict, outcome_to_dict, potential_from_dict,
-                        potential_to_dict, word_to_json)
+from .serialize import (_int, _number, _read, _strict, _tuple_of, encode_floats, grammar_from_dict,
+                        grammar_to_dict, outcome_to_dict, potential_from_dict, potential_to_dict,
+                        word_to_json)
 from .symbolic import (Grammar, Lexicon, OrderRelation, ValidationError, _integers, _real, compare,
                        enumerate_grammars)
 
@@ -165,9 +165,6 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         return encode_floats({k: v for k, v in vars(self).items() if k != "wall_time_s"})
 
-    def csv_rows(self) -> list[tuple]:
-        return [tuple(row.get(column) for column in CSV_HEADER) for row in self.curve]
-
 
 def default_config(experiment: str) -> ExperimentConfig:
     """The small two-symbol setups every experiment is calibrated on."""
@@ -179,8 +176,7 @@ def default_config(experiment: str) -> ExperimentConfig:
     if experiment == "language-change":
         return ExperimentConfig(experiment=experiment, lower=golden, upper=full)
     if experiment == "ml-misidentification":
-        return ExperimentConfig(experiment=experiment, lower=golden, upper=full,
-                                penalties=(10.0,), sample_length=50, seeds=500)
+        return ExperimentConfig(experiment=experiment, lower=golden, upper=full, seeds=500)
     if experiment == "monotonicity":
         return ExperimentConfig(experiment=experiment, theta=2)
     if experiment == "smb":
@@ -303,7 +299,7 @@ def _study(cfg: ExperimentConfig, phi: Potential, candidates, truth: Grammar, ro
     and their answer-set masks ``(admissible, ml, min_entropy)``."""
     index = _index_of(truth, candidates, role)
     chains = chain_stack(candidates, phi)
-    draws = _sample_counts(chains[index], max(ends[-1], phi.range - 1), _seeds(cfg), ends)
+    draws = _sample_counts(chains[index], _seeds(cfg), ends)
     lls = np.concatenate([_log_measures(chains, ends, heads, counts) for heads, counts in draws])
     return chains, index, lls, _answer_sets(lls, [c.entropy for c in chains], cfg.tie_tol)
 
@@ -418,6 +414,8 @@ def _run_language_change(cfg: ExperimentConfig) -> ExperimentReport:
     likelihood stays with the true (smaller) one."""
     if cfg.lower is None or cfg.upper is None:
         raise ValidationError("language-change needs lower and upper grammars")
+    if compare(cfg.lower, cfg.upper) is not OrderRelation.LESS:
+        raise ValidationError("language-change needs lower strictly below upper")
     _check_tie_tol(cfg.tie_tol)
     cps = validate_checkpoints(cfg.checkpoints)
     candidates = _resolve_candidates(cfg, cfg.lower.lexicon)
@@ -474,9 +472,8 @@ def _run_ml_misidentification(cfg: ExperimentConfig) -> ExperimentReport:
         if first is None:
             first = {"seed": cfg.base_seed, "penalty": penalty,
                      "word": _first_word(cfg, chains[upper_idx], n)}
-        curve.append({"n": n, "penalty": penalty,
-                      "frequency": _mean(hits), "mean_score_gap": _mean(gaps),
-                      "avoid_frequency": _mean(avoided)})
+        curve.append({"n": n, "frequency": _mean(hits), "mean_score_gap": _mean(gaps),
+                      "penalty": penalty, "avoid_frequency": _mean(avoided)})
     return _report(cfg, curve, thresholds={"penalized_transitions": [list(p) for p in extra]},
                    details={"first_seed": first, "lower_index": lower_idx, "upper_index": upper_idx})
 
@@ -499,8 +496,8 @@ def _run_monotonicity_scan(cfg: ExperimentConfig) -> ExperimentReport:
     values = _pressure_family(grammars, potentials)
     lams = [math.exp(v) for v in values[0].tolist()]   # the zero potential's Perron roots
     n_pairs, violations, gaps = _order_gaps(np.vstack([values, lams]), grammars)
-    curve = [{"n": k, "range": phi.range, "frequency": v / n_pairs if n_pairs else 0.0,
-              "mean_score_gap": gap}
+    curve = [{"n": k, "frequency": v / n_pairs if n_pairs else 0.0, "mean_score_gap": gap,
+              "range": phi.range}
              for k, (phi, v, gap) in enumerate(zip(potentials, violations, gaps))]
     return _report(
         cfg, curve,

@@ -570,12 +570,6 @@ def expected_potential(chain: GibbsChain, potential: Potential) -> float:
     return float((chain.stationary[:, None] * chain.transition * potential._at(words)).sum())
 
 
-def _check_length(chain: GibbsChain, n: int) -> None:
-    if n < chain.potential.range - 1:
-        raise ValidationError(
-            f"sample length {n} shorter than the block size {chain.potential.range - 1}")
-
-
 def sample(chain: GibbsChain, n: int, seed: int) -> Sample:
     """Draw an admissible word of length ``n`` from the chain.
 
@@ -586,7 +580,9 @@ def sample(chain: GibbsChain, n: int, seed: int) -> Sample:
     n, seed = _integer(n, "sample length"), _integer(seed, "seed")
     if seed < 0:
         raise ValidationError(f"seed must be nonnegative, got {seed}")
-    _check_length(chain, n)
+    if n < chain.potential.range - 1:
+        raise ValidationError(
+            f"sample length {n} shorter than the block size {chain.potential.range - 1}")
     u = np.random.default_rng(seed).random(n - chain.potential.range + 2)
     # a uniform of exactly 0 would pick a row's leading zero-probability column
     np.maximum(u, np.finfo(float).smallest_subnormal, out=u)
@@ -610,20 +606,19 @@ _SEED_BATCH = 256
 _TABLE_ENTRIES = 1 << 15
 
 
-def _sample_counts(chain: GibbsChain, n: int, seeds, ends):
-    """What :func:`sample` draws for each of a sequence of seeds, as block counts: yields, per
-    batch of seeds, ``(heads, counts)``: ``heads[b]`` codes the first block of seed b's word and
-    ``counts[b, k]`` is the bincount of the range-word codes among its first ``ends[k]`` symbols
-    (``ends`` ascend, and ``n == max(ends[-1], range-1)``).  Only counts are kept; a seed's word
-    is what :func:`sample` draws.  A batch of B seeds of a d-state chain steps in blocks of
-    ``width = min(columns, max(64, _TABLE_ENTRIES // (d * B)))`` columns, each step one ``take``
-    in the block's table.  Each seed draws the stream of ``default_rng(seed)`` (seeded by
+def _sample_counts(chain: GibbsChain, seeds, ends):
+    """What ``sample(chain, n, seed)`` draws for each of a sequence of seeds, with ``n =
+    max(ends[-1], range - 1)``, as block counts: yields, per batch of seeds, ``(heads, counts)``:
+    ``heads[b]`` codes the first block of seed b's word and ``counts[b, k]`` is the bincount of
+    the range-word codes among its first ``ends[k]`` symbols (``ends`` ascend).  Only counts are
+    kept.  A batch of B seeds of a d-state chain steps in blocks of ``width = min(columns,
+    max(64, _TABLE_ENTRIES // (d * B)))`` of its ``columns = n - range + 2``, each step one
+    ``take`` in the block's table.  Each seed draws the stream of ``default_rng(seed)`` (seeded by
     :func:`_generators`, a batch below 2^128 at once, so words follow numpy's ``SeedSequence``
     and ``PCG64``, pinned to 2.4.6 in CI), continuing it exactly, once per slab of ``width *
     min(ceil(columns / width), max(1, 2 * _TABLE_ENTRIES // (B * width)))`` columns, whole
     blocks, so a batch's slab holds at most ``2 * _TABLE_ENTRIES`` doubles (512 KB), or one
     block; a block reads a view of its slab."""
-    _check_length(chain, n)
     t, r = chain.grammar.lexicon.theta, chain.potential.range
     blocks = np.flatnonzero(chain.index >= 0)
     d, lasts = len(blocks), blocks % t
@@ -639,7 +634,7 @@ def _sample_counts(chain: GibbsChain, n: int, seeds, ends):
         sometimes.append([(x, k) for x, k in runs if x > tiny])
     several = [(s, runs) for s, runs in enumerate(sometimes) if runs]
     pairs = (blocks[:, None] * t + lasts).ravel()   # the range-word of step i -> j, at i * d + j
-    columns = n - r + 2   # column 0 draws the first block, column j step j
+    columns = max(ends[-1], r - 1) - r + 2   # column 0 draws the first block, column j step j
     # step j ends at symbol j + r - 1, so prefix k holds steps 1 .. inside[k]; a step is
     # counted in the first prefix holding it, and a cumulative sum over k does the rest
     inside = np.maximum(np.asarray(ends) - r + 1, 0)

@@ -145,14 +145,12 @@ def dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-CSV_HEADER = ("n", "frequency", "mean_score_gap")
-
-
-def csv_text(rows) -> str:
-    """Render curve rows, in ``CSV_HEADER``'s columns, as RFC-4180 CSV with a newline terminator."""
+def csv_text(curve: list[dict]) -> str:
+    """Render a report's curve as RFC-4180 CSV with a newline terminator: one column per key of
+    its first row, in that order (every row of a curve has the same keys), ``None`` as an empty
+    cell."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow(["" if x is None else x for x in row])
+    writer = csv.DictWriter(buf, list(curve[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(curve)
     return buf.getvalue()

@@ -1,6 +1,9 @@
 """Command-line behavior: outputs, exit codes, diagnostics, determinism."""
 
+import csv
+import dataclasses
 import hashlib
+import io
 import json
 import math
 import re
@@ -437,6 +440,54 @@ def test_default_experiments_print_their_recorded_bytes(capsys, experiment, k):
     assert code == 0
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == RECORDED_EXPERIMENT_DIGESTS[experiment][k]
+
+
+# SHA-256 of the same runs with ``--format csv``.  The ml-convergence,
+# entropy-convergence and smb tables equal the bytes of the three-column CSV
+# that preceded per-experiment columns; the others append their own columns.
+RECORDED_CSV_DIGESTS = {
+    "ml-convergence": ("416333fae42e78ece26c7d1285a8d72b9b5cf125687daa9d79136eed260d5fcc",
+                      "bf9f180f1328e696c227e46c6eebf96e5ab4d5cc912b6f2f1f0b2302f52fda2f"),
+    "entropy-convergence": ("d62140c11ea20795bc2725b2ddb2bdb94ff65fff5ff0ebe4d431ac51ab34e94d",
+                           "d62140c11ea20795bc2725b2ddb2bdb94ff65fff5ff0ebe4d431ac51ab34e94d"),
+    "language-change": ("062be6c2c77d5f4da58dbfccb1c24c4ca923c2c27b94dcfdf9252d17101ba331",
+                       "062be6c2c77d5f4da58dbfccb1c24c4ca923c2c27b94dcfdf9252d17101ba331"),
+    "ml-misidentification": ("6c550dca6a6e6bb4f294d42a44acd7432681a936b399ed951a2488a884c94c86",
+                            "42f0a586394d11e55930358d04040b63cffe5bc122382a9fa4122340507644ad"),
+    "monotonicity": ("c48011dcf54b328cf7f88b87bcfb4e56fd9c95a74b20c8cd2f84a5b3c7b47f98",
+                    "8b2c9cc9f9558cf47661b2a3fc724118ea143f7aa07bd9595c8a4042a6fd1aef"),
+    "smb": ("070dc4e1860e1dae2c2cfc7e98379edc5f6af6ffd46db5ec92cb2fcfc3cc4fc2",
+           "ce0c9ef989ce134a3932a48591bef404a38ca4a50d8287b73b1ff96066ba1ce7"),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(RECORDED_CSV_DIGESTS))
+@pytest.mark.parametrize("k", range(len(RECORDED_SEEDS)))
+def test_default_experiment_csvs_hold_every_curve_column(capsys, experiment, k):
+    argv = ("experiment", "--experiment", experiment, "--seed", str(RECORDED_SEEDS[k]))
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RECORDED_CSV_DIGESTS[experiment][k]
+    header, *cells = csv.reader(io.StringIO(out))
+    report = experiments.run_experiment(
+        dataclasses.replace(experiments.default_config(experiment), base_seed=RECORDED_SEEDS[k]))
+    assert header[:3] == ["n", "frequency", "mean_score_gap"]
+    assert header == list(report.curve[0])
+    _, printed, _ = run(capsys, *argv)
+    curve = json.loads(printed)["curve"]
+    assert [dict(zip(header, row, strict=True)) for row in cells] == \
+        [{key: "" if value is None else str(value) for key, value in row.items()} for row in curve]
+
+
+def test_a_misidentification_csv_tells_its_penalties_apart(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "ml-misidentification",
+                                "lower": {"theta": 2, "matrix": [[1, 1], [1, 0]]},
+                                "upper": {"theta": 2, "matrix": [[1, 1], [1, 1]]},
+                                "penalties": [2.0, 3.0], "seeds": 50}))
+    code, out, _ = run(capsys, "experiment", "--config", str(path), "--format", "csv")
+    assert code == 0
+    assert [row["penalty"] for row in csv.DictReader(io.StringIO(out))] == ["2.0", "3.0"]
 
 
 # SHA-256 of the stdout of ``sftlearn experiment --config C`` for the

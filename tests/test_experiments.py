@@ -1,8 +1,10 @@
 """Experiment runners: protocols, determinism, and report structure."""
 
+import csv
 import dataclasses
 import functools
 import importlib
+import io
 import itertools
 import json
 import math
@@ -33,6 +35,7 @@ from sftlearn import (
 from sftlearn import experiments
 from sftlearn.experiments import EXPERIMENT_IDS, ExperimentReport, entropy_crossing
 from sftlearn.serialize import (
+    csv_text,
     dumps,
     encode_floats,
     grammar_to_dict,
@@ -142,6 +145,30 @@ def test_ml_convergence_frequency_matches_the_exact_law_at_ten_symbols(golden, z
     row = run_experiment(default_config("ml-convergence")).curve[0]
     assert row["n"] == 10
     assert abs(row["frequency"] - exact) <= 4 * math.sqrt(exact * (1 - exact) / 200)
+
+
+def test_ml_convergence_admit_frequencies_match_their_exact_law(swapped, zero2):
+    # A candidate Q admits the truth's word of n symbols with probability
+    # pi^T (P o 1_Q)^(n - 1) 1, a masked matrix power (Kemeny & Snell's absorbing
+    # chains).  Config and allowance were fixed before the first run: the default
+    # truth and candidates, checkpoints (5,), 500 seeds from base seed 0, 4 binomial
+    # standard errors.  Only the alternating words avoid 00 and 11, so ((0,1),(1,1))
+    # admits with probability 1/phi^4, and the other two grammars always.
+    cfg = small(default_config("ml-convergence"), checkpoints=(5,), seeds=500)
+    assert cfg.base_seed == 0
+    report = run_experiment(cfg)
+    truth = gibbs_chain(cfg.true_grammar, zero2)
+    assert truth.states == ((0,), (1,))   # range 2: a state is its symbol
+    laws = {}
+    for row in report.candidate_table:
+        masked = truth.transition * np.array(row["grammar"]["matrix"])
+        exact = min(truth.stationary @ np.linalg.matrix_power(masked, 4) @ np.ones(2), 1.0)
+        laws[Grammar.from_rows(row["grammar"]["matrix"])] = exact
+        error = math.sqrt(exact * (1 - exact) / cfg.seeds)
+        assert abs(row["admit_frequency"] - exact) <= 4 * error
+    assert len(laws) == 3
+    assert laws.pop(swapped) == pytest.approx(PHI**-4, rel=1e-12)
+    assert list(laws.values()) == pytest.approx([1.0, 1.0], rel=1e-12)
 
 
 def test_entropy_convergence_and_scale_sweep():
@@ -355,6 +382,10 @@ def test_monotonicity_scan_is_clean_at_theta_two():
     ("smb", {"tolerance": True}, "tolerance"),
     ("smb", {"seeds": 2.0}, "seeds"),
     ("smb", {"base_seed": True}, "base_seed"),
+    # checked by the runner before the bisection, which checks it again for direct callers
+    ("language-change", {"lower": Grammar.from_rows([[1, 1], [1, 1]]),
+                         "upper": Grammar.from_rows([[1, 1], [1, 0]])},
+     "^language-change needs lower strictly below upper$"),
 ])
 def test_bad_runner_fields_are_named_before_any_solve(monkeypatch, experiment, overrides, name):
     def no_solve(*args):
@@ -540,14 +571,30 @@ def test_smb_mean_score_matches_the_stationary_closed_form(rows, table):
     assert abs(estimates.mean() - expected) < 4 * error
 
 
+def test_smb_default_mean_estimate_matches_the_stationary_closed_form():
+    # The mean of -log mu[w_1..w_n] / n is (H(pi) + (n - r + 1) h) / n (Cover & Thomas
+    # ch. 4).  Config and allowance were fixed before the first run: the default config
+    # (golden mean, zero potential, n = 10 000, 50 seeds from base seed 0), 4 standard
+    # errors from the sample standard deviation of the 50 estimates.
+    cfg = default_config("smb")
+    assert (cfg.potential, cfg.checkpoints[-1], cfg.seeds, cfg.base_seed) == (None, 10_000, 50, 0)
+    estimates = np.array(run_experiment(cfg).details["final_estimates"])
+    chain = gibbs_chain(cfg.true_grammar, Potential.zero(cfg.true_grammar.lexicon))
+    pi, n = chain.stationary, cfg.checkpoints[-1]
+    expected = (-(pi * np.log(pi)).sum() + (n - 1) * chain.entropy) / n
+    assert f"{expected:.10f}" == "0.4812226553"
+    error = estimates.std(ddof=1) / math.sqrt(len(estimates))
+    assert abs(estimates.mean() - expected) < 4 * error
+
+
 def test_reports_are_deterministic_and_serializable():
     cfg = small(default_config("ml-convergence"), seeds=5, checkpoints=(10, 50))
     first = run_experiment(cfg)
     second = run_experiment(cfg)
     assert first.to_dict() == second.to_dict()
     assert dumps(first.to_dict()) == dumps(second.to_dict())
-    rows = first.csv_rows()
-    assert [r[0] for r in rows] == [10, 50]
+    rows = list(csv.reader(io.StringIO(csv_text(first.curve))))[1:]
+    assert [r[0] for r in rows] == ["10", "50"]
     # wall time is measured but deliberately left out of the serialized form
     assert first.wall_time_s > 0
     assert "wall_time_s" not in first.to_dict()

@@ -1022,7 +1022,7 @@ def _lockstep_words(chain, n, seeds):
     range-word, which ends in that symbol."""
     t, r = chain.grammar.lexicon.theta, chain.potential.range
     words = []
-    for heads, batch in gibbs._sample_counts(chain, n, seeds, range(1, n + 1)):
+    for heads, batch in gibbs._sample_counts(chain, seeds, range(1, n + 1)):
         for head, counts in zip(heads.tolist(), batch):
             added = np.diff(counts, axis=0)[r - 2:]
             assert (added.sum(axis=1) == 1).all()
@@ -1167,7 +1167,7 @@ def _sampler_peak(chain, n, seeds):
     """The ``tracemalloc`` peak, in bytes, while draining the lockstep sampler."""
     tracemalloc.start()
     try:
-        for _ in gibbs._sample_counts(chain, n, seeds, (n // 4, n)):
+        for _ in gibbs._sample_counts(chain, seeds, (n // 4, n)):
             pass
         return tracemalloc.get_traced_memory()[1]
     finally:
