@@ -33,7 +33,7 @@ import numpy as np
 from .gibbs import (_KERNEL_TERMS, Potential, _log_measures, _pressure_family, _sample_counts,
                     chain_stack, gibbs_chain, periodic_orbit_potential, sample)
 from .identify import DEFAULT_TIE_TOL, _answer_sets, _check_tie_tol, _outcome, _scores
-from .serialize import (_int, _number, _read, _strict, _tuple_of, encode_floats, grammar_from_dict,
+from .serialize import (_int, _number, _read, _string, _tuple_of, encode_floats, grammar_from_dict,
                         grammar_to_dict, outcome_to_dict, potential_from_dict, potential_to_dict,
                         word_to_json)
 from .symbolic import (Grammar, Lexicon, OrderRelation, ValidationError, _integers, _real, compare,
@@ -112,7 +112,7 @@ class ExperimentConfig:
 
 # field value, or its JSON form -> field value, by a config field's type.
 _CONVERTERS = {
-    str: _strict(str, str, "a string"),
+    str: _string,
     int: _int,
     float: _number,
     float | str: lambda v: v if v == "auto" else _number(v),
@@ -487,6 +487,8 @@ def _run_monotonicity_scan(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValidationError(f"n_potentials must be nonnegative, got {cfg.n_potentials}")
     if cfg.n_potentials > 0 and not cfg.potential_ranges:
         raise ValidationError("potential_ranges must list at least one range when n_potentials > 0")
+    if cfg.n_potentials > 0 and (least := min(cfg.potential_ranges)) < 2:
+        raise ValidationError(f"potential_ranges entries must be >= 2, got {least}")
     if cfg.n_potentials > 0 and cfg.value_bound < 0:
         raise ValidationError(f"value_bound must be nonnegative, got {cfg.value_bound}")
     lex = Lexicon(cfg.theta)

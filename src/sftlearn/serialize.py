@@ -20,7 +20,8 @@ from collections.abc import Iterable
 
 from .gibbs import Potential, Sample
 from .identify import IdentificationOutcome
-from .symbolic import Grammar, Lexicon, ValidationError, _integer, _real, format_word, parse_word
+from .symbolic import (_NOT_SEQUENCES, Grammar, Lexicon, ValidationError, _integer, _real,
+                       format_word, parse_word)
 
 
 def word_to_json(word, lexicon: Lexicon):
@@ -32,24 +33,21 @@ def grammar_to_dict(g: Grammar) -> dict:
     return {"theta": g.lexicon.theta, "matrix": [list(row) for row in g.matrix]}
 
 
-def _strict(kinds, convert, what: str):
-    """Converter that takes only values of ``kinds``."""
-    def converted(value):
-        if not isinstance(value, kinds):
-            raise TypeError(f"expected {what}, got {value!r}")
-        return convert(value)
-    return converted
-
-
-# A JSON number's converters; ``_read`` names the field around their messages.
+# A JSON value's converters; ``_read`` names the field around their messages.
 _int = functools.partial(_integer, what="value")
 _number = functools.partial(_real, what="value")
 
 
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def _tuple_of(convert):
-    """Converter of a list, a tuple or another iterable, read once, but not a string or a dict."""
+    """Converter of a list, a tuple or another iterable, read once, not of ``_NOT_SEQUENCES``."""
     def converted(values):
-        if isinstance(values, (str, dict)) or not isinstance(values, Iterable):
+        if isinstance(values, _NOT_SEQUENCES) or not isinstance(values, Iterable):
             raise TypeError(f"expected a list, got {values!r}")
         return tuple(map(convert, values))
     return converted
@@ -108,18 +106,12 @@ def encode_floats(obj):
     return obj
 
 
-def score_to_dict(score) -> dict:
-    return {
-        "grammar": grammar_to_dict(score.grammar),
-        "log_likelihood": encode_floats(score.log_likelihood),
-        "entropy": score.entropy,
-    }
-
-
 def outcome_to_dict(outcome: IdentificationOutcome) -> dict:
     return {
         "n": outcome.n,
-        "scores": [score_to_dict(s) for s in outcome.scores],
+        "scores": [{"grammar": grammar_to_dict(s.grammar),
+                    "log_likelihood": encode_floats(s.log_likelihood),
+                    "entropy": s.entropy} for s in outcome.scores],
         "ml_set": list(outcome.ml_indices),
         "min_entropy_set": list(outcome.min_entropy_indices),
         "none_admissible": outcome.none_admissible,

@@ -53,10 +53,17 @@ def _real(value, what: str) -> float:
     raise ValidationError(f"{what} must be a finite real number, got {value!r}")
 
 
+# No sequences: a string's items are characters, and a mapping's or a set's come in hash order.
+_NOT_SEQUENCES = (str, dict, set, frozenset)
+
+
 def _integers(values, what: str) -> tuple[int, ...]:
-    """``values``, Python or numpy integers (not floats or bools), as a tuple of ints.  Python
-    ints pass on one read of their types; any other values go through :func:`_integer`."""
+    """``values``, Python or numpy integers (not floats or bools) in a sequence or an iterator
+    (not a ``_NOT_SEQUENCES`` kind), as a tuple of ints.  Python ints pass on one read of their
+    types; any other values go through :func:`_integer`."""
     try:
+        if isinstance(values, _NOT_SEQUENCES):
+            raise TypeError
         values = tuple(values)   # an iterator is read once
     except TypeError:
         raise ValidationError(f"{what}s must come in a sequence, got {values!r}") from None
@@ -90,9 +97,9 @@ class OrderRelation(Enum):
 
 
 def validate_word(word, lexicon: Lexicon) -> tuple[int, ...]:
-    """``word``, a sequence or iterator of Python or numpy integer symbols (not floats,
-    bools or strings: a digit string goes through :func:`parse_word`), as a tuple of
-    ints, each checked to lie in the lexicon."""
+    """``word``, a sequence or iterator (not a string, a mapping or a set: a digit string goes
+    through :func:`parse_word`) of Python or numpy integer symbols (not floats or bools), as a
+    tuple of ints, each checked to lie in the lexicon."""
     w = _integers(word, "word symbol")
     if w and not 0 <= min(w) <= max(w) < lexicon.theta:
         s = next(s for s in w if not 0 <= s < lexicon.theta)

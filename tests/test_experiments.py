@@ -40,6 +40,7 @@ from sftlearn.serialize import (
     encode_floats,
     grammar_to_dict,
     outcome_to_dict,
+    potential_from_dict,
     potential_to_dict,
 )
 from sftlearn.symbolic import format_word
@@ -147,17 +148,30 @@ def test_ml_convergence_frequency_matches_the_exact_law_at_ten_symbols(golden, z
     assert abs(row["frequency"] - exact) <= 4 * math.sqrt(exact * (1 - exact) / 200)
 
 
-def test_ml_convergence_admit_frequencies_match_their_exact_law(swapped, zero2):
+@pytest.mark.parametrize("experiment", ["ml-convergence", "entropy-convergence",
+                                        "language-change"])
+def test_ml_convergence_admit_frequencies_match_their_exact_law(experiment, golden, swapped,
+                                                                zero2):
     # A candidate Q admits the truth's word of n symbols with probability
     # pi^T (P o 1_Q)^(n - 1) 1, a masked matrix power (Kemeny & Snell's absorbing
     # chains).  Config and allowance were fixed before the first run: the default
     # truth and candidates, checkpoints (5,), 500 seeds from base seed 0, 4 binomial
     # standard errors.  Only the alternating words avoid 00 and 11, so ((0,1),(1,1))
-    # admits with probability 1/phi^4, and the other two grammars always.
-    cfg = small(default_config("ml-convergence"), checkpoints=(5,), seeds=500)
+    # admits with probability 1/phi^4, and the other two grammars always.  The truth
+    # is the golden mean in each study: language-change's orbit potential vanishes on
+    # the lower grammar's words, so its truth chain is the zero potential's, and the
+    # laws are the same.
+    cfg = small(default_config(experiment), checkpoints=(5,), seeds=500)
     assert cfg.base_seed == 0
     report = run_experiment(cfg)
-    truth = gibbs_chain(cfg.true_grammar, zero2)
+    if experiment == "language-change":
+        assert cfg.lower == golden
+        truth = gibbs_chain(golden, potential_from_dict(report.details["orbit_potential"]))
+        assert truth.transition == pytest.approx(gibbs_chain(golden, zero2).transition,
+                                                 abs=1e-12)
+    else:
+        assert cfg.true_grammar == golden
+        truth = gibbs_chain(golden, zero2)
     assert truth.states == ((0,), (1,))   # range 2: a state is its symbol
     laws = {}
     for row in report.candidate_table:
@@ -230,6 +244,23 @@ def test_entropy_crossing_stops_where_no_float_lies_between_the_ends(golden, ful
     found = entropy_crossing(golden, full2, tol=1e-300)
     assert found == pytest.approx(_closed_form_crossing(), abs=1e-9)
     assert calls   # the counter guards the bisection the search runs
+
+
+def test_entropy_crossing_doubles_its_bracket_past_reward_one():
+    # every other crossing here lies near 0.93, inside the first bracket [0, 1]; this one,
+    # a theta=3 grammar below the full shift, lies near 1.92, so the bracket doubles once
+    lower = Grammar.from_rows([[0, 1, 0], [0, 0, 1], [1, 1, 0]])
+    upper = Grammar.from_rows([[1, 1, 1]] * 3)
+    tol = 1e-6
+    found = entropy_crossing(lower, upper, tol)
+    assert found > 1
+    orbit = periodic_orbit_potential(lower, upper, 1.0)
+    baseline = gibbs_chain(lower, orbit.scaled(0.0)).entropy
+
+    def gap(reward):
+        return gibbs_chain(upper, orbit.scaled(reward)).entropy - baseline
+
+    assert gap(found - tol) > 0 > gap(found + tol)
 
 
 def test_entropy_crossing_requires_strict_order(golden, full2):
@@ -386,6 +417,9 @@ def test_monotonicity_scan_is_clean_at_theta_two():
     ("language-change", {"lower": Grammar.from_rows([[1, 1], [1, 1]]),
                          "upper": Grammar.from_rows([[1, 1], [1, 0]])},
      "^language-change needs lower strictly below upper$"),
+    # Potential would reject the range too, but only inside the runner, without the field's name
+    ("monotonicity", {"potential_ranges": (2, 1)},
+     "^potential_ranges entries must be >= 2, got 1$"),
 ])
 def test_bad_runner_fields_are_named_before_any_solve(monkeypatch, experiment, overrides, name):
     def no_solve(*args):
@@ -410,6 +444,11 @@ def test_object_and_tuple_fields_of_a_config_built_in_code_are_checked():
         ({"candidates": (golden, ((1, 1), (1, 1)))},
          r"^experiment config field 'candidates': .*\(\(1, 1\), \(1, 1\)\)$"),
         ({"candidates": 5}, r"^experiment config field 'candidates': expected a list, got 5$"),
+        # a set's members come in hash order, so a set is no list
+        ({"scales": {1.0, 2.0}},
+         r"^experiment config field 'scales': expected a list, got \{1\.0, 2\.0\}$"),
+        ({"potential_ranges": frozenset({2})},
+         r"^experiment config field 'potential_ranges': expected a list, got frozenset\(\{2\}\)$"),
         ({"potential_ranges": (2, "a")},
          r"^experiment config field 'potential_ranges': .*an integer, got 'a'$"),
     ]:
@@ -446,9 +485,10 @@ def test_every_field_of_a_config_built_in_code_is_checked_when_it_is_built():
 
 
 def test_runners_take_zero_counts_and_ignore_fields_they_do_not_use():
-    # no random potentials: the bound goes unused, and only the zero potential is scanned
+    # no random potentials: the bound and the ranges go unused, and only the zero potential
+    # is scanned
     report = run_experiment(small(default_config("monotonicity"), n_potentials=0,
-                                  value_bound=-1.0))
+                                  value_bound=-1.0, potential_ranges=(1,)))
     assert len(report.curve) == 1
     # a zero bound makes every random table the zero potential
     report = run_experiment(small(default_config("monotonicity"), n_potentials=3,

@@ -84,6 +84,10 @@ def test_potential_table_words_are_checked_not_coerced(lex2):
     for word in ((0, 1.9), (True, 0), (np.float64(0.0), 1), 5):
         with pytest.raises(ValidationError, match=f"^table word {re.escape(repr(word))}: symbol"):
             Potential(lex2, 2, ((word, 1.0),))
+    # a set's members come in hash order, so a frozenset key is no table word
+    with pytest.raises(ValidationError, match=r"^table word frozenset\(\{0, 1\}\): symbols must "
+                                              r"come in a sequence, got frozenset\(\{0, 1\}\)$"):
+        Potential.from_table(lex2, 2, {frozenset({0, 1}): 1.0})
     with pytest.raises(ValidationError, match="outside lexicon of size 2"):
         Potential(lex2, 2, (((0, 2), 1.0),))
     p = Potential(lex2, 2, (((np.int64(0), np.uint8(1)), 1.0),))

@@ -66,6 +66,20 @@ def test_cohomologous_potentials_have_equal_pressure(phi, g):
 
 
 @PROPERTY
+@given(potentials(ranges=(3,)), st.lists(VALUES, min_size=9, max_size=9))
+def test_cohomologous_potentials_have_the_same_chain(phi, g):
+    # phi + g(w_1..w_{r-1}) - g(w_2..w_r) weighs each transfer entry M(u, v) by
+    # exp(g(u) - g(v)), a diagonal similarity whose factors cancel in the chain
+    g_of = dict(zip(all_words(LEX3, 2), g))
+    shifted = Potential.from_table(LEX3, 3, {
+        w: phi.value(w) + g_of[w[:-1]] - g_of[w[1:]] for w in all_words(LEX3, 3)})
+    for a, b in zip(chain_stack(GRAMMARS, phi), chain_stack(GRAMMARS, shifted)):
+        assert a.states == b.states
+        assert np.abs(a.transition - b.transition).max() <= 1e-9
+        assert np.abs(a.stationary - b.stationary).max() <= 1e-9
+
+
+@PROPERTY
 @given(potentials())
 def test_entropy_is_at_most_the_topological_entropy(phi):
     entropies = np.array([c.entropy for c in chain_stack(GRAMMARS, phi)])

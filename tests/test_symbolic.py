@@ -62,7 +62,14 @@ def test_validate_word_normalizes_to_tuple(lex2):
     (("0", "1"), "word symbol must be an integer, got '0'"),
     ((np.float64(0.0), 1), f"word symbol must be an integer, got {np.float64(0.0)!r}"),
     (5, "word symbols must come in a sequence, got 5"),
-], ids=["float", "bool", "str", "numpy-float", "not-a-sequence"])
+    # a string's characters, a mapping's keys and a set's members are no sequence of symbols:
+    # keys and members come in hash order, which would invent the word's order
+    ("01", "word symbols must come in a sequence, got '01'"),
+    ({1: "a", 0: "b"}, "word symbols must come in a sequence, got {1: 'a', 0: 'b'}"),
+    ({1, 0}, "word symbols must come in a sequence, got {0, 1}"),
+    (frozenset({1, 0}), "word symbols must come in a sequence, got frozenset({0, 1})"),
+], ids=["float", "bool", "str", "numpy-float", "not-a-sequence", "string", "dict", "set",
+        "frozenset"])
 def test_validate_word_checks_symbols_instead_of_coercing_them(lex2, word, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         validate_word(word, lex2)
