@@ -516,6 +516,8 @@ def _run_smb(cfg: ExperimentConfig) -> ExperimentReport:
     a tolerance of the chain's entropy rate, along growing prefixes."""
     if cfg.true_grammar is None:
         raise ValidationError("smb needs a true_grammar")
+    if cfg.tolerance < 0:
+        raise ValidationError(f"tolerance must be nonnegative, got {cfg.tolerance}")
     cps = validate_checkpoints(cfg.checkpoints)
     phi = cfg.potential if cfg.potential is not None else Potential.zero(cfg.true_grammar.lexicon)
     [chain], _, lls, _ = _study(cfg, phi, (cfg.true_grammar,), cfg.true_grammar, "true", cps)

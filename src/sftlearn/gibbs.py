@@ -49,6 +49,7 @@ import bisect
 import itertools
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -61,6 +62,7 @@ from .symbolic import (
     ValidationError,
     _integer,
     _integers,
+    _ordered,
     _real,
     compare,
     validate_word,
@@ -117,8 +119,13 @@ class Potential:
         if r < 2:
             raise ValidationError(f"potential range must be >= 2, got {self.range!r}")
         object.__setattr__(self, "range", r)
+        if not _ordered(self.entries):
+            raise ValidationError(f"potential entries must come in a sequence, got {self.entries!r}")
         seen: dict[tuple[int, ...], float] = {}
-        for word, value in self.entries:
+        for entry in self.entries:
+            if not (_ordered(entry) and len(entry) == 2):
+                raise ValidationError(f"potential entry must be a (word, value) pair, got {entry!r}")
+            word, value = entry
             try:
                 w, v = _integers(word, "symbol"), _real(value, "value")
             except ValidationError as exc:
@@ -140,6 +147,8 @@ class Potential:
 
     @classmethod
     def from_table(cls, lexicon: Lexicon, range: int, table) -> "Potential":
+        if not isinstance(table, Mapping):
+            raise ValidationError(f"potential table must be a mapping, got {table!r}")
         return cls(lexicon, range, tuple(table.items()))
 
     @cached_property

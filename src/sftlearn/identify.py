@@ -104,6 +104,5 @@ def identify(word, potential: Potential, candidates,
              tie_tol: float = DEFAULT_TIE_TOL) -> IdentificationOutcome:
     """Score every candidate (:func:`score_candidates`) and form both answer sets."""
     _check_tie_tol(tie_tol)
-    word = tuple(word)   # an iterator would be spent by the scoring
     scores = score_candidates(word, potential, candidates)
     return _outcome(len(word), scores, tie_tol)

@@ -16,12 +16,11 @@ import functools
 import io
 import json
 import math
-from collections.abc import Iterable
 
 from .gibbs import Potential, Sample
 from .identify import IdentificationOutcome
-from .symbolic import (_NOT_SEQUENCES, Grammar, Lexicon, ValidationError, _integer, _real,
-                       format_word, parse_word)
+from .symbolic import (Grammar, Lexicon, ValidationError, _integer, _ordered, _real, format_word,
+                       parse_word)
 
 
 def word_to_json(word, lexicon: Lexicon):
@@ -45,9 +44,9 @@ def _string(value) -> str:
 
 
 def _tuple_of(convert):
-    """Converter of a list, a tuple or another iterable, read once, not of ``_NOT_SEQUENCES``."""
+    """Converter of an :func:`_ordered` collection, item by item, to a tuple."""
     def converted(values):
-        if isinstance(values, _NOT_SEQUENCES) or not isinstance(values, Iterable):
+        if not _ordered(values):
             raise TypeError(f"expected a list, got {values!r}")
         return tuple(map(convert, values))
     return converted
@@ -77,21 +76,24 @@ def potential_to_dict(p: Potential) -> dict:
     }
 
 
+def _entry(item) -> tuple:
+    """A potential entry's (word, value) pair from its JSON object."""
+    if not isinstance(item, dict) or "word" not in item or "value" not in item:
+        raise ValidationError(f"potential entry needs 'word' and 'value', got {item!r}")
+    return (_read(item, "potential entry", "word",
+                  parse_word if isinstance(item["word"], str) else _tuple_of(_int)),
+            _read(item, "potential entry", "value", _number))
+
+
 def potential_from_dict(data) -> Potential:
     if not isinstance(data, dict):
         raise ValidationError(f"potential object must be a JSON object, got {data!r}")
     for field in ("theta", "range"):
         if field not in data:
             raise ValidationError(f"potential object is missing the '{field}' field")
-    entries = []
-    for item in data.get("entries", ()):
-        if not isinstance(item, dict) or "word" not in item or "value" not in item:
-            raise ValidationError(f"potential entry needs 'word' and 'value', got {item!r}")
-        entries.append((_read(item, "potential entry", "word",
-                              parse_word if isinstance(item["word"], str) else _tuple_of(_int)),
-                        _read(item, "potential entry", "value", _number)))
+    entries = _read(data, "potential", "entries", _tuple_of(_entry)) if "entries" in data else ()
     return Potential(Lexicon(_read(data, "potential", "theta", _int)),
-                     _read(data, "potential", "range", _int), tuple(entries))
+                     _read(data, "potential", "range", _int), entries)
 
 
 def encode_floats(obj):

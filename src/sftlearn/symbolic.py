@@ -16,6 +16,7 @@ Caller input is checked here, never coerced, by one rule per kind:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -53,20 +54,21 @@ def _real(value, what: str) -> float:
     raise ValidationError(f"{what} must be a finite real number, got {value!r}")
 
 
-# No sequences: a string's items are characters, and a mapping's or a set's come in hash order.
-_NOT_SEQUENCES = (str, dict, set, frozenset)
+def _ordered(values) -> bool:
+    """Whether ``values`` keep an order of their own: a numpy array of at least one dimension, or a
+    ``collections.abc.Sequence`` that is not a string (of characters).  A mapping, a set, a view
+    and an iterator are not: keys come in key or hash order, and an iterator hides its source."""
+    return (isinstance(values, np.ndarray) and values.ndim > 0
+            or isinstance(values, Sequence) and not isinstance(values, str))
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
-    """``values``, Python or numpy integers (not floats or bools) in a sequence or an iterator
-    (not a ``_NOT_SEQUENCES`` kind), as a tuple of ints.  Python ints pass on one read of their
-    types; any other values go through :func:`_integer`."""
-    try:
-        if isinstance(values, _NOT_SEQUENCES):
-            raise TypeError
-        values = tuple(values)   # an iterator is read once
-    except TypeError:
-        raise ValidationError(f"{what}s must come in a sequence, got {values!r}") from None
+    """``values``, Python or numpy integers (not floats or bools) in an :func:`_ordered`
+    collection, as a tuple of ints.  Python ints pass on one read of their types; any other
+    values go through :func:`_integer`."""
+    if not _ordered(values):
+        raise ValidationError(f"{what}s must come in a sequence, got {values!r}")
+    values = tuple(values)
     if set(map(type, values)) <= {int}:
         return values
     return tuple(_integer(value, what) for value in values)
@@ -97,9 +99,9 @@ class OrderRelation(Enum):
 
 
 def validate_word(word, lexicon: Lexicon) -> tuple[int, ...]:
-    """``word``, a sequence or iterator (not a string, a mapping or a set: a digit string goes
-    through :func:`parse_word`) of Python or numpy integer symbols (not floats or bools), as a
-    tuple of ints, each checked to lie in the lexicon."""
+    """``word``, an :func:`_ordered` collection (a digit string goes through
+    :func:`parse_word`) of Python or numpy integer symbols (not floats or bools), as a tuple of
+    ints, each checked to lie in the lexicon."""
     w = _integers(word, "word symbol")
     if w and not 0 <= min(w) <= max(w) < lexicon.theta:
         s = next(s for s in w if not 0 <= s < lexicon.theta)

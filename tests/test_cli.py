@@ -615,6 +615,8 @@ ZERO2 = {"theta": 2, "range": 2, "entries": []}
                  id="potential-theta-string"),
     pytest.param(GOLDEN, {"theta": 2, "range": 2.5, "entries": []}, "range",
                  id="potential-range-float"),
+    pytest.param(GOLDEN, {"theta": 2, "range": 2, "entries": 5}, "entries", id="entries-int"),
+    pytest.param(GOLDEN, {"theta": 2, "range": 2, "entries": None}, "entries", id="entries-null"),
 ])
 def test_loaders_reject_coerced_values_and_name_the_field(capsys, tmp_path, grammar,
                                                           potential, name):
@@ -626,6 +628,22 @@ def test_loaders_reject_coerced_values_and_name_the_field(capsys, tmp_path, gram
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("sftlearn: error:")
     assert f"field '{name}'" in lines[0]
+
+
+@pytest.mark.parametrize("flag", ["--grammar", "--potential", "--grammar-set", "--sample-file",
+                                  "--config"])
+def test_an_undecodable_file_is_named(capsys, tmp_path, golden_file, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    argv = {"--grammar": ["pressure", "--grammar", str(bad)],
+            "--potential": ["pressure", "--grammar", golden_file, "--potential", str(bad)],
+            "--grammar-set": ["identify", "--sample", "0110", "--grammar-set", str(bad)],
+            "--sample-file": ["identify", "--sample-file", str(bad)],
+            "--config": ["experiment", "--config", str(bad)]}[flag]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (f"sftlearn: error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                   "invalid start byte\n")
 
 
 def test_repeated_invocations_are_byte_identical(capsys, golden_file):

@@ -10,6 +10,7 @@ import json
 import math
 import re
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -420,6 +421,8 @@ def test_monotonicity_scan_is_clean_at_theta_two():
     # Potential would reject the range too, but only inside the runner, without the field's name
     ("monotonicity", {"potential_ranges": (2, 1)},
      "^potential_ranges entries must be >= 2, got 1$"),
+    # a negative tolerance would report a frequency of 0 at every n
+    ("smb", {"tolerance": -1}, "^tolerance must be nonnegative, got -1.0$"),
 ])
 def test_bad_runner_fields_are_named_before_any_solve(monkeypatch, experiment, overrides, name):
     def no_solve(*args):
@@ -454,12 +457,25 @@ def test_object_and_tuple_fields_of_a_config_built_in_code_are_checked():
     ]:
         with pytest.raises(ValidationError, match=message):
             small(default_config("entropy-convergence"), **overrides)
-    # iterators are read once, and the runner reads what was checked
+    # an iterator hides whether its source keeps an order, so it is no list
+    for name, values in [("candidates", iter([golden])), ("scales", (s for s in [2.0, 1.0]))]:
+        with pytest.raises(ValidationError,
+                           match=f"^experiment config field '{name}': expected a list, got <"):
+            small(default_config("entropy-convergence"), **{name: values})
+    # the runner reads what was checked
     report = run_experiment(small(default_config("entropy-convergence"), seeds=2,
-                                  candidates=iter([golden, Grammar.from_rows([[1, 1], [1, 1]])]),
-                                  scales=iter([2.0, 1.0])))
+                                  candidates=deque([golden, Grammar.from_rows([[1, 1], [1, 1]])]),
+                                  scales=np.array([2.0, 1.0])))
     assert len(report.candidate_table) == 2
     assert [row["scale"] for row in report.details["monotonicity"]["scales"]] == [1.0, 2.0]
+
+
+def test_a_potential_whose_entries_are_no_list_is_named_in_a_config():
+    for entries in (5, None):
+        message = f"'potential': potential field 'entries': expected a list, got {entries}$"
+        with pytest.raises(ValidationError, match=f"^experiment config field {message}"):
+            ExperimentConfig.from_dict({"experiment": "smb", "potential": {
+                "theta": 2, "range": 2, "entries": entries}})
 
 
 def test_a_config_built_in_code_holds_and_renders_what_its_json_would():

@@ -95,6 +95,24 @@ def test_potential_table_words_are_checked_not_coerced(lex2):
     assert [type(s) for s in p.entries[0][0]] == [int, int]
 
 
+def test_potential_entries_and_tables_are_checked_not_unpacked(lex2):
+    for entries, message in [
+        (5, "potential entries must come in a sequence, got 5"),
+        ({(0, 1): 1.0}, "potential entries must come in a sequence, got {(0, 1): 1.0}"),
+        ([((0, 1),)], "potential entry must be a (word, value) pair, got ((0, 1),)"),
+        ([((0, 1), 1.0, 2.0)],
+         "potential entry must be a (word, value) pair, got ((0, 1), 1.0, 2.0)"),
+        (["01"], "potential entry must be a (word, value) pair, got '01'"),
+        ([5], "potential entry must be a (word, value) pair, got 5"),
+    ]:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            Potential(lex2, 2, entries)
+    with pytest.raises(ValidationError,
+                       match=r"^potential table must be a mapping, got \[\(\(0, 1\), 1\.0\)\]$"):
+        Potential.from_table(lex2, 2, [((0, 1), 1.0)])
+    assert Potential(lex2, 2, [[(0, 1), 1.0]]) == Potential.from_table(lex2, 2, {(0, 1): 1.0})
+
+
 def test_potential_value_checks_symbols_like_construction(lex2):
     phi = Potential.from_table(lex2, 2, {(0, 1): 0.5, (1, 0): -1.0})
     for word in ((0.0, 1), (True, 0), (0, 1.9), (np.float64(1.0), 0), 5):

@@ -56,8 +56,10 @@ def test_single_candidate_class(golden, zero2):
     assert rejected.none_admissible
 
 
-def test_identify_counts_a_word_given_as_an_iterator(trio, zero2):
-    out = identify(iter((0, 1, 0)), zero2, trio)
+def test_identify_counts_a_word_given_as_an_array_and_refuses_an_iterator(trio, zero2):
+    with pytest.raises(ValidationError, match="^word symbols must come in a sequence, got <"):
+        identify(iter((0, 1, 0)), zero2, trio)
+    out = identify(np.array([0, 1, 0]), zero2, trio)
     ref = identify((0, 1, 0), zero2, trio)
     assert out.n == ref.n == 3
     assert out.scores == ref.scores

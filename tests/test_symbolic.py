@@ -2,12 +2,15 @@
 
 import itertools
 import re
+import types
+from collections import deque
 
 import numpy as np
 import pytest
 
 from sftlearn import (
     ClassTooLargeError,
+    ExperimentConfig,
     Grammar,
     Lexicon,
     OrderRelation,
@@ -51,9 +54,12 @@ def test_validate_word_normalizes_to_tuple(lex2):
     assert validate_word((), lex2) == ()
     w = validate_word((np.int64(1), np.uint8(0)), lex2)
     assert w == (1, 0) and [type(s) for s in w] == [int, int]
+    # an iterator hides whether its source keeps an order (a list's does, a set's does not),
+    # so it is refused before it is read
     symbols = iter((1, 1, 0))
-    assert validate_word(symbols, lex2) == (1, 1, 0)
-    assert next(symbols, None) is None   # read once, to the end
+    with pytest.raises(ValidationError, match="^word symbols must come in a sequence, got <"):
+        validate_word(symbols, lex2)
+    assert next(symbols) == 1
 
 
 @pytest.mark.parametrize("word, message", [
@@ -73,6 +79,43 @@ def test_validate_word_normalizes_to_tuple(lex2):
 def test_validate_word_checks_symbols_instead_of_coercing_them(lex2, word, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         validate_word(word, lex2)
+
+
+# Each maker returns a fresh value, since an iterator is spent once read.
+UNORDERED = {
+    "mappingproxy": lambda: types.MappingProxyType({1: "a", 0: "b"}),
+    "keys": lambda: {1: "a", 0: "b"}.keys(),
+    "values": lambda: {"a": 1, "b": 0}.values(),
+    "items": lambda: {1: 0, 0: 1}.items(),
+    "set-iterator": lambda: iter({1, 0}),
+    "generator": lambda: (s for s in (1, 0)),
+}
+ORDERED = {
+    "list": lambda: [1, 0],
+    "tuple": lambda: (1, 0),
+    "range": lambda: range(1, -1, -1),
+    "deque": lambda: deque([1, 0]),
+    "ndarray": lambda: np.array([1, 0]),
+}
+
+
+@pytest.mark.parametrize("make", UNORDERED.values(), ids=UNORDERED)
+def test_a_mapping_a_view_or_an_iterator_is_no_word_table_word_or_config_list(lex2, make):
+    # keys, members and an iterator's source come in an order the caller may not have chosen
+    with pytest.raises(ValidationError, match="^word symbols must come in a sequence, got "):
+        validate_word(make(), lex2)
+    with pytest.raises(ValidationError, match="^table word .*: symbols must come in a sequence"):
+        Potential(lex2, 2, ((make(), 1.0),))
+    with pytest.raises(ValidationError,
+                       match="^experiment config field 'checkpoints': expected a list, got "):
+        ExperimentConfig(experiment="smb", checkpoints=make())
+
+
+@pytest.mark.parametrize("make", ORDERED.values(), ids=ORDERED)
+def test_a_list_tuple_range_deque_or_array_is_a_word_table_word_and_config_list(lex2, make):
+    assert validate_word(make(), lex2) == (1, 0)
+    assert Potential(lex2, 2, ((make(), 1.0),)).entries == (((1, 0), 1.0),)
+    assert ExperimentConfig(experiment="smb", checkpoints=make()).checkpoints == (1, 0)
 
 
 def test_validate_word_rejects_out_of_range_symbols(lex2):
