@@ -60,7 +60,7 @@ def _load_json(path: str):
         raise ValidationError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except UnicodeDecodeError as exc:
+    except (UnicodeDecodeError, RecursionError) as exc:   # the latter: arrays nested too deep
         raise ValidationError(f"{path}: {exc}") from exc
     except OSError as exc:
         raise ValidationError(f"{path}: {exc.strerror or exc}") from exc

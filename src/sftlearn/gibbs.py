@@ -37,10 +37,11 @@ chains at once; it groups them by the set of words they contain, so each
 score is the same pairwise sum over the same terms as for its word alone,
 bit for bit.  :func:`_sample_counts` draws the words of many seeds at once,
 exactly those of :func:`sample`, and keeps only their counts at given
-prefix lengths.  It steps all seeds through one lookup table per block of
-uniforms, each block as wide as a fixed table-entry budget allows, and each
-seed draws its uniforms once per slab of whole blocks, a batch's slab within
-twice that budget (512 KB) or one block.
+prefix lengths.  The thresholds of all states, merged, read each uniform as
+a symbol, and k symbols as one key of the chain's k-step tables of next
+states and range-word codes, built once within a fixed table-entry budget:
+all seeds step one ``take`` per k symbols.  Each seed draws its uniforms
+once per slab, a batch's slab within twice that budget (512 KB).
 """
 
 from __future__ import annotations
@@ -607,10 +608,9 @@ def sample(chain: GibbsChain, n: int, seed: int) -> Sample:
     return Sample(tuple(word), seed, chain.grammar, chain.potential)
 
 
-# The lockstep sampler draws up to this many seeds at a time, steps them in
-# blocks whose step table holds about this many entries (at least 64 columns),
-# and draws their uniforms in slabs of at most twice as many (or one block),
-# so its memory does not grow with seeds or length.
+# The lockstep sampler draws up to this many seeds at a time, and its k-step tables of
+# codes hold at most this many entries (or k = 1), a batch's slab of uniforms about twice
+# as many, so that its memory does not grow with seeds or length.
 _SEED_BATCH = 256
 _TABLE_ENTRIES = 1 << 15
 
@@ -620,78 +620,101 @@ def _sample_counts(chain: GibbsChain, seeds, ends):
     max(ends[-1], range - 1)``, as block counts: yields, per batch of seeds, ``(heads, counts)``:
     ``heads[b]`` codes the first block of seed b's word and ``counts[b, k]`` is the bincount of
     the range-word codes among its first ``ends[k]`` symbols (``ends`` ascend).  Only counts are
-    kept.  A batch of B seeds of a d-state chain steps in blocks of ``width = min(columns,
-    max(64, _TABLE_ENTRIES // (d * B)))`` of its ``columns = n - range + 2``, each step one
-    ``take`` in the block's table.  Each seed draws the stream of ``default_rng(seed)`` (seeded by
-    :func:`_generators`, a batch below 2^128 at once, so words follow numpy's ``SeedSequence``
-    and ``PCG64``, pinned to 2.4.6 in CI), continuing it exactly, once per slab of ``width *
-    min(ceil(columns / width), max(1, 2 * _TABLE_ENTRIES // (B * width)))`` columns, whole
-    blocks, so a batch's slab holds at most ``2 * _TABLE_ENTRIES`` doubles (512 KB), or one
-    block; a block reads a view of its slab."""
+    kept.  Each uniform reads as one of M symbols, and a chunk of k steps of a d-state chain as
+    a key ``(state, Q)``, Q the base-M code of its symbols: k is the largest, at least 1 and at
+    most the word's ``steps = n - range + 1``, with ``d * max(M, 2)**k * k <= _TABLE_ENTRIES``.  A
+    batch of B seeds walks one ``take`` per chunk, and counts the chunks' range-words from a
+    table of their codes, or adds rows of their counts if theta**range <= 3k.  Each seed draws
+    the stream of ``default_rng(seed)`` (seeded by :func:`_generators`, a batch below 2^128 at
+    once, so words follow numpy's ``SeedSequence`` and ``PCG64``, pinned to 2.4.6 in CI),
+    continuing it exactly, in slabs of ``per = k * max(1, min(ceil(steps / k), 2 *
+    _TABLE_ENTRIES // (B * k)))`` steps, the first slab also drawing the first block."""
     t, r = chain.grammar.lexicon.theta, chain.potential.range
     blocks = np.flatnonzero(chain.index >= 0)
-    d, lasts = len(blocks), blocks % t
+    d, size = len(blocks), t**r
     start_cum, cum = np.cumsum(chain.stationary), np.cumsum(chain.transition, axis=1)
     # The state after s is bisect_left of x * total in cumulative row s, x = max(u, tiny): the
     # count of entries of cum[s, :-1] below that product (the last never is, as x < 1), summed
-    # over runs of equal entries c, each counted iff x >= _least_above(c, total).  The runs
-    # counted for every x add up to always[s]; a state with no other run has one successor.
-    tiny, always, sometimes = np.finfo(float).smallest_subnormal, [], []
-    for row, total in zip(cum[:, :-1].tolist(), cum[:, -1].tolist()):
-        runs = [(_least_above(c, total), k) for c, k in Counter(row).items() if c < total]
-        always.append(sum(k for x, k in runs if x <= tiny))
-        sometimes.append([(x, k) for x, k in runs if x > tiny])
-    several = [(s, runs) for s, runs in enumerate(sometimes) if runs]
-    pairs = (blocks[:, None] * t + lasts).ravel()   # the range-word of step i -> j, at i * d + j
-    columns = max(ends[-1], r - 1) - r + 2   # column 0 draws the first block, column j step j
-    # step j ends at symbol j + r - 1, so prefix k holds steps 1 .. inside[k]; a step is
-    # counted in the first prefix holding it, and a cumulative sum over k does the rest
-    inside = np.maximum(np.asarray(ends) - r + 1, 0)
+    # over runs of equal entries c, each counted iff x >= _least_above(c, total).  Every such
+    # test is ``cut <= u`` for a cut of the sorted list of all states' least floats above tiny
+    # (or always holds), so the symbol of u, the number of cuts at most u, decides every step.
+    tiny = np.finfo(float).smallest_subnormal
+    runs = [(s, _least_above(c, total), k) for s, (row, total) in
+            enumerate(zip(cum[:, :-1].tolist(), cum[:, -1].tolist()))
+            for c, k in Counter(row).items() if c < total]
+    cuts = sorted({x for _, x, _ in runs if x > tiny})
+    m = len(cuts) + 1
+    nxt = np.zeros((d, m), dtype=np.intp)
+    for s, x, k in runs:
+        nxt[s, bisect.bisect_right(cuts, x)] += k
+    np.cumsum(nxt, axis=1, out=nxt)   # nxt[s, q]: the state after s on symbol q
+    # u's symbol is base[i] plus the cuts of cell i = floor(u * grid) at most u: one compare per
+    # cut of the fullest cell, and three passes more on a grid of 2 cells or more (as u * grid
+    # is exact, the cells do not overlap); the power of two with the fewest passes, least first
+    depth = [max(Counter(int(x * 2**j) for x in cuts).values(), default=0) for j in range(16)]
+    grid = 1 if len(cuts) <= depth[-1] + 3 else 2 ** depth.index(depth[-1])
+    cell = [int(x * grid) for x in cuts]   # a cut of 1.0, which no u reaches, in cell grid
+    base = np.searchsorted(cell, np.arange(grid + 1))
+    inner = np.full((max(Counter(cell).values(), default=1), grid + 1), 2.0)
+    for j, (c, x) in enumerate(zip(cell, cuts)):
+        inner[j - base[c], c] = x
+    steps, k = max(ends[-1], r - 1) - r + 1, 1   # column 0 draws the first block, column j step j
+    while k < steps and d * max(m, 2) ** (k + 1) * (k + 1) <= _TABLE_ENTRIES:
+        k += 1
+    # the states and range-word codes after each chunk (state s, symbols Q) of 0, 1, .. k steps
+    step = blocks[:, None] * t + blocks[nxt] % t   # the range-word from s on symbol q
+    states, codes = np.arange(d)[:, None], np.empty((k, d, m**k), dtype=np.intp)
+    for i in range(k):   # step i + 1 reads the first i + 1 symbols of Q
+        codes[i].reshape(d, m ** (i + 1), -1)[:] = step[states].reshape(d, -1, 1)
+        states = nxt[states].reshape(d, -1)
+    codes, patterns = codes.reshape(k, -1).T, m**k   # a chunk's key is its state * patterns + Q
+    goto, place = states.ravel() * patterns, m ** np.arange(k - 1, -1, -1.0)
+    # adding a chunk's row of T counts costs less than bincounting its k codes (about 3k passes)
+    table = np.bincount((codes + np.arange(len(codes))[:, None] * size).ravel(),
+                        minlength=len(codes) * size).reshape(-1, size) if size <= 3 * k else None
+    # step j ends at symbol j + r - 1, so prefix p holds steps 1 .. inside[p]; a step is tallied
+    # in the first prefix holding it (past the last, in a discarded one), and a cumsum does the rest
+    inside, parts = np.maximum(np.asarray(ends) - r + 1, 0), len(ends) + 1
     for lo in range(0, len(seeds), _SEED_BATCH):
         rngs = _generators(seeds[lo:lo + _SEED_BATCH])
         b = len(rngs)
-        width = min(columns, max(64, _TABLE_ENTRIES // (d * b)))
-        per = width * min(-(-columns // width), max(1, 2 * _TABLE_ENTRIES // (b * width)))
-        # zeros, not empty: a last block shorter than its view reads the slab's unused tail
-        slab, less = np.zeros((b, per)), np.empty((b, width), dtype=bool)
-        # table[s, i, j] holds the state that seed i's column j reaches from s, as
-        # the position its next column reads, next * size + base[i, j]; path[j + 1]
-        # holds the position after column start + j, path[0] the state before
-        size, base = b * width, np.arange(b)[:, None] * width + np.arange(1, width + 1) % width
-        table = np.array(always)[:, None, None] * size + base
-        path, flat = np.zeros((width + 1, b), dtype=np.intp), np.empty((width, b), dtype=np.intp)
-        rows, take = list(path), table.take
-        counts = np.zeros((b, len(ends), t**r), dtype=np.int64)
-        offsets = np.arange(b) * (len(ends) * t**r)
-        for start in range(0, columns, width):
-            span, skip, at = min(width, columns - start), int(start == 0), start % per
-            if not at:   # each seed's next slab, or what is left of its columns
-                for rng, row in zip(rngs, slab[:, :columns - start]):
-                    rng.random(out=row)
-            u = slab[:, at:at + width]
-            for s, runs in several:
-                nxt = table[s]
-                nxt.fill(always[s])
-                for x, k in runs:
-                    nxt += np.less_equal(x, u, out=less) if k == 1 else k * (x <= u)
-                nxt *= size
-                nxt += base
-            if skip:   # column 0 draws the first block from the stationary law
-                path[0] = np.searchsorted(start_cum, np.maximum(u[:, 0], tiny) * start_cum[-1])
-                head = blocks[path[0]]
-            path[skip] = path[0] * size + base[:, skip - 1]
-            for before, after in zip(rows[skip:span], rows[skip + 1:span + 1]):
-                take(before, None, after, "clip")
-            states = np.floor_divide(path[:span + 1], size, out=path[:span + 1])
-            steps = np.multiply(states[skip:span], d, out=flat[skip:span])
-            steps += states[skip + 1:]
-            pairs.take(steps, out=steps)
-            steps += offsets
-            steps += np.searchsorted(inside, np.arange(start + skip, start + span))[:, None] * t**r
-            counts += np.bincount(steps.ravel(), minlength=counts.size).reshape(counts.shape)
-            path[0] = states[span]
-        np.cumsum(counts, axis=1, out=counts)
-        yield head, counts
+        per = k * max(1, min(-(-steps // k), 2 * _TABLE_ENTRIES // (b * k)))
+        # zeros, not empty: the last chunk reads the slab's unused tail as steps past the word
+        slab, tally = np.zeros((b, per + 1)), np.zeros((b, parts, size), dtype=np.int64)
+        # a slab's cells, symbols (then codes) and chunk keys (then states), kept for the batch
+        cells, symbols = np.empty((2, b, per), dtype=np.intp)
+        walk = np.empty((per // k, b), dtype=np.intp)
+        offsets = (np.arange(b) * (parts * size))[:, None]
+        for first in range(0, max(steps, 1), per):   # steps first + 1 .. first + n
+            n = min(per, steps - first)
+            for rng, row in zip(rngs, slab[:, int(first > 0):n + 1]):
+                rng.random(out=row)
+            if not first:   # column 0 draws the first block from the stationary law
+                cur = np.searchsorted(start_cum, np.maximum(slab[:, 0], tiny) * start_cum[-1])
+                head, cur = blocks[cur], cur * patterns
+            chunks = -(-n // k)
+            u, q = slab[:, 1:chunks * k + 1], symbols[:, :chunks * k]
+            i = np.multiply(u, grid, out=cells[:, :chunks * k], casting="unsafe") if grid > 1 else 0
+            np.add(base[i], u >= inner[0, i], out=q)
+            for row in inner[1:]:
+                q += u >= row[i]
+            at = walk[:chunks]   # Q < m**k is exact in floats, and a float matmul the fastest
+            at[:] = np.matmul(q.reshape(b, chunks, k), place).T
+            for key in at:
+                key += cur
+                goto.take(key, out=cur)
+            part = np.searchsorted(inside, np.arange(first + 1, first + chunks * k + 1)).reshape(-1, k)
+            if table is not None:   # whole chunks of one prefix add their rows; the rest, codes
+                whole = part[:, 0] == part[:, -1]
+                for p in set(part[whole, 0].tolist()) - {len(ends)}:
+                    tally[:, p] += table.take(at[whole & (part[:, 0] == p)], axis=0).sum(axis=0)
+                at, part = at[~whole], part[~whole]
+            drawn = codes.take(at, axis=0, out=symbols.ravel()[:at.size * k].reshape(-1, b, k),
+                               mode="clip")   # "raise" would buffer the output
+            drawn += part[:, None] * size
+            drawn += offsets
+            tally += np.bincount(drawn.ravel(), minlength=tally.size).reshape(tally.shape)
+        yield head, np.cumsum(tally[:, :-1], axis=1)
 
 
 def _least_above(c: float, total: float) -> float:

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import re
@@ -510,6 +511,36 @@ def test_theta3_scans_print_their_recorded_bytes(capsys, tmp_path, k):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RECORDED_THETA3_SCAN_DIGESTS[k]
 
 
+# SHA-256 of the stdout of a theta=3 ``ml-convergence`` over all 139 candidates,
+# 50 seeds from base seed 11, of a range-3 potential on a 7-state chain and of a
+# range-4 potential on the full shift's 27-state chain, recorded before the
+# sampler stepped several columns per lookup (numpy 2.4, x86-64).  The
+# checkpoints end inside the first block (1), at one step (3) and off any
+# power-of-two column (37, 300).
+RECORDED_THETA3_STUDY_DIGESTS = {
+    3: ([[1, 1, 1], [1, 0, 1], [1, 1, 0]],
+        "bc3675fcfc2da336d44fdc644f797236755436e8bb5094067bd70abd6f9f2288"),
+    4: ([[1, 1, 1], [1, 1, 1], [1, 1, 1]],
+        "1dac95070e0fe825216540f0f62a4456b71f593c41eca34d83850e70e190c20e"),
+}
+
+
+@pytest.mark.parametrize("r", sorted(RECORDED_THETA3_STUDY_DIGESTS))
+def test_theta3_studies_of_large_chains_print_their_recorded_bytes(capsys, tmp_path, r):
+    matrix, recorded = RECORDED_THETA3_STUDY_DIGESTS[r]
+    words = ["".join(map(str, w)) for w in itertools.product(range(3), repeat=r)]
+    entries = [{"word": w, "value": ((7 * i) % 11 - 5) / 4} for i, w in enumerate(words)]
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps({
+        "experiment": "ml-convergence", "theta": 3,
+        "true_grammar": {"theta": 3, "matrix": matrix},
+        "potential": {"theta": 3, "range": r, "entries": entries},
+        "checkpoints": [1, 3, 37, 300], "seeds": 50, "base_seed": 11}))
+    code, out, _ = run(capsys, "experiment", "--config", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == recorded
+
+
 @pytest.mark.parametrize("fields, code", [
     # potential 1 (range 3) overflows the span; potential 2, of the range that is
     # solved first, fails its certificate
@@ -644,6 +675,18 @@ def test_an_undecodable_file_is_named(capsys, tmp_path, golden_file, flag):
     assert (code, out) == (1, "")
     assert err == (f"sftlearn: error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: "
                    "invalid start byte\n")
+
+
+@pytest.mark.parametrize("flag", ["--grammar", "--config"])
+def test_a_file_nested_too_deep_for_the_json_parser_is_bad_input(capsys, tmp_path, flag):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {"--grammar": ["pressure", "--grammar", str(deep)],
+            "--config": ["experiment", "--config", str(deep)]}[flag]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"sftlearn: error: {deep}: maximum recursion depth exceeded")
+    assert len(err.splitlines()) == 1
 
 
 def test_repeated_invocations_are_byte_identical(capsys, golden_file):

@@ -1065,10 +1065,9 @@ def test_lockstep_sampler_draws_the_words_of_sample(golden, full2, lex2, monkeyp
     for chain in chains:
         drawn = _lockstep_words(chain, 60, range(200))
         assert drawn == [sample(chain, 60, seed).word for seed in range(200)]
-    # A batch of B seeds of a d-state chain steps in blocks of width
-    # min(columns, max(64, _TABLE_ENTRIES // (d * B))) columns, and each seed draws
-    # its uniforms once per slab of width * min(ceil(columns / width),
-    # max(1, 2 * _TABLE_ENTRIES // (B * width))) columns.
+    # A chain steps k symbols per chunk, k the largest (at most the word's steps) with
+    # d * max(M, 2)**k * k <= _TABLE_ENTRIES, M the symbols of its merged cuts; a batch of B
+    # seeds draws its uniforms in slabs of whole chunks (see _assert_lockstep_draws_sample).
     full3 = Grammar(lex3, ((1, 1, 1), (1, 1, 1), (1, 1, 1)))
     words4 = list(all_words(lex3, 4))
     phi4 = Potential.from_table(lex3, 4, dict(zip(words4, rng.uniform(-1.0, 1.0, len(words4)))))
@@ -1080,39 +1079,42 @@ def test_lockstep_sampler_draws_the_words_of_sample(golden, full2, lex2, monkeyp
     assert 0 < flat.transition[0, 1] and np.diff(np.cumsum(flat.transition[0]))[0] == 0
     tail = range(50, 50 + gibbs._SEED_BATCH + 5)
     cases = [
-        (golden2, 3 * gibbs._TABLE_ENTRIES // 2, [9], [3], [1]),   # one seed, in wide blocks
-        (golden2, 5 * gibbs._TABLE_ENTRIES, [9], [10], [3]),   # slabs of 4, 4 and 2 blocks
-        (range3, 150, tail, [3, 1], [1, 1]),   # one full batch of seeds and a tail
-        (d27, 70, tail, [2, 1], [1, 1]),
-        (d27, 259, range(gibbs._SEED_BATCH + 1), [5, 1], [2, 1]),   # slabs of 4 and 1 blocks
-        (golden2, 1, range(3), [1], [1]),   # n = range - 1: the first block only
-        (d27, 3, range(3), [1], [1]),
-        (flat, 400, range(20), [1], [1]),
+        (golden2, 3 * gibbs._TABLE_ENTRIES // 2, [9], 10, [1]),   # one seed, in one slab
+        (golden2, 5 * gibbs._TABLE_ENTRIES, [9], 10, [3]),   # slabs of 65 530 steps
+        (range3, 150, tail, 4, [1, 1]),   # one full batch of seeds and a tail
+        (range3, 400, tail, 4, [2, 1]),   # the full batch in slabs of 256 steps
+        (d27, 70, tail, 1, [1, 1]),
+        (d27, 259, range(gibbs._SEED_BATCH + 1), 1, [1, 1]),
+        (golden2, 1, range(3), 1, [1]),   # n = range - 1: the first block only
+        (d27, 3, range(3), 1, [1]),
+        (flat, 400, range(20), 5, [1]),
     ]
-    for chain, n, seeds, blocks, slabs in cases:
-        _assert_lockstep_draws_sample(chain, n, seeds, blocks, slabs)
-    # with a small budget, every batch takes three blocks of 64 columns and a
-    # fourth of one column, each block a slab
+    for chain, n, seeds, k, slabs in cases:
+        _assert_lockstep_draws_sample(chain, n, seeds, k, slabs)
+    # with a one-entry budget every chain steps one symbol per chunk, and a batch of
+    # three or more seeds draws one step per slab
     monkeypatch.setattr(gibbs, "_TABLE_ENTRIES", 1)
     for chain, seeds in ((golden2, tail), (range3, tail), (d27, range(4)), (flat, range(9))):
         n = 3 * 64 + chain.potential.range - 1
-        batches = [4] * -(-len(seeds) // gibbs._SEED_BATCH)
-        _assert_lockstep_draws_sample(chain, n, seeds, batches, batches)
+        batches = [192] * -(-len(seeds) // gibbs._SEED_BATCH)
+        _assert_lockstep_draws_sample(chain, n, seeds, 1, batches)
 
 
-def _assert_lockstep_draws_sample(chain, n, seeds, blocks, slabs):
-    """The lockstep sampler draws ``sample``'s words, and the width and slab
-    rules give each batch of seeds the expected number of blocks of columns
-    and each of its seeds the expected number of ``Generator.random`` calls,
-    which draw ``columns`` uniforms in all."""
-    columns, d = n - chain.potential.range + 2, len(chain.states)
+def _assert_lockstep_draws_sample(chain, n, seeds, k, slabs):
+    """The lockstep sampler draws ``sample``'s words, and each seed of a batch of B draws
+    its ``steps = n - range + 1`` uniforms, and one for the first block, in ``slabs``
+    ``Generator.random`` calls (one entry per batch) of ``per = k * max(1, min(ceil(steps
+    / k), 2 * _TABLE_ENTRIES // (B * k)))`` steps each, or what is left, the first call
+    drawing the first block too."""
+    steps = n - chain.potential.range + 1
     batches = [len(seeds[lo:lo + gibbs._SEED_BATCH])
                for lo in range(0, len(seeds), gibbs._SEED_BATCH)]
-    widths = [min(columns, max(64, gibbs._TABLE_ENTRIES // (d * b))) for b in batches]
-    assert [-(-columns // w) for w in widths] == blocks
-    pers = [w * min(-(-columns // w), max(1, 2 * gibbs._TABLE_ENTRIES // (b * w)))
-            for b, w in zip(batches, widths)]
-    assert [-(-columns // p) for p in pers] == slabs
+    sizes = []
+    for b in batches:
+        per = k * max(1, min(-(-steps // k), 2 * gibbs._TABLE_ENTRIES // (b * k)))
+        cuts = [0, *range(1 + per, steps + 1, per), steps + 1]   # the calls' first columns
+        sizes += [np.diff(cuts).tolist()] * b
+    assert [len(s) for s in sizes[::gibbs._SEED_BATCH]] == slabs
     draws, real = {}, gibbs._generators
 
     class Counted:
@@ -1131,8 +1133,7 @@ def _assert_lockstep_draws_sample(chain, n, seeds, blocks, slabs):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gibbs, "_generators", counted)
         drawn = _lockstep_words(chain, n, seeds)
-    assert [len(draws[s]) for s in seeds] == [k for b, k in zip(batches, slabs) for _ in range(b)]
-    assert all(sum(draws[s]) == columns for s in seeds)
+    assert [draws[s] for s in seeds] == sizes
     assert drawn == [sample(chain, n, seed).word for seed in seeds]
 
 
@@ -1179,9 +1180,9 @@ def test_batch_seeding_falls_back_to_default_rng_outside_128_bits():
             gibbs._generators(seeds)
 
 
-# The lockstep sampler's buffers, largest first: the 27 x 256 x 64 step table of
-# a full batch at d = 27 (3.5 MB), the 512 KB slab of uniforms, and for one seed
-# at d = 2 the 16 385 row views of a 16 384-column block (2.4 MB).
+# The lockstep sampler's buffers: a batch's slab of uniforms and its cells and
+# symbols (then codes), 512 KB each, and its chunk keys; measured peaks 4.1 MB for
+# 256 seeds at d = 27 and 2.9 MB for one seed's 65 530-step slabs at d = 2.
 _SAMPLER_CEILING = 8 << 20
 
 
@@ -1213,13 +1214,14 @@ def test_lockstep_sampler_memory_does_not_grow_with_the_word(golden, lex2, monke
         assert _sampler_peak(chain, 4 * n, seeds) <= peak + (16 << 10)
         return peak
 
-    # A full batch fills its slab of 256 columns, so past that no buffer grows with n.
+    # A full batch fills its slabs of 250 steps at d = 2 (k = 10) and 256 at d = 27
+    # (k = 1), so past that no buffer grows with n.
     for chain in chains:
         assert flat(chain, 512, range(256)) <= _SAMPLER_CEILING
-    # One seed fills its slab of 2^16 columns at d = 2, the largest one-seed buffers.
+    # One seed fills its slab of 65 530 steps at d = 2, the largest one-seed buffers.
     assert _sampler_peak(chains[0], 1 << 16, [5]) <= _SAMPLER_CEILING
-    # Under a 2^9-entry budget one seed's slab fills by the same rule at 1 024
-    # columns (4 blocks of 256 at d = 2, 16 blocks of 64 at d = 27).
+    # Under a 2^9-entry budget one seed's slab fills by the same rule at about 1 024
+    # steps (1 020 at d = 2, where k = 5, and 1 024 at d = 27).
     monkeypatch.setattr(gibbs, "_TABLE_ENTRIES", 1 << 9)
     for chain in chains:
         assert flat(chain, 1024 + chain.potential.range - 2, [5]) <= _SAMPLER_CEILING

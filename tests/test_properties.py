@@ -1,5 +1,5 @@
 """Thermodynamic laws that must hold for every potential, checked with
-hypothesis over the theta=3 class.
+hypothesis over the theta=3 class, and the lockstep sampler's counts.
 
 Examples are derandomized and bounded, so the suite stays deterministic
 and fast.  Potential values lie in [-2, 2], where every weight is a normal
@@ -9,15 +9,18 @@ float and pressures differ from each other by far more than rounding.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sftlearn import (
+    Grammar,
     Lexicon,
     Potential,
     chain_stack,
     cylinder_log_measure,
     enumerate_grammars,
+    gibbs,
+    gibbs_chain,
     pressure_stack,
     sample,
 )
@@ -26,6 +29,9 @@ from helpers import all_words
 
 LEX3 = Lexicon(3)
 GRAMMARS = enumerate_grammars(LEX3)
+CLASSES = {2: enumerate_grammars(Lexicon(2)), 3: GRAMMARS}
+FULL3_RANGE4 = gibbs_chain(Grammar(LEX3, ((1, 1, 1),) * 3), Potential.from_table(
+    LEX3, 4, {w: ((7 * i) % 11 - 5) / 4 for i, w in enumerate(all_words(LEX3, 4))}))
 CODES = {sum(bit << k for k, bit in enumerate(np.ravel(g.matrix))): i
          for i, g in enumerate(GRAMMARS)}
 # (lower, upper): upper is lower plus one edge; a primitive matrix stays
@@ -137,3 +143,32 @@ def test_cylinder_measures_satisfy_the_gibbs_identity(phi, seed):
             bound = 16 * eps * (n + np.abs(phis).sum() + (n - r + 1) * abs(chain.pressure)
                                 + abs(log_nu) + abs(log_h) + np.abs(steps).sum())
             assert abs(cylinder_log_measure(chain, tuple(w.tolist())) - closed) <= bound
+
+
+@st.composite
+def chains(draw):
+    """The chain of a theta=2 or theta=3 grammar under a potential of range 2 to 4."""
+    grammars = CLASSES[draw(st.sampled_from(sorted(CLASSES)))]
+    lex, r = grammars[0].lexicon, draw(st.sampled_from((2, 3, 4)))
+    words = list(all_words(lex, r))
+    values = draw(st.lists(VALUES, min_size=len(words), max_size=len(words)))
+    return gibbs_chain(draw(st.sampled_from(grammars)),
+                       Potential.from_table(lex, r, dict(zip(words, values))))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@example(FULL3_RANGE4, gibbs._SEED_BATCH + 5, 0, [1, 3, 37, 300])   # two batches, d = 27
+@given(chains(), st.integers(1, gibbs._SEED_BATCH + 5), st.integers(0, 2**32 - 1),
+       st.lists(st.integers(1, 300), min_size=1, max_size=6, unique=True).map(sorted))
+def test_lockstep_counts_are_the_prefix_counts_of_the_words_of_sample(chain, count, base, ends):
+    # the head codes the word's first block, and each checkpoint's counts are the
+    # bincount of the range-words of its prefix, counted apart for every seed
+    seeds = range(base, base + count)
+    n = max(ends[-1], chain.potential.range - 1)
+    heads, counts = map(np.concatenate, zip(*gibbs._sample_counts(chain, seeds, ends)))
+    assert len(heads) == len(counts) == count
+    for seed, head, rows in zip(seeds, heads.tolist(), counts):
+        word = sample(chain, n, seed).word
+        assert head == gibbs._word_counts(chain.potential, word)[0]
+        assert rows.tolist() == [gibbs._word_counts(chain.potential, word[:end])[1].tolist()
+                                 for end in ends]
