@@ -622,12 +622,12 @@ def _sample_counts(chain: GibbsChain, seeds, ends):
     the range-word codes among its first ``ends[k]`` symbols (``ends`` ascend).  Only counts are
     kept.  Each uniform reads as one of M symbols, and a chunk of k steps of a d-state chain as
     a key ``(state, Q)``, Q the base-M code of its symbols: k is the largest, at least 1 and at
-    most the word's ``steps = n - range + 1``, with ``d * max(M, 2)**k * k <= _TABLE_ENTRIES``.  A
-    batch of B seeds walks one ``take`` per chunk, and counts the chunks' range-words from a
-    table of their codes, or adds rows of their counts if theta**range <= 3k.  Each seed draws
-    the stream of ``default_rng(seed)`` (seeded by :func:`_generators`, a batch below 2^128 at
-    once, so words follow numpy's ``SeedSequence`` and ``PCG64``, pinned to 2.4.6 in CI),
-    continuing it exactly, in slabs of ``per = k * max(1, min(ceil(steps / k), 2 *
+    most an eighth of the word's ``steps = n - range + 1``, with ``d * max(M, 2)**k * k <=
+    _TABLE_ENTRIES``.  A batch of B seeds walks one ``take`` per chunk, and counts the chunks'
+    range-words from a table of their codes, or adds rows of their counts if theta**range <= 3k.
+    Each seed draws the stream of ``default_rng(seed)`` (seeded by :func:`_generators`, a batch
+    below 2^128 at once, so words follow numpy's ``SeedSequence`` and ``PCG64``, pinned to 2.4.6
+    in CI), continuing it exactly, in slabs of ``per = k * max(1, min(ceil(steps / k), 2 *
     _TABLE_ENTRIES // (B * k)))`` steps, the first slab also drawing the first block."""
     t, r = chain.grammar.lexicon.theta, chain.potential.range
     blocks = np.flatnonzero(chain.index >= 0)
@@ -635,9 +635,8 @@ def _sample_counts(chain: GibbsChain, seeds, ends):
     start_cum, cum = np.cumsum(chain.stationary), np.cumsum(chain.transition, axis=1)
     # The state after s is bisect_left of x * total in cumulative row s, x = max(u, tiny): the
     # count of entries of cum[s, :-1] below that product (the last never is, as x < 1), summed
-    # over runs of equal entries c, each counted iff x >= _least_above(c, total).  Every such
-    # test is ``cut <= u`` for a cut of the sorted list of all states' least floats above tiny
-    # (or always holds), so the symbol of u, the number of cuts at most u, decides every step.
+    # over runs of equal entries c, each counted iff x >= _least_above(c, total), that is, iff
+    # u >= that cut (always, for one below tiny): u's symbol, its number of cuts, decides a step.
     tiny = np.finfo(float).smallest_subnormal
     runs = [(s, _least_above(c, total), k) for s, (row, total) in
             enumerate(zip(cum[:, :-1].tolist(), cum[:, -1].tolist()))
@@ -648,18 +647,18 @@ def _sample_counts(chain: GibbsChain, seeds, ends):
     for s, x, k in runs:
         nxt[s, bisect.bisect_right(cuts, x)] += k
     np.cumsum(nxt, axis=1, out=nxt)   # nxt[s, q]: the state after s on symbol q
-    # u's symbol is base[i] plus the cuts of cell i = floor(u * grid) at most u: one compare per
-    # cut of the fullest cell, and three passes more on a grid of 2 cells or more (as u * grid
-    # is exact, the cells do not overlap); the power of two with the fewest passes, least first
-    depth = [max(Counter(int(x * 2**j) for x in cuts).values(), default=0) for j in range(16)]
+    # u's symbol is base[i] plus the cuts of cell i = floor(u * grid) (exact) at most u: a compare
+    # per cut of the fullest cell, 3 passes more if grid > 1; the cheapest power of two, least first
+    depth = [max(Counter(int(x * 2**j) for x in cuts).values(), default=0)
+             for j in range(16 if len(cuts) > 3 else 1)]   # up to 3 cuts, grid 1 is cheapest
     grid = 1 if len(cuts) <= depth[-1] + 3 else 2 ** depth.index(depth[-1])
     cell = [int(x * grid) for x in cuts]   # a cut of 1.0, which no u reaches, in cell grid
     base = np.searchsorted(cell, np.arange(grid + 1))
     inner = np.full((max(Counter(cell).values(), default=1), grid + 1), 2.0)
-    for j, (c, x) in enumerate(zip(cell, cuts)):
-        inner[j - base[c], c] = x
+    inner[np.arange(len(cuts)) - base[cell], cell] = cuts   # row: the cut's rank in its cell
     steps, k = max(ends[-1], r - 1) - r + 1, 1   # column 0 draws the first block, column j step j
-    while k < steps and d * max(m, 2) ** (k + 1) * (k + 1) <= _TABLE_ENTRIES:
+    # at least 8 chunks a word, so that a short word does not build tables it barely reads
+    while k < steps // 8 and d * max(m, 2) ** (k + 1) * (k + 1) <= _TABLE_ENTRIES:
         k += 1
     # the states and range-word codes after each chunk (state s, symbols Q) of 0, 1, .. k steps
     step = blocks[:, None] * t + blocks[nxt] % t   # the range-word from s on symbol q
@@ -682,7 +681,7 @@ def _sample_counts(chain: GibbsChain, seeds, ends):
         # zeros, not empty: the last chunk reads the slab's unused tail as steps past the word
         slab, tally = np.zeros((b, per + 1)), np.zeros((b, parts, size), dtype=np.int64)
         # a slab's cells, symbols (then codes) and chunk keys (then states), kept for the batch
-        cells, symbols = np.empty((2, b, per), dtype=np.intp)
+        cells, symbols = np.empty((b, per), dtype=np.intp), np.empty((b, per))
         walk = np.empty((per // k, b), dtype=np.intp)
         offsets = (np.arange(b) * (parts * size))[:, None]
         for first in range(0, max(steps, 1), per):   # steps first + 1 .. first + n
@@ -695,22 +694,24 @@ def _sample_counts(chain: GibbsChain, seeds, ends):
             chunks = -(-n // k)
             u, q = slab[:, 1:chunks * k + 1], symbols[:, :chunks * k]
             i = np.multiply(u, grid, out=cells[:, :chunks * k], casting="unsafe") if grid > 1 else 0
-            np.add(base[i], u >= inner[0, i], out=q)
+            np.greater_equal(u, inner[0, i], out=q)
             for row in inner[1:]:
                 q += u >= row[i]
+            if grid > 1:
+                q += base[i]
             at = walk[:chunks]   # Q < m**k is exact in floats, and a float matmul the fastest
             at[:] = np.matmul(q.reshape(b, chunks, k), place).T
             for key in at:
                 key += cur
                 goto.take(key, out=cur)
-            part = np.searchsorted(inside, np.arange(first + 1, first + chunks * k + 1)).reshape(-1, k)
+            part = np.searchsorted(inside, np.arange(chunks * k) + first + 1).reshape(-1, k)
             if table is not None:   # whole chunks of one prefix add their rows; the rest, codes
                 whole = part[:, 0] == part[:, -1]
                 for p in set(part[whole, 0].tolist()) - {len(ends)}:
                     tally[:, p] += table.take(at[whole & (part[:, 0] == p)], axis=0).sum(axis=0)
                 at, part = at[~whole], part[~whole]
-            drawn = codes.take(at, axis=0, out=symbols.ravel()[:at.size * k].reshape(-1, b, k),
-                               mode="clip")   # "raise" would buffer the output
+            drawn = symbols.view(np.intp).reshape(-1, b, k)[:len(at)]   # the codes, in place
+            codes.take(at, axis=0, out=drawn, mode="clip")   # "raise" would buffer the output
             drawn += part[:, None] * size
             drawn += offsets
             tally += np.bincount(drawn.ravel(), minlength=tally.size).reshape(tally.shape)

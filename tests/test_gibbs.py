@@ -1181,7 +1181,7 @@ def test_batch_seeding_falls_back_to_default_rng_outside_128_bits():
 
 
 # The lockstep sampler's buffers: a batch's slab of uniforms and its cells and
-# symbols (then codes), 512 KB each, and its chunk keys; measured peaks 4.1 MB for
+# symbols (then codes), 512 KB each, and its chunk keys; measured peaks 3.6 MB for
 # 256 seeds at d = 27 and 2.9 MB for one seed's 65 530-step slabs at d = 2.
 _SAMPLER_CEILING = 8 << 20
 
