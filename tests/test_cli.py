@@ -515,8 +515,8 @@ def test_theta3_scans_print_their_recorded_bytes(capsys, tmp_path, k):
 # 50 seeds from base seed 11, of a range-3 potential on a 7-state chain and of a
 # range-4 potential on the full shift's 27-state chain, recorded before the
 # sampler stepped several columns per lookup (numpy 2.4, x86-64).  The
-# checkpoints end inside the first block (1), at one step (3) and off any
-# power-of-two column (37, 300).
+# checkpoints end inside the first block (1), at most one step past it (3),
+# and off any power-of-two column (37, 300).
 RECORDED_THETA3_STUDY_DIGESTS = {
     3: ([[1, 1, 1], [1, 0, 1], [1, 1, 0]],
         "bc3675fcfc2da336d44fdc644f797236755436e8bb5094067bd70abd6f9f2288"),
