@@ -609,8 +609,9 @@ def sample(chain: GibbsChain, n: int, seed: int) -> Sample:
 
 
 # The lockstep sampler draws up to this many seeds at a time, and its k-step tables of
-# codes hold at most this many entries (or k = 1), a batch's slab of uniforms about twice
-# as many, so that its memory does not grow with seeds or length.
+# codes hold at most this many entries (or k = 1), its count table, when built, up to three
+# times as many, and a batch's slab of uniforms about twice as many, so that its memory does
+# not grow with seeds or length.
 _SEED_BATCH = 256
 _TABLE_ENTRIES = 1 << 15
 
@@ -647,15 +648,6 @@ def _sample_counts(chain: GibbsChain, seeds, ends):
     for s, x, k in runs:
         nxt[s, bisect.bisect_right(cuts, x)] += k
     np.cumsum(nxt, axis=1, out=nxt)   # nxt[s, q]: the state after s on symbol q
-    # u's symbol is base[i] plus the cuts of cell i = floor(u * grid) (exact) at most u: a compare
-    # per cut of the fullest cell, 3 passes more if grid > 1; the cheapest power of two, least first
-    depth = [max(Counter(int(x * 2**j) for x in cuts).values(), default=0)
-             for j in range(16 if len(cuts) > 3 else 1)]   # up to 3 cuts, grid 1 is cheapest
-    grid = 1 if len(cuts) <= depth[-1] + 3 else 2 ** depth.index(depth[-1])
-    cell = [int(x * grid) for x in cuts]   # a cut of 1.0, which no u reaches, in cell grid
-    base = np.searchsorted(cell, np.arange(grid + 1))
-    inner = np.full((max(Counter(cell).values(), default=1), grid + 1), 2.0)
-    inner[np.arange(len(cuts)) - base[cell], cell] = cuts   # row: the cut's rank in its cell
     steps, k = max(ends[-1], r - 1) - r + 1, 1   # column 0 draws the first block, column j step j
     # at least 8 chunks a word, so that a short word does not build tables it barely reads
     while k < steps // 8 and d * max(m, 2) ** (k + 1) * (k + 1) <= _TABLE_ENTRIES:
@@ -680,8 +672,8 @@ def _sample_counts(chain: GibbsChain, seeds, ends):
         per = k * max(1, min(-(-steps // k), 2 * _TABLE_ENTRIES // (b * k)))
         # zeros, not empty: the last chunk reads the slab's unused tail as steps past the word
         slab, tally = np.zeros((b, per + 1)), np.zeros((b, parts, size), dtype=np.int64)
-        # a slab's cells, symbols (then codes) and chunk keys (then states), kept for the batch
-        cells, symbols = np.empty((b, per), dtype=np.intp), np.empty((b, per))
+        # a slab's symbols (then codes) and chunk keys (then states), kept for the batch
+        symbols = np.empty((b, per))
         walk = np.empty((per // k, b), dtype=np.intp)
         offsets = (np.arange(b) * (parts * size))[:, None]
         for first in range(0, max(steps, 1), per):   # steps first + 1 .. first + n
@@ -693,12 +685,9 @@ def _sample_counts(chain: GibbsChain, seeds, ends):
                 head, cur = blocks[cur], cur * patterns
             chunks = -(-n // k)
             u, q = slab[:, 1:chunks * k + 1], symbols[:, :chunks * k]
-            i = np.multiply(u, grid, out=cells[:, :chunks * k], casting="unsafe") if grid > 1 else 0
-            np.greater_equal(u, inner[0, i], out=q)
-            for row in inner[1:]:
-                q += u >= row[i]
-            if grid > 1:
-                q += base[i]
+            q.fill(0)
+            for c in cuts:   # u's symbol: the cuts at most u
+                q += u >= c
             at = walk[:chunks]   # Q < m**k is exact in floats, and a float matmul the fastest
             at[:] = np.matmul(q.reshape(b, chunks, k), place).T
             for key in at:

@@ -1065,7 +1065,7 @@ def test_lockstep_sampler_draws_the_words_of_sample(golden, full2, lex2, monkeyp
     for chain in chains:
         drawn = _lockstep_words(chain, 60, range(200))
         assert drawn == [sample(chain, 60, seed).word for seed in range(200)]
-    # A chain steps k symbols per chunk, k the largest (at most the word's steps) with
+    # A chain steps k symbols per chunk, k the largest (at most an eighth of the word's steps) with
     # d * max(M, 2)**k * k <= _TABLE_ENTRIES, M the symbols of its merged cuts; a batch of B
     # seeds draws its uniforms in slabs of whole chunks (see _assert_lockstep_draws_sample).
     full3 = Grammar(lex3, ((1, 1, 1), (1, 1, 1), (1, 1, 1)))
@@ -1180,9 +1180,9 @@ def test_batch_seeding_falls_back_to_default_rng_outside_128_bits():
             gibbs._generators(seeds)
 
 
-# The lockstep sampler's buffers: a batch's slab of uniforms and its cells and
-# symbols (then codes), 512 KB each, and its chunk keys; measured peaks 3.6 MB for
-# 256 seeds at d = 27 and 2.9 MB for one seed's 65 530-step slabs at d = 2.
+# The lockstep sampler's buffers: a batch's slab of uniforms and its symbols (then
+# codes), 512 KB each, and its chunk keys; measured peaks 2.9 MB for 256 seeds at
+# d = 27 and 2.4 MB for one seed's 65 530-step slabs at d = 2.
 _SAMPLER_CEILING = 8 << 20
 
 
