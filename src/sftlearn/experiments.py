@@ -240,7 +240,7 @@ def _order_gaps(values: np.ndarray, grammars) -> tuple[int, list, list]:
 
 def _random_potentials(lexicon: Lexicon, count: int, ranges, bound: float,
                        base_seed: int) -> list[Potential]:
-    """Full random tables, values uniform in [-bound, bound], ranges cycled."""
+    """Full random tables, values uniform in [-bound, bound), ranges cycled."""
     rng = np.random.default_rng(base_seed)
     out = []
     for k in range(count):

@@ -23,12 +23,13 @@ span 60 (theta=3), and in the theta=3 ``monotonicity`` scan at ``value_bound`` 5
 ``base_seed`` 7 (README "Numerical notes", ROADMAP "Known defects").
 
 Every pressure, entropy and cylinder likelihood goes through a dense eigen-solve of a stack
-of one block count and at most ``_EIG_ENTRIES`` entries (:func:`_certified`): of ``(M_1..M_K,
-M_1^T..M_K^T)`` for chains, which need ``nu`` (:func:`chain_stack`: array arithmetic per
-stack, ``nu`` by ``matmul`` for its bits), and of ``(M_1..M_K)``, certified by ``h``, for the
-pressures of :func:`_pressure_family`, a class under many potentials, blocks grown once per
-range.  Smaller stacks and one-grammar calls have the same bits, and ``lam`` is the same on
-both paths.  Dense eig costs O(d^3): about 2.4 s at d = 1024 on one core of a 2-vCPU Xeon.
+of one block count and at most ``_EIG_ENTRIES`` entries (:func:`_certified`): ``eig`` of
+``(M_1..M_K, M_1^T..M_K^T)`` for chains, which need ``nu`` (:func:`chain_stack`: array
+arithmetic per stack, ``nu`` by ``matmul`` for its bits), and ``eigvals`` of ``(M_1..M_K)``
+for the pressures of :func:`_pressure_family` (a class under many potentials, blocks grown
+once per range), certified by ``h`` from two shifted solves, or else as ``eig`` certifies.
+Smaller stacks and one-grammar calls have the same bits, and ``lam`` is the same on all
+paths.  Dense eig costs O(d^3): about 2.4 s at d = 1024 on one core of a 2-vCPU Xeon.
 
 A word enters a likelihood only through the code of its first block and its
 counts of range-``r`` words, the sufficient statistic of a Markov chain.
@@ -308,30 +309,48 @@ def _perron_stack(groups, left: bool):
         raise min(failures, key=lambda f: f[0])[1]
 
 
-def _certified(members, stack, left: bool):
-    """``(lam, pair, failure)`` of a ``(k, d, d)`` stack from one dense eigen-solve of ``(M_1..M_k,
-    M_1^T..M_k^T)`` if ``left``, else of ``(M_1..M_k)``, each matrix apart by LAPACK's ``geev``
+def _certified(members, stack, left: bool, by_eig: bool = False):
+    """``(lam, pair, failure)`` of a ``(k, d, d)`` stack, each matrix apart by LAPACK's ``geev``
     (so ``lam`` has the bits of a stack of one), certified as :func:`perron` says by the sides
-    solved: ``h > 0`` and its Collatz-Wielandt bracket alone certify ``lam``.  ``failure`` is
-    None, or ``(member, error)`` for the first that fails, or whose ``geev`` does not converge."""
+    solved: ``h > 0`` and its Collatz-Wielandt bracket alone certify ``lam``.  Chains (``left``)
+    solve ``eig`` of ``(M_1..M_k, M_1^T..M_k^T)``; pressures ``eigvals``, with ``h`` from two
+    solves of ``lam (1 + 1e-10) I - M``, whose inverse is positive, or else ``by_eig`` of
+    ``(M_1..M_k)``.  ``failure`` is None, or ``(member, error)`` for the first that fails, or
+    whose ``geev`` does not converge."""
     k, d = stack.shape[:2]
+    by_eig = by_eig or left
     solved = np.concatenate((stack, stack.transpose(0, 2, 1))) if left else stack
     try:
-        values, vectors = np.linalg.eig(solved)
-    except np.linalg.LinAlgError as exc:   # then each matrix alone, to find the first that fails
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            if by_eig:
+                values, vectors = np.linalg.eig(solved)
+                top, lam = values.real.argmax(axis=1), values.real.max(axis=1)[:k]
+                vecs = np.abs(vectors[np.arange(len(solved)), :, top].real)
+            else:
+                lam = np.linalg.eigvals(stack).real.max(axis=1)
+                shifted = (lam * (1 + 1e-10))[:, None, None] * np.eye(d) - stack
+                h = np.linalg.solve(shifted, np.ones((k, d, 1)))
+                vecs = np.abs(np.linalg.solve(shifted, h / h.max(axis=1, keepdims=True))[:, :, 0])
+            ratios = ((solved @ vecs[:, :, None])[:, :, 0] / vecs).reshape(-1, k, d)
+    except np.linalg.LinAlgError as exc:   # by eig, then each matrix alone, for the first failing
+        if not by_eig:
+            return _certified(members, stack, left, True)
         error = RuntimeError(f"eigen-solve of a {d}x{d} matrix failed: {exc}")
-        alone = (_certified([m], one, left)[2] for m, one in zip(members, stack[:, None]) if k > 1)
+        alone = (_certified([m], one, left, True)[2] for m, one in zip(members, stack[:, None])
+                 if k > 1)
         return None, None, next(filter(None, alone), (members[0], error))
-    top, lam = values.real.argmax(axis=1), values.real.max(axis=1)[:k]
-    vecs = np.abs(vectors[np.arange(len(solved)), :, top].real)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratios = ((solved @ vecs[:, :, None])[:, :, 0] / vecs).reshape(-1, k, d)
     # matrix i's bounds run over its own ratios, and those of its transpose if solved
     lower, upper = ratios.min(axis=(0, 2)), ratios.max(axis=(0, 2))
     pair = vecs.reshape(-1, k, d).swapaxes(0, 1)
     least = pair.min(axis=(1, 2))
     width = np.maximum(upper, lam) - np.minimum(lower, lam)
     ok = (least > 0) & (width <= CERTIFICATE_RTOL * lam)
+    if not (ok.all() or by_eig):   # the members that fail, as eig certifies them
+        bad = np.flatnonzero(~ok)
+        again = _certified([members[i] for i in bad], stack[bad], left, True)
+        if again[2]:
+            return again
+        lam[bad], pair[bad], ok[bad] = *again[:2], True
     if not ok.all():
         i = int(ok.argmin())
         return None, None, (members[i], PerronConvergenceError(

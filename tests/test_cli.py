@@ -323,7 +323,7 @@ def test_underflow_exits_1_and_a_failed_certificate_exits_2(capsys, tmp_path,
 
     # no primitive grammar yields an uncertifiable matrix, so substitute one
     monkeypatch.setattr(gibbs, "_transfer_stack", lambda blocks, p: [
-        ([0], np.zeros(1), np.eye(2)[None])])
+        ([0], np.zeros(1), np.diag([1.0, 0.0])[None])])
     code, out, err = run(capsys, "pressure", "--grammar", str(full))
     assert (code, out) == (2, "")
     assert "failed its certificate" in err
@@ -351,10 +351,24 @@ def test_an_eig_that_does_not_converge_exits_2_naming_the_matrix(capsys, golden_
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eig", eig)
+    monkeypatch.setattr(np.linalg, "eigvals", eig)
     code, out, err = run(capsys, "pressure", "--grammar", golden_file)
     assert (code, out) == (2, "")
     assert err == ("sftlearn: numerical failure: eigen-solve of a 2x2 matrix failed: "
                    "Eigenvalues did not converge\n")
+
+
+def test_a_pressure_whose_shifted_solve_raises_prints_what_eig_certifies(capsys, golden_file,
+                                                                          monkeypatch):
+    # LinAlgError is a ValueError, which would exit 1; the pressure path falls back to eig
+    code, want, _ = run(capsys, "pressure", "--grammar", golden_file)
+
+    def solve(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    assert code == 0
+    assert run(capsys, "pressure", "--grammar", golden_file)[:2] == (0, want)
 
 
 def test_chain_commands_accept_pressures_past_the_float_range(capsys, tmp_path):

@@ -38,7 +38,7 @@ from sftlearn import (
     pressure_stack,
     sample,
 )
-from sftlearn import gibbs
+from sftlearn import experiments, gibbs
 
 from helpers import admits, all_words, comparable_pairs
 
@@ -292,23 +292,26 @@ def _class_potentials(lex):
 
 
 def _bounded_eig(monkeypatch, budget):
-    """Patch ``np.linalg.eig`` to fail on a stack of more than ``budget``
-    matrix entries (sum of d^2 over the matrices, not their transposes)
-    unless it holds one matrix.  Returns a list that gets, per solved stack,
-    its number of matrices k and whether it also holds their transposes: a
-    chain solve's stack is ``(M_1..M_k, M_1^T..M_k^T)``, a pressure solve's
-    ``(M_1..M_k)``."""
-    real, sizes = np.linalg.eig, []
+    """Patch ``np.linalg.eig`` and ``np.linalg.eigvals`` to fail on a stack
+    of more than ``budget`` matrix entries (sum of d^2 over the matrices,
+    not their transposes) unless it holds one matrix.  Returns a list that
+    gets, per solved stack, its number of matrices k and whether it also
+    holds their transposes: a chain solve's stack is ``(M_1..M_k,
+    M_1^T..M_k^T)``, a pressure solve's ``(M_1..M_k)``."""
+    sizes = []
 
-    def eig(a):
-        n, d = a.shape[0], a.shape[-1]
-        both = n % 2 == 0 and bool((a[n // 2:] == a[:n // 2].transpose(0, 2, 1)).all())
-        k = n // 2 if both else n
-        assert k * d * d <= max(budget, d * d)
-        sizes.append((k, both))
-        return real(a)
+    def bounded(real):
+        def solve(a):
+            n, d = a.shape[0], a.shape[-1]
+            both = n % 2 == 0 and bool((a[n // 2:] == a[:n // 2].transpose(0, 2, 1)).all())
+            k = n // 2 if both else n
+            assert k * d * d <= max(budget, d * d)
+            sizes.append((k, both))
+            return real(a)
+        return solve
 
-    monkeypatch.setattr(np.linalg, "eig", eig)
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, bounded(getattr(np.linalg, name)))
     return sizes
 
 
@@ -360,12 +363,18 @@ def _first_failures(grammars, phi):
     return a, b, dims
 
 
+def _planted(d, value):
+    """``value * diag(1, 0, ..., 0)``, ``d`` by ``d``."""
+    return np.diag(np.eye(d)[0] * value)
+
+
 def _uncertifiable(monkeypatch, failing, block_codes=None, sign=1.0, matrix=None):
     """Patch ``_transfer_stack`` so that each grammar ``k`` in ``failing``
-    gets ``sign * (k + 1) I``, which fails the certificate (no primitive
-    grammar yields an uncertifiable matrix), or ``matrix`` if given, under
-    every potential, or only under those whose blocks have ``block_codes``
-    codes, theta^(range - 1)."""
+    gets ``sign * (k + 1) diag(1, 0, ..., 0)``, which fails the certificate
+    (no primitive grammar yields an uncertifiable matrix): its zero rows put
+    the bracket's lower end at 0 for any positive ``h``.  Or it gets
+    ``matrix`` if given, under every potential, or only under those whose
+    blocks have ``block_codes`` codes, theta^(range - 1)."""
     real = gibbs._transfer_stack
 
     def broken(grown, potentials):
@@ -374,7 +383,7 @@ def _uncertifiable(monkeypatch, failing, block_codes=None, sign=1.0, matrix=None
             stack = stack.copy()
             for i, m in enumerate(members):
                 if m % k in failing and block_codes in (None, codes):
-                    stack[i] = (np.eye(stack.shape[-1]) * sign * (m % k + 1) if matrix is None
+                    stack[i] = (_planted(stack.shape[-1], sign * (m % k + 1)) if matrix is None
                                 else matrix)
             yield members, shifts, stack
 
@@ -393,7 +402,7 @@ def test_class_solves_raise_the_first_failing_grammar_in_input_order(monkeypatch
         assert (err.value.lam, err.value.dim) == (a + 1, dims[a])
     monkeypatch.undo()
     with pytest.raises(PerronConvergenceError) as single:
-        perron(TransferMatrix(grammars[a], phi, (), np.eye(dims[a]) * (a + 1)))
+        perron(TransferMatrix(grammars[a], phi, (), _planted(dims[a], a + 1)))
     assert str(err.value) == str(single.value)
 
 
@@ -424,18 +433,21 @@ def test_pressures_are_certified_by_h_alone_and_chains_by_both_vectors(monkeypat
 
 
 def _unconvergent(monkeypatch, failing):
-    """Plant ``-(k + 1) I`` for each grammar ``k`` in ``failing``, and patch
-    ``np.linalg.eig`` to raise on a stack with a negative entry, as LAPACK's
-    ``geev`` does when it does not converge, naming the largest ``k + 1``."""
+    """Plant ``-(k + 1) diag(1, 0, ..., 0)`` for each grammar ``k`` in
+    ``failing``, and patch ``np.linalg.eig`` and ``np.linalg.eigvals`` to
+    raise on a stack with a negative entry, as LAPACK's ``geev`` does when
+    it does not converge, naming the largest ``k + 1``."""
     _uncertifiable(monkeypatch, failing, sign=-1.0)
-    real = np.linalg.eig
 
-    def eig(a):
-        if (a < 0).any():
-            raise np.linalg.LinAlgError(f"Eigenvalues did not converge at {-a.min():g}")
-        return real(a)
+    def unconvergent(real):
+        def solve(a):
+            if (a < 0).any():
+                raise np.linalg.LinAlgError(f"Eigenvalues did not converge at {-a.min():g}")
+            return real(a)
+        return solve
 
-    monkeypatch.setattr(np.linalg, "eig", eig)
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, unconvergent(getattr(np.linalg, name)))
 
 
 def test_an_eig_that_does_not_converge_is_a_numerical_failure_of_the_first_grammar(
@@ -460,6 +472,85 @@ def test_an_eig_that_does_not_converge_is_a_numerical_failure_of_the_first_gramm
         pressure(golden, zero2)
 
 
+@pytest.mark.parametrize("theta", [2, 3, 4])
+def test_pressures_from_eigenvalues_alone_have_the_bits_of_the_chains(theta):
+    """A pressure's ``geev`` computes no eigenvectors, a chain's does, and
+    both give the same Perron root, bit for bit: one grammar at a time
+    under every potential of ``_class_potentials``, and for the theta=4
+    class at range 2 under the zero potential, one stack per block count."""
+    lex = Lexicon(theta)
+    grammars = enumerate_grammars(lex)
+    if theta == 4:
+        zero = Potential.zero(lex)
+        chains = chain_stack(grammars, zero)
+        assert _bits([pressure_stack(grammars, zero)]) == _bits([[c.pressure for c in chains]])
+        return
+    for phi in _class_potentials(lex):
+        got = [pressure(g, phi) for g in grammars]
+        assert _bits([got]) == _bits([[gibbs_chain(g, phi).pressure for g in grammars]])
+
+
+@pytest.mark.parametrize("bound", [5.0, 10.0, 25.0])
+def test_pressures_keep_every_root_that_eig_certifies(monkeypatch, bound):
+    """The pressure path certifies each matrix by ``h`` from two shifted
+    solves, and a matrix that fails that goes through ``eig``'s certificate,
+    as every pressure did before.  On a theta=3 family at ranges 2-4, every
+    matrix that ``eig`` certifies keeps the bits of its root, alone and in
+    its stack, and one that fails both raises ``eig``'s message.  The shifted
+    solves alone fail some matrices that ``eig`` certifies."""
+    lex3 = Lexicon(3)
+    grammars = enumerate_grammars(lex3)
+    potentials = experiments._random_potentials(lex3, 20, (2, 3, 4), bound, 7)
+    real_eig, counts = np.linalg.eig, Counter()
+
+    def refused(a):
+        raise np.linalg.LinAlgError("refused")
+
+    for r in (2, 3, 4):
+        family = [phi for phi in potentials if phi.range == r]
+        for members, _, stack in gibbs._transfer_stack(gibbs._class_blocks(grammars, family[0]),
+                                                       family):
+            alone = list(zip(members, stack[:, None]))
+            by_eig = [gibbs._certified([m], one, False, by_eig=True) for m, one in alone]
+            new = [gibbs._certified([m], one, False) for m, one in alone]
+            monkeypatch.setattr(np.linalg, "eig", refused)
+            solves = [gibbs._certified([m], one, False)[2] is None for m, one in alone]
+            monkeypatch.setattr(np.linalg, "eig", real_eig)
+            for (lam, _, failure), (got, _, error), solved in zip(by_eig, new, solves):
+                counts[failure is None, error is None, solved] += 1
+                if failure is None:
+                    assert error is None and got.tobytes() == lam.tobytes()
+                if error is not None:
+                    assert failure is not None and str(error[1]) == str(failure[1])
+            lam, _, failure = gibbs._certified(members, stack, False)
+            first = next((error for _, _, error in new if error), None)
+            if first is None:
+                assert lam.tobytes() == np.concatenate([got for got, _, _ in new]).tobytes()
+            else:
+                assert failure[0] == first[0] and str(failure[1]) == str(first[1])
+    assert sum(counts.values()) == 20 * len(grammars)
+    if bound == 10.0:   # eig certifies, the shifted solves alone do not
+        assert counts[True, True, False] > 0
+
+
+@pytest.mark.parametrize("name", ["eigvals", "solve"])
+def test_a_pressure_stack_that_raises_linalg_error_is_solved_by_eig(monkeypatch, name):
+    """``LinAlgError`` subclasses ``ValueError``, which the CLI reads as bad
+    input, so it never escapes the pressure path: a stack whose eigenvalues or
+    shifted solves raise is certified by ``eig``, with the same roots."""
+    lex3 = Lexicon(3)
+    grammars = enumerate_grammars(lex3)
+    potentials = _class_potentials(lex3)
+    want = gibbs._pressure_family(grammars, potentials)
+
+    def raises(*args):
+        raise np.linalg.LinAlgError("refused")
+
+    monkeypatch.setattr(np.linalg, name, raises)
+    assert gibbs._pressure_family(grammars, potentials).tobytes() == want.tobytes()
+    assert [pressure(g, potentials[2]) for g in grammars] == want[2].tolist()
+
+
 @pytest.mark.parametrize("layout", ["fine cert span", "fine span cert", "span fine cert"])
 def test_a_family_raises_the_error_of_its_first_failing_potential(monkeypatch, layout):
     lex3 = Lexicon(3)
@@ -472,7 +563,7 @@ def test_a_family_raises_the_error_of_its_first_failing_potential(monkeypatch, l
     with pytest.raises(ValidationError) as span_err:
         pressure_stack(grammars, span)
     with pytest.raises(PerronConvergenceError) as cert_err:
-        perron(TransferMatrix(grammars[a], cert, (), np.eye(dims[a]) * (a + 1)))
+        perron(TransferMatrix(grammars[a], cert, (), _planted(dims[a], a + 1)))
     _uncertifiable(monkeypatch, (a, b), block_codes=9)   # range 3 fails at a and b
     with pytest.raises((ValidationError, PerronConvergenceError)) as err:
         gibbs._pressure_family(grammars, family)
