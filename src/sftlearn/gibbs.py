@@ -18,18 +18,17 @@ call grows its blocks anew.  Transfer weights are ``exp(phi - c)`` with ``c``
 the midpoint of ``phi`` over admissible words, and the pressure adds ``c``
 back (``P(phi - c) = P(phi) - c``), so the values may span up to about 1416
 before a weight leaves the normal floats; a zero potential has ``c = 0``.
-The certificate fails far sooner when a Perron entry is too small for ``geev``: measured at
-span 60 (theta=3), and in the theta=3 ``monotonicity`` scan at ``value_bound`` 5.0,
-``base_seed`` 7 (README "Numerical notes", ROADMAP "Known defects").
+A chain's certificate fails far sooner, when a Perron entry is too small for ``geev`` (README
+"Numerical notes"); a pressure's shifted solves rescale by their own ``h`` until they resolve it.
 
 Every pressure, entropy and cylinder likelihood goes through a dense eigen-solve of a stack
 of one block count and at most ``_EIG_ENTRIES`` entries (:func:`_certified`): ``eig`` of
 ``(M_1..M_K, M_1^T..M_K^T)`` for chains, which need ``nu`` (:func:`chain_stack`: array
 arithmetic per stack, ``nu`` by ``matmul`` for its bits), and ``eigvals`` of ``(M_1..M_K)``
 for the pressures of :func:`_pressure_family` (a class under many potentials, blocks grown
-once per range), certified by ``h`` from two shifted solves, or else as ``eig`` certifies.
-Smaller stacks and one-grammar calls have the same bits, and ``lam`` is the same on all
-paths.  Dense eig costs O(d^3): about 2.4 s at d = 1024 on one core of a 2-vCPU Xeon.
+once per range), certified by ``h`` from shifted solves.  Smaller stacks and one-grammar
+calls have the same bits, and ``lam`` is the same on all paths.  Dense eig costs O(d^3):
+about 2.4 s at d = 1024 on one core of a 2-vCPU Xeon.
 
 A word enters a likelihood only through the code of its first block and its
 counts of range-``r`` words, the sufficient statistic of a Markov chain.
@@ -74,6 +73,7 @@ CERTIFICATE_RTOL = 1e-9
 DERIVATIVE_STEP = 1e-5
 _TINY = np.finfo(float).tiny
 _LOG_MAX = math.log(np.finfo(float).max)
+_ROUNDS = 8   # of a pressure's shifted solves at most (:func:`_certified`)
 
 
 class PerronConvergenceError(RuntimeError):
@@ -309,53 +309,53 @@ def _perron_stack(groups, left: bool):
         raise min(failures, key=lambda f: f[0])[1]
 
 
-def _certified(members, stack, left: bool, by_eig: bool = False):
+def _certified(members, stack, left: bool):
     """``(lam, pair, failure)`` of a ``(k, d, d)`` stack, each matrix apart by LAPACK's ``geev``
     (so ``lam`` has the bits of a stack of one), certified as :func:`perron` says by the sides
     solved: ``h > 0`` and its Collatz-Wielandt bracket alone certify ``lam``.  Chains (``left``)
-    solve ``eig`` of ``(M_1..M_k, M_1^T..M_k^T)``; pressures ``eigvals``, with ``h`` from two
-    solves of ``lam (1 + 1e-10) I - M``, whose inverse is positive, or else ``by_eig`` of
-    ``(M_1..M_k)``.  ``failure`` is None, or ``(member, error)`` for the first that fails, or
-    whose ``geev`` does not converge."""
+    solve ``eig`` of ``(M_1..M_k, M_1^T..M_k^T)``; pressures ``eigvals``, and ``h`` from rounds of
+    shifted solves, the first on ``M``, each later one on the failing ``D^-1 M D``, ``D = diag(h)``.
+    ``failure`` is None, or ``(member, error)`` for the first that fails, or whose solves raise."""
+
+    def shifted_solves(m, lam):   # |x| of two solves of lam (1 + 1e-10) I - m, a positive inverse
+        shifted = (lam * (1 + 1e-10))[:, None, None] * np.eye(d) - m
+        x = np.linalg.solve(shifted, np.ones((len(m), d, 1)))
+        return np.abs(np.linalg.solve(shifted, x / x.max(axis=1, keepdims=True))[:, :, 0])
+
     k, d = stack.shape[:2]
-    by_eig = by_eig or left
     solved = np.concatenate((stack, stack.transpose(0, 2, 1))) if left else stack
     try:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            if by_eig:
+            if left:
                 values, vectors = np.linalg.eig(solved)
                 top, lam = values.real.argmax(axis=1), values.real.max(axis=1)[:k]
                 vecs = np.abs(vectors[np.arange(len(solved)), :, top].real)
             else:
                 lam = np.linalg.eigvals(stack).real.max(axis=1)
-                shifted = (lam * (1 + 1e-10))[:, None, None] * np.eye(d) - stack
-                h = np.linalg.solve(shifted, np.ones((k, d, 1)))
-                vecs = np.abs(np.linalg.solve(shifted, h / h.max(axis=1, keepdims=True))[:, :, 0])
-            ratios = ((solved @ vecs[:, :, None])[:, :, 0] / vecs).reshape(-1, k, d)
-    except np.linalg.LinAlgError as exc:   # by eig, then each matrix alone, for the first failing
-        if not by_eig:
-            return _certified(members, stack, left, True)
+                vecs = shifted_solves(stack, lam)
+            for r in range(1 if left else _ROUNDS):
+                if r:   # the pressures that fail, again on D^-1 M D with D = diag(h)
+                    h = vecs[redo]
+                    x = h * shifted_solves(stack[redo] * (h[:, None, :] / h[:, :, None]), lam[redo])
+                    vecs[redo] = x / x.max(axis=1, keepdims=True)
+                ratios = ((solved @ vecs[:, :, None])[:, :, 0] / vecs).reshape(-1, k, d)
+                # matrix i's bounds run over its own ratios, and those of its transpose if solved
+                lower, upper = ratios.min(axis=(0, 2)), ratios.max(axis=(0, 2))
+                least = vecs.reshape(-1, k, d).min(axis=(0, 2))
+                width = np.maximum(upper, lam) - np.minimum(lower, lam)
+                ok = (least > 0) & (width <= CERTIFICATE_RTOL * lam)
+                redo = np.flatnonzero(~ok & (least > 0))   # only a positive h can rescale
+                if not redo.size:
+                    break
+    except np.linalg.LinAlgError as exc:   # each matrix alone, for the first failing
         error = RuntimeError(f"eigen-solve of a {d}x{d} matrix failed: {exc}")
-        alone = (_certified([m], one, left, True)[2] for m, one in zip(members, stack[:, None])
-                 if k > 1)
+        alone = (_certified([m], one, left)[2] for m, one in zip(members, stack[:, None]) if k > 1)
         return None, None, next(filter(None, alone), (members[0], error))
-    # matrix i's bounds run over its own ratios, and those of its transpose if solved
-    lower, upper = ratios.min(axis=(0, 2)), ratios.max(axis=(0, 2))
-    pair = vecs.reshape(-1, k, d).swapaxes(0, 1)
-    least = pair.min(axis=(1, 2))
-    width = np.maximum(upper, lam) - np.minimum(lower, lam)
-    ok = (least > 0) & (width <= CERTIFICATE_RTOL * lam)
-    if not (ok.all() or by_eig):   # the members that fail, as eig certifies them
-        bad = np.flatnonzero(~ok)
-        again = _certified([members[i] for i in bad], stack[bad], left, True)
-        if again[2]:
-            return again
-        lam[bad], pair[bad], ok[bad] = *again[:2], True
     if not ok.all():
         i = int(ok.argmin())
         return None, None, (members[i], PerronConvergenceError(
             d, float(lam[i]), float(lower[i]), float(upper[i]), float(least[i])))
-    return lam, pair, None
+    return lam, vecs.reshape(-1, k, d).swapaxes(0, 1), None
 
 
 def _normalized(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -358,17 +358,30 @@ def test_an_eig_that_does_not_converge_exits_2_naming_the_matrix(capsys, golden_
                    "Eigenvalues did not converge\n")
 
 
-def test_a_pressure_whose_shifted_solve_raises_prints_what_eig_certifies(capsys, golden_file,
-                                                                          monkeypatch):
-    # LinAlgError is a ValueError, which would exit 1; the pressure path falls back to eig
-    code, want, _ = run(capsys, "pressure", "--grammar", golden_file)
-
+def test_a_pressure_whose_shifted_solve_raises_exits_2_naming_the_matrix(capsys, golden_file,
+                                                                         monkeypatch):
+    # LinAlgError is a ValueError, which would exit 1; the pressure path reports a numerical failure
     def solve(a, b):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", solve)
-    assert code == 0
-    assert run(capsys, "pressure", "--grammar", golden_file)[:2] == (0, want)
+    assert run(capsys, "pressure", "--grammar", golden_file) == (
+        2, "", "sftlearn: numerical failure: eigen-solve of a 2x2 matrix failed: Singular matrix\n")
+
+
+def test_a_pressure_of_tiny_perron_entries_prints_its_exact_value(capsys, tmp_path):
+    # lam^3 - e^88 lam - e^28 has the root e^44 (1 + e^-104 / 2 + ...), so P = 44 to the last bit;
+    # h has an entry near e^-60 (README "Numerical notes").  A chain is certified by eig, which
+    # resolves no such entry, so entropy still fails
+    grammar = tmp_path / "g.json"
+    grammar.write_text(json.dumps({"theta": 3, "matrix": [[0, 1, 1], [1, 0, 0], [0, 1, 0]]}))
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"theta": 3, "range": 2, "entries": [
+        {"word": w, "value": v} for w, v in (("01", 60), ("10", 28), ("22", -120))]}))
+    args = ("--grammar", str(grammar), "--potential", str(phi))
+    assert run(capsys, "pressure", *args)[:2] == (0, '{\n  "pressure": 44.0\n}\n')
+    code, out, err = run(capsys, "entropy", *args)
+    assert (code, out) == (2, "") and "failed its certificate" in err
 
 
 def test_chain_commands_accept_pressures_past_the_float_range(capsys, tmp_path):
@@ -525,6 +538,26 @@ def test_theta3_scans_print_their_recorded_bytes(capsys, tmp_path, k):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RECORDED_THETA3_SCAN_DIGESTS[k]
 
 
+# SHA-256 of the stdout of the same scan with ``"value_bound"`` 5, 10 and 25 and base
+# seed 7, recorded when their pressures first all certified (numpy 2.4, x86-64).  Each
+# holds matrices whose first shifted solves fail and whose rescaled rounds certify.
+RECORDED_WIDE_SCAN_DIGESTS = {
+    5.0: "3dbc0a67dbf52c62fa17ed71ade63a1958b7c654232b5483a6e62e203bb793cd",
+    10.0: "571c7b3cce8d4acd4af43c58848a887953b43cbbe64b4b6f022f00e99b7e5f3a",
+    25.0: "fa2caebcc1a76a5981d02e70345081a8288a1dacf179cdd14bbc1342811b248e",
+}
+
+
+@pytest.mark.parametrize("bound", sorted(RECORDED_WIDE_SCAN_DIGESTS))
+def test_theta3_scans_of_wider_values_print_their_recorded_bytes(capsys, tmp_path, bound):
+    path = tmp_path / "scan.json"
+    path.write_text(json.dumps({"experiment": "monotonicity", "theta": 3, "value_bound": bound,
+                                "base_seed": 7}))
+    code, out, _ = run(capsys, "experiment", "--config", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RECORDED_WIDE_SCAN_DIGESTS[bound]
+
+
 # SHA-256 of the stdout of a theta=3 ``ml-convergence`` over all 139 candidates,
 # 50 seeds from base seed 11, of a range-3 potential on a 7-state chain and of a
 # range-4 potential on the full shift's 27-state chain, recorded before the
@@ -559,7 +592,8 @@ def test_theta3_studies_of_large_chains_print_their_recorded_bytes(capsys, tmp_p
     # potential 1 (range 3) overflows the span; potential 2, of the range that is
     # solved first, fails its certificate
     pytest.param({"value_bound": 720.0, "potential_ranges": [3, 2]}, 1, id="span"),
-    # potential 1 (range 3) fails its certificate; eig does not converge on potential 2
+    # potential 1 (range 3) fails its certificate, and so does potential 2, of the range that
+    # is solved first (a zero entry in h); neither eig nor eigvals raises on their matrices
     pytest.param({"value_bound": 700.0, "potential_ranges": [3, 2]}, 2, id="certificate"),
 ])
 def test_a_failing_scan_exits_like_a_loop_over_its_potentials(capsys, tmp_path, fields, code):

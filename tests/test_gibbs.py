@@ -8,6 +8,7 @@ golden ratio.
 
 import bisect
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -38,7 +39,7 @@ from sftlearn import (
     pressure_stack,
     sample,
 )
-from sftlearn import experiments, gibbs
+from sftlearn import cli, experiments, gibbs
 
 from helpers import admits, all_words, comparable_pairs
 
@@ -235,6 +236,25 @@ def test_pressure_against_characteristic_roots(golden, full2, zero2, lex2):
         assert pressure(full2, phi) == pytest.approx(math.log1p(math.exp(c / 2)), abs=1e-12)
 
 
+@pytest.mark.parametrize("scale", [0.25, 0.5, 1.0, 2.0, 4.0, 6.0])
+def test_pressures_of_tiny_perron_entries_solve_their_cubic(scale):
+    """The theta=3 grammar ``((0,1,1),(1,0,0),(0,1,0))`` under ``phi(01) = a,
+    phi(10) = b`` has ``lam^3 - e^(a+b) lam - e^b`` as its characteristic
+    polynomial and ``h`` proportional to ``(1, e^b / lam, e^b / lam^2)``, whose
+    last entry is about ``e^-a``.  With ``lam = e^((a+b)/2) (1 + delta)``,
+    ``2 delta + 3 delta^2 + delta^3 = e^(-(3a+b)/2)``, solved here by fixed-point
+    steps.  From scale 1 on (span 60), only the rescaled rounds certify ``lam``."""
+    a, b = 60.0 * scale, 28.0 * scale
+    grammar = Grammar(Lexicon(3), ((0, 1, 1), (1, 0, 0), (0, 1, 0)))
+    phi = Potential.from_table(Lexicon(3), 2, {(0, 1): a, (1, 0): b, (2, 2): -120.0})
+    eps, delta = math.exp(-(3 * a + b) / 2), 0.0
+    for _ in range(60):   # a contraction by at most 3 eps / 4
+        delta = eps / (2 + 3 * delta + delta**2)
+    assert pressure(grammar, phi) == pytest.approx((a + b) / 2 + math.log1p(delta), rel=1e-14)
+    if scale == 1.0:
+        assert pressure(grammar, phi) == 44.0
+
+
 def test_solver_oracle_properties_over_the_theta3_class():
     """On every primitive theta=3 grammar under random range-2 and range-3
     potentials: P(phi + c) = P(phi) + c, P(phi + g o sigma - g) = P(phi) for
@@ -409,7 +429,8 @@ def test_class_solves_raise_the_first_failing_grammar_in_input_order(monkeypatch
 def test_pressures_are_certified_by_h_alone_and_chains_by_both_vectors(monkeypatch):
     """``[[2, 0], [1, 1]]`` has ``h = (1, 1)``, whose Collatz-Wielandt bracket is
     exactly [2, 2], but ``nu = (1, 0)``: its pressure is certified, its chain is not.
-    Its transpose has ``h = (1, 0)`` and fails on every path."""
+    Its transpose has ``h = (1, 0)`` and fails on every path: ``eig`` puts the zero
+    in ``h``, and the shifted solves, every round, a positive entry whose ratio is 1."""
     lex2 = Lexicon(2)
     grammars = enumerate_grammars(lex2)
     phi = _class_potentials(lex2)[1]   # range 2: every grammar has d = 2
@@ -426,10 +447,28 @@ def test_pressures_are_certified_by_h_alone_and_chains_by_both_vectors(monkeypat
                   lambda: perron(TransferMatrix(grammars[0], phi, (), np.array(planted)))]
         if h_positive:
             assert [solve() for solve in pressures] == [math.log(2.0) + shift] * 3
-        for solve in chains if h_positive else chains + pressures:
+        else:
+            for solve in pressures:
+                with pytest.raises(PerronConvergenceError) as err:
+                    solve()
+                assert (err.value.dim, err.value.lam, err.value.lower, err.value.upper) \
+                    == (2, 2.0, 1.0, 2.0)
+                assert err.value.min_entry > 0
+        for solve in chains:
             with pytest.raises(PerronConvergenceError) as err:
                 solve()
             assert (err.value.dim, err.value.lam, err.value.min_entry) == (2, 2.0, 0.0)
+
+
+def test_a_pressure_whose_h_has_a_zero_entry_is_not_rescaled():
+    """``D = diag(h)`` needs ``h > 0``: a member whose ``h`` has a zero entry keeps
+    that round's bracket and zero, not the NaN of a rescaled round.  Here, the
+    range-2 potential of the value-bound-700 scan of tests/test_cli.py."""
+    lex3 = Lexicon(3)
+    phi = experiments._random_potentials(lex3, 8, (3, 2), 700.0, 0)[1]
+    with pytest.raises(PerronConvergenceError) as err:
+        pressure_stack(enumerate_grammars(lex3), phi)
+    assert err.value.min_entry == 0.0 and math.isfinite(err.value.lower)
 
 
 def _unconvergent(monkeypatch, failing):
@@ -490,38 +529,41 @@ def test_pressures_from_eigenvalues_alone_have_the_bits_of_the_chains(theta):
         assert _bits([got]) == _bits([[gibbs_chain(g, phi).pressure for g in grammars]])
 
 
+def _eig_certified(one):
+    """``lam`` of a ``(1, d, d)`` stack from ``np.linalg.eig``, or None: the
+    reference certificate, ``h`` from ``eig`` with the bracket of :func:`perron`."""
+    values, vectors = np.linalg.eig(one)
+    lam = values.real.max(axis=1)
+    h = np.abs(vectors[0, :, values[0].real.argmax()].real)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratios = (one @ h[None, :, None])[0, :, 0] / h
+    width = max(ratios.max(), lam[0]) - min(ratios.min(), lam[0])
+    return lam if h.min() > 0 and width <= gibbs.CERTIFICATE_RTOL * lam[0] else None
+
+
 @pytest.mark.parametrize("bound", [5.0, 10.0, 25.0])
-def test_pressures_keep_every_root_that_eig_certifies(monkeypatch, bound):
-    """The pressure path certifies each matrix by ``h`` from two shifted
-    solves, and a matrix that fails that goes through ``eig``'s certificate,
-    as every pressure did before.  On a theta=3 family at ranges 2-4, every
-    matrix that ``eig`` certifies keeps the bits of its root, alone and in
-    its stack, and one that fails both raises ``eig``'s message.  The shifted
-    solves alone fail some matrices that ``eig`` certifies."""
+def test_pressures_keep_every_root_that_eig_certifies(bound):
+    """The pressure path certifies each matrix by ``h`` from shifted solves,
+    rescaled by their own ``h`` where they fail.  On a theta=3 family at
+    ranges 2-4, every matrix that ``eig`` certifies keeps the bits of its
+    root, alone and in its stack; every matrix it fails, ``eig`` fails too;
+    and its first failure is the same in the stack as alone.  Some matrices
+    that ``eig`` fails now certify."""
     lex3 = Lexicon(3)
     grammars = enumerate_grammars(lex3)
     potentials = experiments._random_potentials(lex3, 20, (2, 3, 4), bound, 7)
-    real_eig, counts = np.linalg.eig, Counter()
-
-    def refused(a):
-        raise np.linalg.LinAlgError("refused")
-
+    counts = Counter()
     for r in (2, 3, 4):
         family = [phi for phi in potentials if phi.range == r]
         for members, _, stack in gibbs._transfer_stack(gibbs._class_blocks(grammars, family[0]),
                                                        family):
             alone = list(zip(members, stack[:, None]))
-            by_eig = [gibbs._certified([m], one, False, by_eig=True) for m, one in alone]
             new = [gibbs._certified([m], one, False) for m, one in alone]
-            monkeypatch.setattr(np.linalg, "eig", refused)
-            solves = [gibbs._certified([m], one, False)[2] is None for m, one in alone]
-            monkeypatch.setattr(np.linalg, "eig", real_eig)
-            for (lam, _, failure), (got, _, error), solved in zip(by_eig, new, solves):
-                counts[failure is None, error is None, solved] += 1
-                if failure is None:
+            for (_, one), (got, _, error) in zip(alone, new):
+                lam = _eig_certified(one)
+                counts[lam is not None, error is None] += 1
+                if lam is not None:
                     assert error is None and got.tobytes() == lam.tobytes()
-                if error is not None:
-                    assert failure is not None and str(error[1]) == str(failure[1])
             lam, _, failure = gibbs._certified(members, stack, False)
             first = next((error for _, _, error in new if error), None)
             if first is None:
@@ -529,26 +571,69 @@ def test_pressures_keep_every_root_that_eig_certifies(monkeypatch, bound):
             else:
                 assert failure[0] == first[0] and str(failure[1]) == str(first[1])
     assert sum(counts.values()) == 20 * len(grammars)
-    if bound == 10.0:   # eig certifies, the shifted solves alone do not
-        assert counts[True, True, False] > 0
+    assert counts[True, False] == 0   # what eig certifies, the shifted solves certify
+    if bound == 10.0:   # eig fails, the rescaled solves certify
+        assert counts[False, True] > 0
 
 
 @pytest.mark.parametrize("name", ["eigvals", "solve"])
-def test_a_pressure_stack_that_raises_linalg_error_is_solved_by_eig(monkeypatch, name):
+def test_a_pressure_stack_that_raises_linalg_error_names_its_matrix(monkeypatch, name):
     """``LinAlgError`` subclasses ``ValueError``, which the CLI reads as bad
     input, so it never escapes the pressure path: a stack whose eigenvalues or
-    shifted solves raise is certified by ``eig``, with the same roots."""
+    shifted solves raise is solved one matrix at a time, and the first that
+    raises is a numerical failure naming its size."""
     lex3 = Lexicon(3)
     grammars = enumerate_grammars(lex3)
-    potentials = _class_potentials(lex3)
-    want = gibbs._pressure_family(grammars, potentials)
+    potentials = _class_potentials(lex3)   # the zero potential first, where d = 3
+    d = len(build_transfer(grammars[5], potentials[2]).states)
 
     def raises(*args):
         raise np.linalg.LinAlgError("refused")
 
     monkeypatch.setattr(np.linalg, name, raises)
-    assert gibbs._pressure_family(grammars, potentials).tobytes() == want.tobytes()
-    assert [pressure(g, potentials[2]) for g in grammars] == want[2].tolist()
+    for solve, dim in ((lambda: gibbs._pressure_family(grammars, potentials), 3),
+                       (lambda: pressure(grammars[5], potentials[2]), d)):
+        with pytest.raises(RuntimeError) as err:
+            solve()
+        assert type(err.value) is RuntimeError
+        assert str(err.value) == f"eigen-solve of a {dim}x{dim} matrix failed: refused"
+
+
+def test_no_pressure_path_calls_eig(monkeypatch, capsys, tmp_path):
+    """Pressures take ``eigvals`` and shifted solves only: with ``np.linalg.eig``
+    refused, every pressure path gives the bits it gives unpatched, on families
+    that certify in the first round and on ones that need rescaled rounds."""
+    lex3 = Lexicon(3)
+    grammars = enumerate_grammars(lex3)
+    wide = experiments._random_potentials(lex3, 20, (2, 3, 4), 25.0, 7)
+    matrix = ((0, 1, 1), (1, 0, 0), (0, 1, 0))
+    tiny = {"01": 60.0, "10": 28.0}   # h has an entry near e^-60
+    files = {"g.json": {"theta": 3, "matrix": matrix},
+             "phi.json": {"theta": 3, "range": 2,
+                          "entries": [{"word": w, "value": v} for w, v in tiny.items()]},
+             "scan.json": {"experiment": "monotonicity", "theta": 3, "value_bound": 25.0,
+                           "base_seed": 7}}
+    for name, content in files.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    commands = (["pressure", "--grammar", str(tmp_path / "g.json"),
+                 "--potential", str(tmp_path / "phi.json")],
+                ["experiment", "--config", str(tmp_path / "scan.json")])
+    phi = Potential.from_table(lex3, 2, {tuple(map(int, w)): v for w, v in tiny.items()})
+
+    def pressures():
+        family = [gibbs._pressure_family(grammars, potentials).tobytes()
+                  for potentials in (_class_potentials(lex3), wide)]
+        entropy = entropy_via_pressure_derivative(Grammar(lex3, matrix), phi)
+        return family, entropy, [cli.main(argv) for argv in commands], capsys.readouterr().out
+
+    want = pressures()
+    assert want[2] == [0, 0]
+
+    def refused(*args):
+        raise AssertionError("np.linalg.eig called")
+
+    monkeypatch.setattr(np.linalg, "eig", refused)
+    assert pressures() == want
 
 
 @pytest.mark.parametrize("layout", ["fine cert span", "fine span cert", "span fine cert"])
@@ -562,9 +647,10 @@ def test_a_family_raises_the_error_of_its_first_failing_potential(monkeypatch, l
     a, b, dims = _first_failures(grammars, cert)
     with pytest.raises(ValidationError) as span_err:
         pressure_stack(grammars, span)
-    with pytest.raises(PerronConvergenceError) as cert_err:
-        perron(TransferMatrix(grammars[a], cert, (), _planted(dims[a], a + 1)))
     _uncertifiable(monkeypatch, (a, b), block_codes=9)   # range 3 fails at a and b
+    with pytest.raises(PerronConvergenceError) as cert_err:
+        pressure_stack(grammars, cert)
+    assert (cert_err.value.lam, cert_err.value.dim) == (a + 1, dims[a])
     with pytest.raises((ValidationError, PerronConvergenceError)) as err:
         gibbs._pressure_family(grammars, family)
     want = (cert_err if layout.index("cert") < layout.index("span") else span_err).value
@@ -572,24 +658,29 @@ def test_a_family_raises_the_error_of_its_first_failing_potential(monkeypatch, l
 
 
 def test_within_one_potential_bad_input_comes_before_any_solve():
-    """A loop over the class fails first at grammar 44's certificate.  The
-    class solves check every grammar's weights before they solve, so the
-    span of 1500 at ``(0, 0)``, which only later grammars admit, wins."""
+    """A loop over the class fails first at some grammar's certificate: 25 for
+    pressures and 26 for chains, here.  The class solves check every grammar's
+    weights before they solve, so the span of 2100 that ``(0, 0)`` opens, which
+    only later grammars admit, wins."""
     lex3 = Lexicon(3)
     grammars = enumerate_grammars(lex3)
-    phi = Potential.from_table(lex3, 2, {(0, 1): 60.0, (1, 0): 28.0, (0, 0): -1500.0})
-    assert grammars[44].matrix == ((0, 1, 1), (1, 0, 0), (0, 1, 0))
-    assert np.isfinite(pressure_stack(grammars[:44], phi)).all()
+    phi = Potential.from_table(lex3, 2, {(0, 1): 600.0, (1, 0): 280.0, (0, 0): -1500.0})
     first_span = next(k for k, g in enumerate(grammars) if g.matrix[0][0])
-    assert first_span > 44
     with pytest.raises(ValidationError) as span:
         pressure(grammars[first_span], phi)
     for solve, alone in ((pressure_stack, pressure), (chain_stack, gibbs_chain)):
-        with pytest.raises(PerronConvergenceError) as cert:
-            alone(grammars[44], phi)
+        for k, g in enumerate(grammars[:first_span]):
+            try:
+                alone(g, phi)
+            except PerronConvergenceError as exc:
+                cert = exc
+                break
+        else:
+            pytest.fail("no grammar before the span fails its certificate")
+        solve(grammars[:k], phi)   # every grammar before k certifies
         with pytest.raises(PerronConvergenceError) as err:
             solve(grammars[:first_span], phi)
-        assert str(err.value) == str(cert.value)
+        assert str(err.value) == str(cert)
         with pytest.raises(ValidationError) as err:
             solve(grammars, phi)
         assert str(err.value) == str(span.value)

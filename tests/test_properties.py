@@ -145,6 +145,21 @@ def test_cylinder_measures_satisfy_the_gibbs_identity(phi, seed):
             assert abs(cylinder_log_measure(chain, tuple(w.tolist())) - closed) <= bound
 
 
+# every theta <= 3 pressure is certified with values of up to 10 in magnitude; the bound
+# and the example count were fixed before the first run
+WIDE_VALUES = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(st.sampled_from(sorted(CLASSES)), st.sampled_from((2, 3, 4)), st.data())
+def test_every_pressure_at_value_bound_10_is_certified(theta, r, data):
+    lex = Lexicon(theta)
+    words = list(all_words(lex, r))
+    values = data.draw(st.lists(WIDE_VALUES, min_size=len(words), max_size=len(words)))
+    phi = Potential.from_table(lex, r, dict(zip(words, values)))
+    assert np.isfinite(pressure_stack(CLASSES[theta], phi)).all()
+
+
 @st.composite
 def chains(draw):
     """The chain of a theta=2 or theta=3 grammar under a potential of range 2 to 4."""
