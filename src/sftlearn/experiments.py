@@ -30,8 +30,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .gibbs import (_KERNEL_TERMS, Potential, _log_measures, _pressure_family, _sample_counts,
-                    chain_stack, gibbs_chain, periodic_orbit_potential, sample)
+from .gibbs import (_KERNEL_TERMS, Potential, _chain_arrays, _class_blocks, _log_measures,
+                    _pressure_family, _sample_counts, chain_stack, gibbs_chain,
+                    periodic_orbit_potential)
 from .identify import DEFAULT_TIE_TOL, _answer_sets, _check_tie_tol, _outcome, _scores
 from .serialize import (_int, _number, _read, _string, _tuple_of, encode_floats, grammar_from_dict,
                         grammar_to_dict, outcome_to_dict, potential_from_dict, potential_to_dict,
@@ -295,37 +296,33 @@ def _study(cfg: ExperimentConfig, phi: Potential, candidates, truth: Grammar, ro
     the config's seeds' words from the chain of ``truth`` (the ``role``
     grammar, one of the candidates), of ``ends[-1]`` symbols or one block,
     as counts, and score their prefixes of ``ends`` symbols under every chain.
-    Returns the chains, the truth's index, the ``(S, P, K)`` log likelihoods
-    and their answer-set masks ``(admissible, ml, min_entropy)``."""
+    Returns the chains, the truth's index, the ``(S, P, K)`` log likelihoods,
+    their answer-set masks ``(admissible, ml, min_entropy)``, and the JSON
+    form of the first seed's word, which the sampler's walk hands back."""
     index = _index_of(truth, candidates, role)
     chains = chain_stack(candidates, phi)
-    draws = _sample_counts(chains[index], _seeds(cfg), ends)
-    lls = np.concatenate([_log_measures(chains, ends, heads, counts) for heads, counts in draws])
-    return chains, index, lls, _answer_sets(lls, [c.entropy for c in chains], cfg.tie_tol)
-
-
-def _first_word(cfg: ExperimentConfig, chain, n: int):
-    """The JSON form of the first seed's word of a :func:`_study` of ``n`` symbols from ``chain``."""
-    word = sample(chain, max(n, chain.potential.range - 1), cfg.base_seed).word
-    return word_to_json(word, chain.grammar.lexicon)
+    lls, words = zip(*((_log_measures(chains, ends, heads, counts), word) for heads, counts, word
+                       in _sample_counts(chains[index], _seeds(cfg), ends)))
+    lls = np.concatenate(lls)
+    return (chains, index, lls, _answer_sets(lls, [c.entropy for c in chains], cfg.tie_tol),
+            word_to_json(words[0].tolist(), truth.lexicon))
 
 
 def _report(cfg: ExperimentConfig, curve, **fields) -> ExperimentReport:
     return ExperimentReport(cfg.experiment, cfg.to_dict(), curve, **fields)
 
 
-def _study_report(cfg, candidates, chains, index, lls, details: dict,
+def _study_report(cfg, candidates, chains, word, lls, details: dict,
                   **report) -> ExperimentReport:
     """A study's report, with the candidate table of the scores at the last
-    checkpoint and the first seed's word (from ``chains[index]``) and outcome."""
+    checkpoint and the first seed's word (in JSON form) and outcome."""
     final = lls[:, -1]
     table = [{"grammar": grammar_to_dict(g), "entropy": chain.entropy,
               "admit_frequency": _mean(ll > -np.inf), "mean_log_likelihood": _mean(ll)}
              for g, chain, ll in zip(candidates, chains, final.T)]
     outcome = _outcome(int(cfg.checkpoints[-1]), _scores(candidates, chains, final[0].tolist()),
                        cfg.tie_tol)
-    details["first_seed"] = {"seed": cfg.base_seed,
-                             "word": _first_word(cfg, chains[index], cfg.checkpoints[-1]),
+    details["first_seed"] = {"seed": cfg.base_seed, "word": word,
                              "final_outcome": outcome_to_dict(outcome)}
     return _report(cfg, candidate_table=table, details=details, **report)
 
@@ -346,7 +343,7 @@ def _run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     lex = cfg.true_grammar.lexicon
     phi = cfg.potential if cfg.potential is not None else Potential.zero(lex)
     candidates = _resolve_candidates(cfg, lex)
-    chains, truth_idx, lls, (admissible, ml, me) = _study(
+    chains, truth_idx, lls, (admissible, ml, me), word = _study(
         cfg, phi, candidates, cfg.true_grammar, "true", cps)
     if procedure == "ml":
         defined = admissible.any(axis=-1) & (len(chains) > 1)   # a finite best, and a second
@@ -359,7 +356,7 @@ def _run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     details = {"true_index": truth_idx}
     if procedure == "entropy" and cfg.scales:
         details["monotonicity"] = _entropy_monotonicity_sweep(candidates, phi, cfg.scales)
-    return _study_report(cfg, candidates, chains, truth_idx, lls, details, curve=curve)
+    return _study_report(cfg, candidates, chains, word, lls, details, curve=curve)
 
 
 def _entropy_monotonicity_sweep(candidates, phi: Potential, scales) -> dict:
@@ -380,6 +377,11 @@ def entropy_crossing(lower: Grammar, upper: Grammar, tol: float = 1e-6) -> float
     The reward potential vanishes on words admissible under ``lower``, so
     the comparison baseline is ``lower``'s topological entropy throughout,
     solved once.  The rewarded entropy tends to 0, below it, so a crossing exists.
+    Rewards 0 and 1, then in each round the up to 15 midpoints that the next 4
+    steps can reach, are solved as one family (:func:`_chain_arrays`), with the
+    bits of ``gibbs_chain(upper, orbit.scaled(r))`` each.  A point outside the
+    families (a doubled end), or in one that fails, is solved alone as the search
+    visits it, to raise what that solve raises.
     """
     if compare(lower, upper) is not OrderRelation.LESS:
         raise ValidationError("entropy_crossing needs lower strictly below upper")
@@ -388,11 +390,24 @@ def entropy_crossing(lower: Grammar, upper: Grammar, tol: float = 1e-6) -> float
 
     orbit = periodic_orbit_potential(lower, upper, 1.0)   # scaled(r) rewards r: 1.0 * r == r
     baseline = gibbs_chain(lower, orbit.scaled(0.0)).entropy
+    blocks = _class_blocks((upper,), orbit)
+    unit, gaps = orbit._at(blocks[3]), {}   # r * unit are orbit.scaled(r)'s values: v * r
+
+    def solve(rewards):
+        try:
+            found = {m: e for members, *_, ent in _chain_arrays(blocks, np.outer(rewards, unit))
+                     for m, e in zip(members, ent.tolist())}
+            gaps.update((rewards[m], e - baseline) for m, e in found.items())
+        except (ValueError, RuntimeError):
+            gaps.update(dict.fromkeys(rewards))
 
     def gap(reward: float) -> float:
-        return gibbs_chain(upper, orbit.scaled(reward)).entropy - baseline
+        if gaps.get(reward) is None:   # in no family (a doubled end), or in one that failed
+            gaps[reward] = gibbs_chain(upper, orbit.scaled(reward)).entropy - baseline
+        return gaps[reward]
 
     lo, hi = 0.0, 1.0
+    solve([lo, hi])
     if gap(lo) <= 0:
         raise RuntimeError("entropy of the larger grammar does not exceed the smaller at reward 0")
     while gap(hi) >= 0:
@@ -401,6 +416,13 @@ def entropy_crossing(lower: Grammar, upper: Grammar, tol: float = 1e-6) -> float
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):   # no float lies between the ends
             break
+        if mid not in gaps:   # a round: the midpoints of the next 4 steps, level by level
+            spans, points = [(lo, hi)], []
+            for _ in range(4):
+                mids = [(a, 0.5 * (a + b), b) for a, b in spans if b - a > tol]
+                points += [m for a, m, b in mids if m not in (a, b)]
+                spans = [s for a, m, b in mids if m not in (a, b) for s in ((a, m), (m, b))]
+            solve(points)
         if gap(mid) < 0:
             hi = mid
         else:
@@ -427,14 +449,15 @@ def _run_language_change(cfg: ExperimentConfig) -> ExperimentReport:
     if auto:
         reward += crossing
     phi = periodic_orbit_potential(cfg.lower, cfg.upper, reward)
-    chains, _, lls, (admissible, ml, me) = _study(cfg, phi, candidates, cfg.lower, "lower", cps)
+    chains, _, lls, (admissible, ml, me), word = _study(
+        cfg, phi, candidates, cfg.lower, "lower", cps)
     flip = me[..., upper_idx] & ~me[..., lower_idx]
     ml_true = ml[..., lower_idx] & (ml.sum(axis=-1) == 1)
     curve = [{"n": cp, "frequency": f, "mean_score_gap": g, "ml_frequency": m}
              for cp, f, g, m in zip(cps, _means(flip), _means(*_entropy_gaps(admissible, chains)),
                                     _means(ml_true))]
     return _study_report(
-        cfg, candidates, chains, lower_idx, lls,
+        cfg, candidates, chains, word, lls,
         {"lower_index": lower_idx, "upper_index": upper_idx,
          "orbit_potential": potential_to_dict(phi)},
         curve=curve,
@@ -464,14 +487,13 @@ def _run_ml_misidentification(cfg: ExperimentConfig) -> ExperimentReport:
     curve, first = [], None
     for penalty in cfg.penalties:
         phi = Potential.from_table(lex, 2, {pair: -penalty for pair in extra})
-        chains, upper_idx, lls, (admissible, ml, _) = _study(
+        _, upper_idx, lls, (admissible, ml, _), word = _study(
             cfg, phi, candidates, cfg.upper, "upper", (n,))
         avoided = admissible[:, 0, lower_idx]
         hits = avoided & ml[:, 0, lower_idx] & ~ml[:, 0, upper_idx]
         gaps = lls[avoided, 0, lower_idx] - lls[avoided, 0, upper_idx]
         if first is None:
-            first = {"seed": cfg.base_seed, "penalty": penalty,
-                     "word": _first_word(cfg, chains[upper_idx], n)}
+            first = {"seed": cfg.base_seed, "penalty": penalty, "word": word}
         curve.append({"n": n, "frequency": _mean(hits), "mean_score_gap": _mean(gaps),
                       "penalty": penalty, "avoid_frequency": _mean(avoided)})
     return _report(cfg, curve, thresholds={"penalized_transitions": [list(p) for p in extra]},
@@ -520,7 +542,7 @@ def _run_smb(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValidationError(f"tolerance must be nonnegative, got {cfg.tolerance}")
     cps = validate_checkpoints(cfg.checkpoints)
     phi = cfg.potential if cfg.potential is not None else Potential.zero(cfg.true_grammar.lexicon)
-    [chain], _, lls, _ = _study(cfg, phi, (cfg.true_grammar,), cfg.true_grammar, "true", cps)
+    [chain], _, lls, _, _ = _study(cfg, phi, (cfg.true_grammar,), cfg.true_grammar, "true", cps)
     estimates = -lls[..., 0] / cps
     devs = np.abs(estimates - chain.entropy)
     curve = [{"n": cp, "frequency": f, "mean_score_gap": g}

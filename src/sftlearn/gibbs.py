@@ -37,11 +37,11 @@ chains at once; it groups them by the set of words they contain, so each
 score is the same pairwise sum over the same terms as for its word alone,
 bit for bit.  :func:`_sample_counts` draws the words of many seeds at once,
 exactly those of :func:`sample`, and keeps only their counts at given
-prefix lengths.  The thresholds of all states, merged, read each uniform as
-a symbol, and k symbols as one key of the chain's k-step tables of next
-states and range-word codes, built once within a fixed table-entry budget:
-all seeds step one ``take`` per k symbols.  Each seed draws its uniforms
-once per slab, a batch's slab within twice that budget (512 KB).
+prefix lengths and a batch's first word.  The merged thresholds of all
+states read each uniform as a symbol, and k symbols as one key of the
+chain's k-step tables of next states and range-word codes, built once within
+a fixed table-entry budget: all seeds step one ``take`` per k symbols.  Each
+seed draws its uniforms once per slab, a batch's slab within twice that budget (512 KB).
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ class PerronConvergenceError(RuntimeError):
 
     ``lower`` and ``upper`` are the Collatz-Wielandt bracket over the solved eigenvectors,
     ``h`` and ``nu`` for a chain or ``h`` alone for a pressure (NaN or infinite when an entry
-    is not positive), and ``min_entry`` is the smallest entry of those eigenvectors.
+    is not positive), and ``min_entry`` is the smallest entry of those eigenvectors (0 if nan).
     """
 
     def __init__(self, dim: int, lam: float, lower: float, upper: float, min_entry: float):
@@ -212,9 +212,9 @@ def _class_blocks(grammars, potential: Potential):
     ``sizes[k]`` its number of blocks, and the rest list every admissible
     range-word, grammar by grammar in ascending code order, as its grammar
     ``owner``, its code ``words`` and the states ``src`` and ``dst`` of its
-    first and last ``w`` symbols.  The blocks grow one symbol at a time
-    under the stacked masks, each code carrying its grammar's id, so they
-    come out in that order."""
+    first and last ``w`` symbols, then ``(theta, range)``.  The blocks grow
+    one symbol at a time under the stacked masks, each code carrying its
+    grammar's id, so they come out in that order."""
     if not grammars:
         raise ValidationError("grammar class is empty")
     if any(g.lexicon != potential.lexicon for g in grammars):
@@ -230,7 +230,8 @@ def _class_blocks(grammars, potential: Potential):
     index = np.full((k, t**width), -1, dtype=np.intp)
     index[keep, blocks] = np.arange(len(blocks)) - (np.cumsum(sizes) - sizes)[keep]
     index.setflags(write=False)
-    return index, sizes, owner, words, index[owner, words // t], index[owner, words % t**width]
+    return (index, sizes, owner, words, index[owner, words // t], index[owner, words % t**width],
+            (t, width + 1))
 
 
 def _words(codes: np.ndarray, theta: int, width: int) -> list:
@@ -238,43 +239,40 @@ def _words(codes: np.ndarray, theta: int, width: int) -> list:
     return list(map(tuple, (codes[:, None] // _powers(theta, width) % theta).tolist()))
 
 
-def _weighted(blocks, potential: Potential):
-    """Each grammar's shift ``c``, the midpoint of phi on its words, and the
-    weights ``exp(phi - c)`` at the words of a class's :func:`_class_blocks`."""
-    _, sizes, owner, words, _, _ = blocks
+def _weighted(blocks, phi: np.ndarray):
+    """Shifts ``c``, the midpoint of phi on each grammar's words, and weights ``exp(phi - c)`` at
+    the words of a class's :func:`_class_blocks`, ``(P, K)`` and ``(P, W)``; phi: P value rows."""
+    _, sizes, owner, words, _, _, (t, r) = blocks
     starts = np.searchsorted(owner, np.arange(len(sizes)))   # every grammar has words
-    phi = potential._at(words)
-    low, high = np.minimum.reduceat(phi, starts), np.maximum.reduceat(phi, starts)
+    low, high = np.minimum.reduceat(phi, starts, axis=1), np.maximum.reduceat(phi, starts, axis=1)
     shifts = low / 2 + high / 2
     # The largest shifted weight is about the reciprocal of the smallest,
     # so all of them are normal floats iff the smallest is.
     smallest = np.exp(low - shifts)
     if smallest.min() < _TINY:
-        own = owner == np.argmax(smallest < _TINY)   # the first failing grammar
-        codes, values = words[own], phi[own]
+        p, k = divmod(int(np.argmax(smallest < _TINY)), len(sizes))   # the first failing grammar
+        codes, values = words[owner == k], phi[p, owner == k]
         lo, hi = values.min().item(), values.max().item()
-        t, r = potential.lexicon.theta, potential.range
         a, b = _words(codes[[values.argmin(), values.argmax()]], t, r)
         raise ValidationError(
             f"potential values on admissible words span {hi - lo!r}, from {lo!r} at {a} to "
             f"{hi!r} at {b}; the weights exp(phi - c) with c = {lo / 2 + hi / 2!r} must be "
             "normal floats, so the span can be at most about 1416")
-    return shifts, np.exp(phi - shifts[owner])
+    return shifts, np.exp(phi - shifts[:, owner])
 
 
 # A transfer stack holds at most this many entries (sum of d^2), or one matrix.
 _EIG_ENTRIES = 1 << 17
 
 
-def _transfer_stack(blocks, potentials):
-    """Transfer matrices of a class of K grammars under P potentials of one
-    lexicon and range, from its :func:`_class_blocks`, in ``(members,
-    shifts, stack)`` groups of one block count ``d``, ascending, each within
-    ``_EIG_ENTRIES``: ``stack[i]`` is grammar ``members[i] % K``'s matrix
-    under potential ``members[i] // K`` (members ascend), weighted
-    ``exp(phi - shifts[i])``."""
-    _, sizes, owner, _, src, dst = blocks
-    shifts, weights = map(np.array, zip(*(_weighted(blocks, phi) for phi in potentials)))
+def _transfer_stack(blocks, phi: np.ndarray):
+    """Transfer matrices of a class of K grammars, from its :func:`_class_blocks`, under P
+    potentials of its lexicon and range, which enter only as their values ``phi[p]`` at its
+    words, in ``(members, shifts, stack)`` groups of one block count ``d``, ascending, each
+    within ``_EIG_ENTRIES``: ``stack[i]`` is grammar ``members[i] % K``'s matrix under
+    potential ``members[i] // K`` (members ascend), weighted ``exp(phi - shifts[i])``."""
+    _, sizes, owner, _, src, dst, _ = blocks
+    shifts, weights = _weighted(blocks, phi)
     keys = np.arange(shifts.size).reshape(shifts.shape)
     for d in np.flatnonzero(np.bincount(sizes)).tolist():
         members, words = np.flatnonzero(sizes == d), np.flatnonzero(sizes[owner] == d)
@@ -352,9 +350,9 @@ def _certified(members, stack, left: bool):
         alone = (_certified([m], one, left)[2] for m, one in zip(members, stack[:, None]) if k > 1)
         return None, None, next(filter(None, alone), (members[0], error))
     if not ok.all():
-        i = int(ok.argmin())
+        i = int(ok.argmin())   # an h that the solves overflowed to nan reports its least entry as 0
         return None, None, (members[i], PerronConvergenceError(
-            d, float(lam[i]), float(lower[i]), float(upper[i]), float(least[i])))
+            d, float(lam[i]), float(lower[i]), float(upper[i]), float(np.fmax(least[i], 0.0))))
     return lam, vecs.reshape(-1, k, d).swapaxes(0, 1), None
 
 
@@ -372,7 +370,7 @@ def _normalized(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def build_transfer(grammar: Grammar, potential: Potential) -> TransferMatrix:
     """Assemble the weighted transition matrix over admissible blocks."""
     blocks = _class_blocks((grammar,), potential)
-    [(_, shifts, stack)] = _transfer_stack(blocks, [potential])
+    [(_, shifts, stack)] = _transfer_stack(blocks, potential._at(blocks[3])[None])
     index = blocks[0][0]
     states = _words(np.flatnonzero(index >= 0), grammar.lexicon.theta, potential.range - 1)
     return TransferMatrix(grammar, potential, tuple(states), stack[0], float(shifts[0]), index)
@@ -457,14 +455,28 @@ def gibbs_chain(grammar: Grammar, potential: Potential) -> GibbsChain:
 def chain_stack(grammars, potential: Potential) -> tuple[GibbsChain, ...]:
     """:func:`gibbs_chain` of each grammar of a class, in order, from one certified
     eigen-solve per stack of a block count, whose chains are computed as arrays
-    together; each chain's arrays are read-only views of its stack's.  Input
-    errors come before any solve: the first grammar whose weights underflow
-    raises, and only then the first whose matrix fails the certificate."""
+    together (:func:`_chain_arrays`); each chain's arrays are read-only views of its
+    stack's.  Input errors come before any solve: the first grammar whose weights
+    underflow raises, and only then the first whose matrix fails the certificate."""
     grammars = tuple(grammars)
     blocks = _class_blocks(grammars, potential)
     chains = [None] * len(grammars)
-    groups = _transfer_stack(blocks, [potential])
-    for members, shifts, stack, lam, pair in _perron_stack(groups, left=True):
+    for members, shifts, lam, *arrays in _chain_arrays(blocks, potential._at(blocks[3])[None]):
+        for k, root, shift, h, nu, stationary, transition, ent in zip(
+                members, lam.tolist(), shifts.tolist(), *arrays[:-1], arrays[-1].tolist()):
+            p = math.log(root) + shift
+            if shift:   # exp(pressure), which is inf past 709.78
+                root = math.exp(p) if p <= _LOG_MAX else math.inf
+            chains[k] = GibbsChain(
+                grammar=grammars[k], potential=potential, index=blocks[0][k], lam=root,
+                pressure=p, h=h, nu=nu, transition=transition, stationary=stationary, entropy=ent)
+    return tuple(chains)
+
+
+def _chain_arrays(blocks, phi: np.ndarray):
+    """``(members, shifts, lam, h, nu, stationary, transition, entropy)`` of the chains of each
+    certified group (:func:`_perron_stack`) of :func:`_transfer_stack`, computed together."""
+    for members, shifts, stack, lam, pair in _perron_stack(_transfer_stack(blocks, phi), left=True):
         h, nu = _normalized(pair)
         stationary = nu * h
         stationary /= stationary.sum(axis=1, keepdims=True)
@@ -474,16 +486,7 @@ def chain_stack(grammars, potential: Potential) -> tuple[GibbsChain, ...]:
         entropy = -(stationary[:, :, None] * (transition * logs)).sum(axis=(1, 2))
         transition.setflags(write=False)
         stationary.setflags(write=False)
-        for i, (k, root, shift, ent) in enumerate(zip(members, lam.tolist(), shifts.tolist(),
-                                                      entropy.tolist())):
-            p = math.log(root) + shift
-            if shift:   # exp(pressure), which is inf past 709.78
-                root = math.exp(p) if p <= _LOG_MAX else math.inf
-            chains[k] = GibbsChain(
-                grammar=grammars[k], potential=potential, index=blocks[0][k], lam=root,
-                pressure=p, h=h[i], nu=nu[i], transition=transition[i],
-                stationary=stationary[i], entropy=ent)
-    return tuple(chains)
+        yield members, shifts, lam, h, nu, stationary, transition, entropy
 
 
 def pressure(grammar: Grammar, potential: Potential) -> float:
@@ -510,7 +513,7 @@ def _pressure_family(grammars, potentials) -> np.ndarray:
     try:
         for ps in map(np.array, ranges.values()):
             blocks = _class_blocks(grammars, potentials[ps[0]])
-            groups = _transfer_stack(blocks, [potentials[p] for p in ps])
+            groups = _transfer_stack(blocks, np.array([potentials[p]._at(blocks[3]) for p in ps]))
             for members, shifts, _, lam, _ in _perron_stack(groups, left=False):
                 j, k = np.divmod(members, len(grammars))
                 # math.log, not np.log, which differs in the last bit: it keeps the
@@ -637,17 +640,19 @@ _TABLE_ENTRIES = 1 << 15
 
 def _sample_counts(chain: GibbsChain, seeds, ends):
     """What ``sample(chain, n, seed)`` draws for each of a sequence of seeds, with ``n =
-    max(ends[-1], range - 1)``, as block counts: yields, per batch of seeds, ``(heads, counts)``:
-    ``heads[b]`` codes the first block of seed b's word and ``counts[b, k]`` is the bincount of
-    the range-word codes among its first ``ends[k]`` symbols (``ends`` ascend).  Only counts are
-    kept.  Each uniform reads as one of M symbols, and a chunk of k steps of a d-state chain as
-    a key ``(state, Q)``, Q the base-M code of its symbols: k is the largest, at least 1 and at
-    most an eighth of the word's ``steps = n - range + 1``, with ``d * max(M, 2)**k * k <=
+    max(ends[-1], range - 1)``, as block counts: yields, per batch of seeds, ``(heads, counts,
+    word)``: ``heads[b]`` codes the first block of seed b's word, ``counts[b, k]`` is the bincount
+    of the range-word codes among its first ``ends[k]`` symbols (``ends`` ascend), and ``word`` the
+    batch's first seed's word (its first block, then each step's range-word code mod theta, in the
+    least unsigned type), read off the walk.  Only these are kept.  Each uniform reads as one of M
+    symbols, its number of cuts at most it, and a chunk of k steps of a d-state chain as a key
+    ``(state, Q)``, Q the base-M code of its symbols: k is the largest, at least 1 and at most an
+    eighth of the word's ``steps = n - range + 1``, with ``d * max(M, 2)**k * k <=
     _TABLE_ENTRIES``.  A batch of B seeds walks one ``take`` per chunk, and counts the chunks'
     range-words from a table of their codes, or adds rows of their counts if theta**range <= 3k.
     Each seed draws the stream of ``default_rng(seed)`` (seeded by :func:`_generators`, a batch
-    below 2^128 at once, so words follow numpy's ``SeedSequence`` and ``PCG64``, pinned to 2.4.6
-    in CI), continuing it exactly, in slabs of ``per = k * max(1, min(ceil(steps / k), 2 *
+    below 2^128 at once, so words follow numpy's ``SeedSequence`` and ``PCG64``, pinned to 2.4.6 in
+    CI), continuing it exactly, in slabs of ``per = k * max(1, min(ceil(steps / k), 2 *
     _TABLE_ENTRIES // (B * k)))`` steps, the first slab also drawing the first block."""
     t, r = chain.grammar.lexicon.theta, chain.potential.range
     blocks = np.flatnonzero(chain.index >= 0)
@@ -691,6 +696,7 @@ def _sample_counts(chain: GibbsChain, seeds, ends):
         per = k * max(1, min(-(-steps // k), 2 * _TABLE_ENTRIES // (b * k)))
         # zeros, not empty: the last chunk reads the slab's unused tail as steps past the word
         slab, tally = np.zeros((b, per + 1)), np.zeros((b, parts, size), dtype=np.int64)
+        word = np.empty(steps + r - 1, np.min_scalar_type(t - 1))   # of the batch's first seed
         # a slab's symbols (then codes) and chunk keys (then states), kept for the batch
         symbols = np.empty((b, per))
         walk = np.empty((per // k, b), dtype=np.intp)
@@ -702,16 +708,18 @@ def _sample_counts(chain: GibbsChain, seeds, ends):
             if not first:   # column 0 draws the first block from the stationary law
                 cur = np.searchsorted(start_cum, np.maximum(slab[:, 0], tiny) * start_cum[-1])
                 head, cur = blocks[cur], cur * patterns
+                word[:r - 1] = head[0] // _powers(t, r - 1) % t
             chunks = -(-n // k)
             u, q = slab[:, 1:chunks * k + 1], symbols[:, :chunks * k]
-            q.fill(0)
-            for c in cuts:   # u's symbol: the cuts at most u
+            np.greater_equal(u, cuts[0] if cuts else math.inf, out=q)   # u's symbol: the cuts <= u
+            for c in cuts[1:]:
                 q += u >= c
             at = walk[:chunks]   # Q < m**k is exact in floats, and a float matmul the fastest
             at[:] = np.matmul(q.reshape(b, chunks, k), place).T
             for key in at:
                 key += cur
                 goto.take(key, out=cur)
+            word[r - 1 + first:][:n] = (codes[at[:, 0]] % t).ravel()[:n]   # each step's last symbol
             part = np.searchsorted(inside, np.arange(chunks * k) + first + 1).reshape(-1, k)
             if table is not None:   # whole chunks of one prefix add their rows; the rest, codes
                 whole = part[:, 0] == part[:, -1]
@@ -723,7 +731,7 @@ def _sample_counts(chain: GibbsChain, seeds, ends):
             drawn += part[:, None] * size
             drawn += offsets
             tally += np.bincount(drawn.ravel(), minlength=tally.size).reshape(tally.shape)
-        yield head, np.cumsum(tally[:, :-1], axis=1)
+        yield head, np.cumsum(tally[:, :-1], axis=1), word
 
 
 def _least_above(c: float, total: float) -> float:

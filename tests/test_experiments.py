@@ -33,7 +33,7 @@ from sftlearn import (
     run_experiment,
     sample,
 )
-from sftlearn import experiments
+from sftlearn import experiments, gibbs
 from sftlearn.experiments import EXPERIMENT_IDS, ExperimentReport, entropy_crossing
 from sftlearn.serialize import (
     csv_text,
@@ -233,18 +233,122 @@ def test_entropy_crossing_matches_the_closed_form(golden, full2):
 
 def test_entropy_crossing_stops_where_no_float_lies_between_the_ends(golden, full2,
                                                                        monkeypatch):
-    real, calls = experiments.gibbs_chain, []
+    real, families, chains = experiments._chain_arrays, [], []
 
-    def counted(grammar, phi):
-        calls.append(phi)
-        if len(calls) > 200:
+    def counted(blocks, phi):
+        families.append(phi)
+        if len(families) > 200:
             raise RuntimeError("the bisection does not stop")
-        return real(grammar, phi)
+        return real(blocks, phi)
 
-    monkeypatch.setattr(experiments, "gibbs_chain", counted)
+    def chain(grammar, phi):
+        chains.append(phi)
+        return gibbs_chain(grammar, phi)
+
+    monkeypatch.setattr(experiments, "_chain_arrays", counted)
+    monkeypatch.setattr(experiments, "gibbs_chain", chain)
     found = entropy_crossing(golden, full2, tol=1e-300)
     assert found == pytest.approx(_closed_form_crossing(), abs=1e-9)
-    assert calls   # the counter guards the bisection the search runs
+    # the counter guards the family solves, which every round of the search runs; no
+    # point is solved alone, and the one gibbs_chain is the baseline's
+    assert families and len(chains) == 1
+
+
+def _sequential_crossing(lower, upper, tol, visit=None):
+    """:func:`entropy_crossing` as a bisection of one ``gibbs_chain`` solve per
+    point, each reward it solves passed to ``visit``."""
+    orbit = periodic_orbit_potential(lower, upper, 1.0)
+    baseline = gibbs_chain(lower, orbit.scaled(0.0)).entropy
+
+    def gap(reward):
+        if visit:
+            visit(reward)
+        return gibbs_chain(upper, orbit.scaled(reward)).entropy - baseline
+
+    lo, hi = 0.0, 1.0
+    if gap(lo) <= 0:
+        raise RuntimeError("entropy of the larger grammar does not exceed the smaller at reward 0")
+    while gap(hi) >= 0:
+        hi *= 2.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if gap(mid) < 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+_THETA3_DOUBLING = ([[0, 1, 0], [0, 0, 1], [1, 1, 0]], [[1, 1, 1]] * 3)
+
+
+@pytest.mark.parametrize("rows, tol", [
+    *((([[1, 1], [1, 0]], [[1, 1], [1, 1]]), tol) for tol in (1e-6, 0.3, 1e-300)),
+    (_THETA3_DOUBLING, 1e-6),
+])
+def test_entropy_crossing_has_the_bits_of_the_one_point_bisection(rows, tol):
+    lower, upper = map(Grammar.from_rows, rows)
+    assert entropy_crossing(lower, upper, tol) == _sequential_crossing(lower, upper, tol)
+
+
+def test_reward_families_have_the_entropies_of_their_chains_alone(golden, full2):
+    # (at reward 123 the theta=3 upper chain fails its certificate, alone as in a family)
+    for lower, upper, rewards in ((golden, full2, [0.0, 1e-7, 0.5, 1.7, 123.0]),
+                                  (*map(Grammar.from_rows, _THETA3_DOUBLING), [0.0, 1e-7, 1.7])):
+        orbit = periodic_orbit_potential(lower, upper, 1.0)
+        blocks = gibbs._class_blocks((upper,), orbit)
+        rows = np.outer(rewards, orbit._at(blocks[3]))
+        [(members, *_, entropy)] = gibbs._chain_arrays(blocks, rows)
+        assert members == list(range(len(rewards)))
+        assert entropy.tolist() == [gibbs_chain(upper, orbit.scaled(r)).entropy for r in rewards]
+
+
+def _plant_at(monkeypatch, rewards):
+    """Make every solve of a chain under an orbit reward in ``rewards`` fail its
+    certificate: its matrix becomes ``diag(1, 0, ..., 0)``, in a family or alone."""
+    real = gibbs._transfer_stack
+
+    def planted(blocks, phi):
+        for members, shifts, stack in real(blocks, phi):
+            bad = [i for i, m in enumerate(members) if phi[m].max() in rewards]
+            if bad:
+                stack = stack.copy()
+                stack[bad] = np.diag(np.eye(stack.shape[-1])[0])
+            yield members, shifts, stack
+
+    monkeypatch.setattr(gibbs, "_transfer_stack", planted)
+
+
+def test_a_failing_family_raises_only_what_the_one_point_bisection_raises(golden, full2,
+                                                                           monkeypatch):
+    visited, solved, real = [], [], experiments._chain_arrays
+    expected = _sequential_crossing(golden, full2, 1e-6, visited.append)
+
+    def recorded(blocks, phi):   # each row's reward is its largest value
+        solved.extend(phi.max(axis=1).tolist())
+        return real(blocks, phi)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "_chain_arrays", recorded)
+        assert entropy_crossing(golden, full2, 1e-6) == expected
+    unvisited = set(solved) - set(visited)
+    assert len(unvisited) > 20 and set(visited) <= set(solved)
+    # failures at points the search never visits fail their families, whose visited
+    # points are then solved alone, and raise nothing
+    with monkeypatch.context() as patch:
+        _plant_at(patch, unvisited)
+        assert entropy_crossing(golden, full2, 1e-6) == expected
+    # a failure on the path raises as the one-point bisection does, at that point
+    for reward in (visited[1], visited[6], visited[-1]):
+        with monkeypatch.context() as patch:
+            _plant_at(patch, {reward})
+            with pytest.raises(gibbs.PerronConvergenceError) as want:
+                _sequential_crossing(golden, full2, 1e-6)
+            with pytest.raises(gibbs.PerronConvergenceError) as got:
+                entropy_crossing(golden, full2, 1e-6)
+            assert str(got.value) == str(want.value)
 
 
 def test_entropy_crossing_doubles_its_bracket_past_reward_one():
@@ -654,6 +758,18 @@ def test_reports_are_deterministic_and_serializable():
     # wall time is measured but deliberately left out of the serialized form
     assert first.wall_time_s > 0
     assert "wall_time_s" not in first.to_dict()
+
+
+@pytest.mark.parametrize("name", [n for n in EXPERIMENT_IDS if n != "monotonicity"])
+def test_studies_read_the_first_seed_word_off_their_walk(name, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a study drew a word through sample")
+
+    monkeypatch.setattr(gibbs, "sample", refuse)
+    assert "sample" not in vars(experiments)
+    report = run_experiment(default_config(name))
+    if name != "smb":   # which reports no first seed, but samples too
+        assert report.details["first_seed"]["seed"] == 0 and report.details["first_seed"]["word"]
 
 
 def test_infinite_gaps_survive_serialization(golden, full2):

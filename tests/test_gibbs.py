@@ -397,9 +397,9 @@ def _uncertifiable(monkeypatch, failing, block_codes=None, sign=1.0, matrix=None
     blocks have ``block_codes`` codes, theta^(range - 1)."""
     real = gibbs._transfer_stack
 
-    def broken(grown, potentials):
+    def broken(grown, values):
         k, codes = grown[0].shape
-        for members, shifts, stack in real(grown, potentials):
+        for members, shifts, stack in real(grown, values):
             stack = stack.copy()
             for i, m in enumerate(members):
                 if m % k in failing and block_codes in (None, codes):
@@ -469,6 +469,28 @@ def test_a_pressure_whose_h_has_a_zero_entry_is_not_rescaled():
     with pytest.raises(PerronConvergenceError) as err:
         pressure_stack(enumerate_grammars(lex3), phi)
     assert err.value.min_entry == 0.0 and math.isfinite(err.value.lower)
+
+
+def test_a_pressure_whose_solves_overflow_reports_a_least_entry_of_zero():
+    """Weights from about 1e-303 to 1e302 overflow the shifted solves, and so ``h``, to
+    nan: the error then reports a smallest entry of 0, never nan, while the bracket may
+    stay nan.  Here, the range-3 potential of the value-bound-700 scan of
+    tests/test_cli.py, under each theta=3 grammar alone (a few of whose shifted
+    matrices are singular in floats, a RuntimeError that names no entry)."""
+    lex3 = Lexicon(3)
+    phi = experiments._random_potentials(lex3, 8, (3, 2), 700.0, 0)[0]
+    errors = []
+    for g in enumerate_grammars(lex3):
+        try:
+            pressure(g, phi)
+        except PerronConvergenceError as exc:
+            errors.append(exc)
+        except RuntimeError as exc:
+            assert str(exc).endswith("failed: Singular matrix")
+    overflowed = [e for e in errors if math.isnan(e.lower)]
+    assert len(overflowed) > 100
+    assert all(e.min_entry == 0.0 for e in overflowed)
+    assert all(e.min_entry >= 0.0 and "entry nan" not in str(e) for e in errors)
 
 
 def _unconvergent(monkeypatch, failing):
@@ -555,8 +577,9 @@ def test_pressures_keep_every_root_that_eig_certifies(bound):
     counts = Counter()
     for r in (2, 3, 4):
         family = [phi for phi in potentials if phi.range == r]
-        for members, _, stack in gibbs._transfer_stack(gibbs._class_blocks(grammars, family[0]),
-                                                       family):
+        blocks = gibbs._class_blocks(grammars, family[0])
+        values = np.array([phi._at(blocks[3]) for phi in family])
+        for members, _, stack in gibbs._transfer_stack(blocks, values):
             alone = list(zip(members, stack[:, None]))
             new = [gibbs._certified([m], one, False) for m, one in alone]
             for (_, one), (got, _, error) in zip(alone, new):
@@ -731,7 +754,7 @@ def _class_transfers(grammars, phi):
     states = gibbs._words(np.nonzero(index >= 0)[1], phi.lexicon.theta, phi.range - 1)
     ends = np.cumsum(sizes).tolist()
     out = [None] * len(grammars)
-    for members, shifts, stack in gibbs._transfer_stack(blocks, [phi]):
+    for members, shifts, stack in gibbs._transfer_stack(blocks, phi._at(blocks[3])[None]):
         for i, k in enumerate(members):
             out[k] = (states[ends[k] - len(stack[i]):ends[k]], index[k],
                       stack[i] * math.exp(shifts[i]))
@@ -796,7 +819,7 @@ def _oracle_chains(grammars, phi):
     blocks = gibbs._class_blocks(grammars, phi)
     out = [None] * len(grammars)
     for members, shifts, stack, lams, pair in gibbs._perron_stack(
-            gibbs._transfer_stack(blocks, [phi]), left=True):
+            gibbs._transfer_stack(blocks, phi._at(blocks[3])[None]), left=True):
         for i, k in enumerate(members):
             lam, shift = float(lams[i]), float(shifts[i])
             h = pair[i][0] / pair[i][0].sum()
@@ -1223,10 +1246,14 @@ def test_least_above_is_the_least_float_whose_product_passes():
 def _lockstep_words(chain, n, seeds):
     """The words the lockstep sampler draws, rebuilt from the counts of
     every prefix: growing the prefix by one symbol adds exactly one
-    range-word, which ends in that symbol."""
+    range-word, which ends in that symbol.  Each batch's first seed's word,
+    which the sampler reads off its walk, must be ``sample``'s, in the
+    smallest unsigned type that holds the symbols."""
     t, r = chain.grammar.lexicon.theta, chain.potential.range
     words = []
-    for heads, batch in gibbs._sample_counts(chain, seeds, range(1, n + 1)):
+    for heads, batch, first in gibbs._sample_counts(chain, seeds, range(1, n + 1)):
+        assert first.dtype == np.min_scalar_type(t - 1)
+        assert tuple(first.tolist()) == sample(chain, n, seeds[len(words)]).word
         for head, counts in zip(heads.tolist(), batch):
             added = np.diff(counts, axis=0)[r - 2:]
             assert (added.sum(axis=1) == 1).all()

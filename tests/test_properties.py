@@ -180,7 +180,7 @@ def test_lockstep_counts_are_the_prefix_counts_of_the_words_of_sample(chain, cou
     # bincount of the range-words of its prefix, counted apart for every seed
     seeds = range(base, base + count)
     n = max(ends[-1], chain.potential.range - 1)
-    heads, counts = map(np.concatenate, zip(*gibbs._sample_counts(chain, seeds, ends)))
+    heads, counts, _ = map(np.concatenate, zip(*gibbs._sample_counts(chain, seeds, ends)))
     assert len(heads) == len(counts) == count
     for seed, head, rows in zip(seeds, heads.tolist(), counts):
         word = sample(chain, n, seed).word
